@@ -46,7 +46,6 @@ pub const LOCK_CLASSES: &[(&str, &str, &str)] = &[
     ("crates/store/src/lib.rs", "writers", "store-writers"),
     ("crates/store/src/lib.rs", "ranged_memo", "store-memo"),
     ("crates/core/src/lab.rs", "inner", "hub-inner"),
-    ("crates/core/src/lab.rs", "retired", "hub-retired"),
     ("crates/core/src/lab.rs", "map", "hub-slot"),
     ("crates/obs/src/lib.rs", "counters", "obs-registry"),
     ("crates/obs/src/lib.rs", "gauges", "obs-registry"),

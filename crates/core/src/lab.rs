@@ -254,6 +254,14 @@ struct SharedCaches {
     store: Option<Arc<Store>>,
 }
 
+impl SharedCaches {
+    /// Adds this cache's campaign counts to `stats`.
+    fn tally(&self, stats: &mut FabricationStats) {
+        stats.chiplet_fabrications += self.chiplet_fabrications.load(Ordering::Relaxed);
+        stats.mono_fabrications += self.mono_fabrications.load(Ordering::Relaxed);
+    }
+}
+
 /// Counters of how many fabrication campaigns actually ran — the
 /// observable for cache-sharing tests and engine run reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -294,13 +302,20 @@ impl FabricationStats {
 /// the same caches.
 #[derive(Debug, Clone, Default)]
 pub struct CacheHub {
-    inner: Arc<Mutex<BTreeMap<String, Arc<SharedCaches>>>>,
+    inner: Arc<Mutex<HubState>>,
     store: Option<Arc<Store>>,
-    /// Campaign counts carried over from caches dropped by
-    /// [`CacheHub::clear`], so [`CacheHub::fabrication_stats`] stays
-    /// monotonic across resets — the property per-batch deltas
-    /// ([`FabricationStats::since`]) rely on.
-    retired: Arc<Mutex<FabricationStats>>,
+}
+
+#[derive(Debug, Default)]
+struct HubState {
+    /// Per cache key: the caches and the `clock` value of their last
+    /// [`CacheHub::shared_for`] touch.
+    entries: BTreeMap<String, (Arc<SharedCaches>, u64)>,
+    clock: u64,
+    /// Campaign counts carried over from evicted caches, so
+    /// [`CacheHub::fabrication_stats`] stays monotonic — the property
+    /// per-batch deltas ([`FabricationStats::since`]) rely on.
+    retired: FabricationStats,
 }
 
 impl CacheHub {
@@ -348,49 +363,64 @@ impl CacheHub {
     }
 
     fn shared_for(&self, config: &LabConfig) -> Arc<SharedCaches> {
-        Arc::clone(
-            self.inner.lock().expect("hub poisoned").entry(config.cache_key()).or_insert_with(
-                || {
-                    Arc::new(SharedCaches {
-                        store: self.store.clone(),
-                        ..SharedCaches::default()
-                    })
-                },
-            ),
-        )
+        let mut inner = self.inner.lock().expect("hub poisoned");
+        inner.clock += 1;
+        let touched = inner.clock;
+        let entry = inner.entries.entry(config.cache_key()).or_insert_with(|| {
+            (Arc::new(SharedCaches { store: self.store.clone(), ..SharedCaches::default() }), 0)
+        });
+        entry.1 = touched;
+        Arc::clone(&entry.0)
     }
 
     /// Aggregate fabrication counters across every cache in the hub,
-    /// including campaigns whose caches [`CacheHub::clear`] has since
-    /// dropped — the counters only ever grow.
+    /// including campaigns whose caches have since been evicted — the
+    /// counters only ever grow.
     pub fn fabrication_stats(&self) -> FabricationStats {
         let inner = self.inner.lock().expect("hub poisoned");
-        let mut stats = *self.retired.lock().expect("retired counters poisoned");
-        for caches in inner.values() {
-            stats.chiplet_fabrications += caches.chiplet_fabrications.load(Ordering::Relaxed);
-            stats.mono_fabrications += caches.mono_fabrications.load(Ordering::Relaxed);
+        let mut stats = inner.retired;
+        for (caches, _) in inner.entries.values() {
+            caches.tally(&mut stats);
         }
         stats
     }
 
-    /// Drops every warm in-memory product — the shared
-    /// fabrication/characterization caches and the attached store's
-    /// in-process memo — while keeping the store attachment and the
-    /// cumulative fabrication counters.
-    ///
-    /// This is the long-lived service's memory-pressure valve: the hub
-    /// behaves as freshly constructed (plus any persistent store), so
-    /// the next batch recomputes or re-reads from disk. Results are
-    /// unaffected — cached values are pure functions of their keys.
-    /// Call it between batches, not while a scheduler is running.
-    pub fn clear(&self) {
+    /// Evicts the warm caches of every *idle* configuration (no lab
+    /// holds them) beyond the `keep` most recently used — by last lab
+    /// creation, not insertion — keeping their campaign counts. A
+    /// long-lived service calls this after each batch to bound its
+    /// memory; an evicted configuration costs only recomputation (or a
+    /// store read), since cached values are pure functions of their
+    /// keys.
+    pub fn trim(&self, keep: usize) {
         let mut inner = self.inner.lock().expect("hub poisoned");
-        let mut retired = self.retired.lock().expect("retired counters poisoned");
-        for caches in inner.values() {
-            retired.chiplet_fabrications += caches.chiplet_fabrications.load(Ordering::Relaxed);
-            retired.mono_fabrications += caches.mono_fabrications.load(Ordering::Relaxed);
-        }
-        inner.clear();
+        let mut touches: Vec<u64> =
+            inner.entries.values().map(|(_, touched)| *touched).collect();
+        touches.sort_unstable_by(|a, b| b.cmp(a));
+        // Touches are unique, so this splits off exactly the
+        // configurations ranked past `keep`.
+        let Some(&cutoff) = touches.get(keep) else { return };
+        let HubState { entries, retired, .. } = &mut *inner;
+        entries.retain(|_, (caches, touched)| {
+            let evict = *touched <= cutoff && Arc::strong_count(caches) == 1;
+            if evict {
+                caches.tally(retired);
+            }
+            !evict
+        });
+    }
+
+    /// Drops every idle warm in-memory product — the shared
+    /// fabrication/characterization caches ([`CacheHub::trim`] to
+    /// zero) and the attached store's in-process memo — while keeping
+    /// the store attachment and the cumulative fabrication counters.
+    ///
+    /// This is the long-lived service's `reset` valve: the hub behaves
+    /// as freshly constructed (plus any persistent store), so the next
+    /// batch recomputes or re-reads from disk. Call it between batches,
+    /// not while a scheduler is running.
+    pub fn clear(&self) {
+        self.trim(0);
         if let Some(store) = &self.store {
             store.clear_memo();
         }
@@ -454,10 +484,9 @@ impl Lab {
     /// How many fabrication campaigns this lab's shared caches have
     /// actually executed (shared with siblings and hub-mates).
     pub fn fabrication_stats(&self) -> FabricationStats {
-        FabricationStats {
-            chiplet_fabrications: self.shared.chiplet_fabrications.load(Ordering::Relaxed),
-            mono_fabrications: self.shared.mono_fabrications.load(Ordering::Relaxed),
-        }
+        let mut stats = FabricationStats::default();
+        self.shared.tally(&mut stats);
+        stats
     }
 
     /// Fabricates the raw collision-free bin for `device`, through the
@@ -845,6 +874,32 @@ mod tests {
         );
         assert!(hub.store_stats().since(snapshot.1).hits >= 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trim_evicts_least_recently_used_idle_configurations() {
+        let hub = CacheHub::new();
+        let chiplet = ChipletSpec::with_qubits(10).unwrap();
+        let config = |seed| LabConfig::quick().with_batch(50).with_seed(Seed(seed));
+        let bin = |seed| Lab::new_in(config(seed), &hub).chiplet_bin(chiplet);
+        // A live lab keeps its configuration busy, however stale.
+        let busy = Lab::new_in(config(1), &hub);
+        let busy_bin = busy.chiplet_bin(chiplet);
+        let warm = bin(2);
+        bin(3);
+        bin(2); // a fresh touch: seed 3 is now the least recently used
+        let before = hub.fabrication_stats();
+
+        hub.trim(1);
+        assert_eq!(hub.fabrication_stats(), before, "eviction keeps cumulative counters");
+        assert!(Arc::ptr_eq(&warm, &bin(2)), "the most recently used stays warm");
+        assert!(Arc::ptr_eq(&busy_bin, &bin(1)), "a configuration in use is never evicted");
+        bin(3);
+        assert_eq!(
+            hub.fabrication_stats().since(before),
+            FabricationStats { chiplet_fabrications: 1, mono_fabrications: 0 },
+            "only the least recently used idle configuration was evicted"
+        );
     }
 
     #[test]

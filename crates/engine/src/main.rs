@@ -166,12 +166,16 @@ OBSERVABILITY (see README \"Observability\"):
 STATIC ANALYSIS (see README \"Static analysis\"):
   check             run the workspace invariant checker over
                     crates/*/src: unordered-iteration, daemon-panic,
-                    clock-discipline, frame-registry, nested-lock.
-                    Deny-by-default — exits non-zero on any finding
-                    not allowlisted in place by a
-                    `check:allow(rule) reason` comment pragma.
+                    clock-discipline, frame-registry, nested-lock,
+                    lock-order, chunk-size-discipline,
+                    axis-exhaustiveness. Deny-by-default — exits
+                    non-zero on any finding not allowlisted in place
+                    by a `check:allow(rule) reason` comment pragma.
                     --format json emits machine-readable findings;
-                    --root DIR overrides workspace-root discovery
+                    --root DIR overrides workspace-root discovery;
+                    --fix [--dry-run] scaffolds a TODO(triage) pragma
+                    at every fixable finding (--dry-run prints the
+                    patch instead of writing it)
 ";
 
 #[derive(Debug)]
@@ -554,34 +558,57 @@ fn store_cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     }
 }
 
-/// SIGTERM/SIGINT → drain-and-exit flag for `serve`. The handler only
-/// performs an atomic store (async-signal-safe); the daemon's accept
-/// loop polls the flag and finishes any in-flight batch before
+/// SIGTERM/SIGINT → drain-and-exit for `serve`. The handler sets a
+/// flag and writes one byte to a self-pipe, both async-signal-safe. A
+/// watcher thread blocked on the pipe then runs the wake-up — a
+/// connection to the daemon, which re-checks the flag on every
+/// arrival — and the daemon finishes every admitted batch before
 /// exiting, so a `kill` is as graceful as `submit --shutdown`.
 mod shutdown_signal {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::io::Read;
+    use std::os::fd::IntoRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 
     static REQUESTED: AtomicBool = AtomicBool::new(false);
+    /// The self-pipe's write end.
+    static PIPE: AtomicI32 = AtomicI32::new(-1);
 
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
 
     extern "C" {
-        /// The C `signal(2)` entry point std already links.
+        /// The C `signal(2)` and `write(2)` entry points std already
+        /// links.
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 
     extern "C" fn handle(_signum: i32) {
         REQUESTED.store(true, Ordering::SeqCst);
+        // SAFETY: write(2) is async-signal-safe; should it fail, the
+        // flag is set all the same.
+        unsafe { write(PIPE.load(Ordering::SeqCst), &1, 1) };
     }
 
-    pub fn install() {
+    /// Installs the handlers; `wake` runs on a watcher thread once the
+    /// first signal arrives.
+    pub fn install(wake: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+        let (pipe_in, mut pipe_out) = UnixStream::pair()?;
+        PIPE.store(pipe_in.into_raw_fd(), Ordering::SeqCst);
+        // Detached: absent a signal it blocks until the process exits.
+        std::thread::spawn(move || {
+            if pipe_out.read_exact(&mut [0]).is_ok() {
+                wake();
+            }
+        });
         // SAFETY: replaces the SIGTERM/SIGINT dispositions with a
-        // handler that does one atomic store and returns.
+        // handler that does one atomic store and one write(2).
         unsafe {
             signal(SIGTERM, handle);
             signal(SIGINT, handle);
         }
+        Ok(())
     }
 
     pub fn requested() -> bool {
@@ -713,7 +740,19 @@ fn serve_cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         queue_depth,
     };
     let service = Service::bind(config, store).map_err(|e| format!("bind: {e}"))?;
-    shutdown_signal::install();
+    // Any connection wakes the daemon; a wildcard bind address, as a
+    // connect target, is this host.
+    let (wake_socket, wake_addr) = (socket.clone(), service.tcp_addr());
+    shutdown_signal::install(move || {
+        let woke = match (wake_socket, wake_addr) {
+            (Some(socket), _) => std::os::unix::net::UnixStream::connect(socket).map(drop),
+            (None, addr) => addr.map_or(Ok(()), |a| std::net::TcpStream::connect(a).map(drop)),
+        };
+        if let Err(error) = woke {
+            eprintln!("chipletqc-engine serve: cannot wake the daemon to stop: {error}");
+        }
+    })
+    .map_err(|e| format!("serve: signal pipe: {e}"))?;
     if let Some(socket) = &socket {
         println!("chipletqc-engine serve :: listening on {}", socket.display());
         println!(

@@ -38,12 +38,15 @@
 //! (results are deterministic, so duplicated work is safe — first
 //! result wins). A *deterministic* rejection from a worker (bad sweep,
 //! unknown scenario) fails the whole run immediately: every worker
-//! would reject the same unit the same way, so retrying is noise.
+//! would reject the same unit the same way, so retrying is noise. A
+//! dispatcher with nothing to claim blocks on a condvar over the
+//! shared state, which every requeue, completion, poisoning and worker
+//! death signals — it never sleeps on a timer.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, BufWriter};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use chipletqc::lab::FabricationStats;
@@ -63,10 +66,6 @@ use crate::sweep::Sweep;
 /// dead and its dispatch thread exits (each failure already requeued
 /// the claimed unit for the survivors).
 const WORKER_FAILURE_LIMIT: u32 = 3;
-
-/// How long an idle dispatch thread sleeps when no unit is claimable
-/// (everything in flight elsewhere and already speculated on).
-const IDLE_POLL: Duration = Duration::from_millis(25);
 
 /// Work units carved per worker when the sweep is large enough —
 /// finer than one-unit-per-worker so the schedule self-balances and a
@@ -486,6 +485,7 @@ pub fn run_mesh(submission: &Submission, config: &MeshConfig) -> Result<MeshRun,
         retries: 0,
         dead_workers: 0,
     });
+    let changed = Condvar::new();
 
     // One dispatch thread per worker; each returns how many units its
     // worker completed (attribution for the timing lines).
@@ -494,11 +494,8 @@ pub fn run_mesh(submission: &Submission, config: &MeshConfig) -> Result<MeshRun,
             .workers
             .iter()
             .map(|addr| {
-                let state = &state;
-                let units = &units;
-                scope.spawn(move || {
-                    dispatch_for_worker(addr, &config.token, config.deadline, units, state)
-                })
+                let (state, changed, units) = (&state, &changed, &units);
+                scope.spawn(move || dispatch_for_worker(addr, config, units, state, changed))
             })
             .collect();
         // A panicked dispatch thread attributes zero units; the
@@ -552,49 +549,53 @@ pub fn run_mesh(submission: &Submission, config: &MeshConfig) -> Result<MeshRun,
 
 /// One worker's dispatch loop: claim pending units, fall back to
 /// speculative re-claims of in-flight units near the tail, requeue on
-/// failure, and exit on completion, poison, or worker death. Returns
-/// the number of units this worker completed first.
+/// failure, and exit on completion, poison, or worker death. With
+/// nothing claimable it waits on `changed`, which every requeue,
+/// completion, poisoning and worker death notifies. After a claim the
+/// dispatcher picks its next unit under the same lock acquisition that
+/// recorded the result, so a failing worker retries its requeued unit
+/// before a woken survivor can take it (which speculates on it
+/// instead) and is declared dead without racing the run's end.
+/// Returns the number of units this worker completed first.
 fn dispatch_for_worker(
     addr: &str,
-    token: &str,
-    deadline: Duration,
+    config: &MeshConfig,
     units: &[Submission],
     state: &Mutex<MeshState>,
+    changed: &Condvar,
 ) -> u64 {
     let mut attempted: BTreeSet<usize> = BTreeSet::new();
     let mut consecutive_failures = 0u32;
     let mut completed = 0u64;
+    let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
-        let picked = {
-            let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (unit, speculative) = loop {
             if st.poison.is_some() || st.done == units.len() {
                 return completed;
             }
-            match st.pending.pop_front() {
-                Some(unit) => Some((unit, false)),
-                // Speculate on an in-flight unit this worker has not
-                // tried yet: the straggler policy. Results are
-                // deterministic, so duplicated work is safe.
-                None => (0..units.len())
-                    .find(|unit| st.outcomes[*unit].is_none() && !attempted.contains(unit))
-                    .map(|unit| (unit, true)),
+            if let Some(unit) = st.pending.pop_front() {
+                break (unit, false);
             }
+            // Speculate on an in-flight unit this worker has not tried
+            // yet: the straggler policy. Results are deterministic, so
+            // duplicated work is safe.
+            if let Some(unit) = (0..units.len())
+                .find(|unit| st.outcomes[*unit].is_none() && !attempted.contains(unit))
+            {
+                break (unit, true);
+            }
+            st = changed.wait(st).unwrap_or_else(PoisonError::into_inner);
         };
-        let Some((unit, speculative)) = picked else {
-            // Nothing claimable right now; a failure elsewhere may
-            // requeue a unit, or the run may finish.
-            std::thread::sleep(IDLE_POLL);
-            continue;
-        };
+        drop(st);
         attempted.insert(unit);
         // check:allow(clock-discipline) per-unit latency for the obs histogram and retry accounting
         let claim_started = Instant::now();
-        let failure = match claim(addr, token, &units[unit], deadline) {
+        let failure = match claim(addr, &config.token, &units[unit], config.deadline) {
             Ok(Response::WorkResult { pieces }) => match decode_pieces(&pieces) {
                 Ok(outcome) => {
                     chipletqc_obs::histogram("mesh.unit")
                         .record_micros(claim_started.elapsed().as_micros() as u64);
-                    let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
+                    st = state.lock().unwrap_or_else(PoisonError::into_inner);
                     consecutive_failures = 0;
                     if st.outcomes[unit].is_none() {
                         st.outcomes[unit] = Some(outcome);
@@ -605,6 +606,7 @@ fn dispatch_for_worker(
                             // original claimant to the slot.
                             chipletqc_obs::counter("mesh.speculation_wins").inc();
                         }
+                        changed.notify_all();
                     }
                     continue;
                 }
@@ -615,6 +617,7 @@ fn dispatch_for_worker(
             Ok(Response::Error(message)) => {
                 let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
                 st.poison.get_or_insert(message);
+                changed.notify_all();
                 return completed;
             }
             Ok(other) => format!("unexpected reply from {addr}: {other:?}"),
@@ -623,12 +626,13 @@ fn dispatch_for_worker(
         // Transport-shaped failure: requeue for the survivors and
         // count it against this worker.
         eprintln!("chipletqc-engine mesh: {failure}; requeueing unit {unit}");
-        let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
+        st = state.lock().unwrap_or_else(PoisonError::into_inner);
         if st.outcomes[unit].is_none() && !st.pending.contains(&unit) {
             st.pending.push_back(unit);
             st.retries += 1;
             chipletqc_obs::counter("mesh.retries").inc();
         }
+        changed.notify_all();
         consecutive_failures += 1;
         if consecutive_failures >= WORKER_FAILURE_LIMIT {
             st.dead_workers += 1;

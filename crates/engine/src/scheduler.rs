@@ -256,10 +256,12 @@ fn merge_shards(scenario: &Scenario, outputs: Vec<ShardOutput>) -> ExperimentDat
     }
 }
 
-/// Called with `(finished_tasks, total_tasks)` after every task a
-/// batch retires. Invoked under the batch's scheduling lock so
-/// successive calls observe monotonically increasing counts — keep it
-/// cheap and non-blocking (e.g. a channel send).
+/// Called with `(retired_tasks, total_tasks)` after every task a
+/// batch retires; tasks a sibling's panic skipped count as retired, so
+/// the count reaches the total however the batch ends (unless it is
+/// cancelled). Invoked under the batch's scheduling lock so successive
+/// calls observe monotonically increasing counts — keep it cheap and
+/// non-blocking (e.g. a channel send).
 pub type ProgressFn = Box<dyn Fn(usize, usize) + Send + Sync>;
 
 /// Why [`BatchHandle::wait`] came back without results.
@@ -639,7 +641,7 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
                 }
             }
             if let Some(progress) = &root.progress {
-                progress(sched.finished, root.tasks.len());
+                progress(sched.finished + sched.skipped, root.tasks.len());
             }
         }
         settle(shared, &root);

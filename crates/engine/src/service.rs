@@ -71,8 +71,23 @@
 //!   socket file is removed. A rejected submission (parse error,
 //!   unknown scenario, bad token) answers with an error frame and
 //!   leaves the daemon up.
-//! * A submission may ask for a [`CacheHub::clear`] first (`reset`),
-//!   bounding a long-lived daemon's memory without restarting it.
+//! * After every batch the hub evicts the warm caches of idle lab
+//!   configurations beyond the [`WARM_CONFIGS`] most recently used
+//!   ([`CacheHub::trim`]), so a stream of new seeds cannot grow the
+//!   daemon without bound. A submission may also ask for a
+//!   [`CacheHub::clear`] first (`reset`).
+//!
+//! ## Blocking waits
+//!
+//! Nothing sleeps or polls: every wait blocks on the event that ends
+//! it. One thread per listener blocks in `accept`, re-checks the stop
+//! conditions on every arrival and gives each connection a thread of
+//! its own; shutdown wakes the listeners with a self-connect. A
+//! submission's thread blocks on one channel fed by its socket reader
+//! (`cancel`, hang-up, bad frame), the admission gate (queue moved,
+//! slot granted) and its batch's progress callback. Every thread is
+//! scoped, so [`Service::run`] returns only after all of them have
+//! finished: that is the drain.
 //!
 //! ## Socket takeover
 //!
@@ -87,12 +102,12 @@
 //! (unlinking would reopen the race); the kernel releases the lock
 //! when the daemon exits, however it exits.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 // Lock poisoning policy: a panicking batch task is already caught by
@@ -102,7 +117,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 // in a way that matters more than the daemon staying up. The
 // never-die daemon recovers the guard instead of propagating the
 // poison to every tenant.
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{mpsc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 use chipletqc::lab::{CacheHub, FabricationStats};
@@ -122,56 +137,44 @@ use crate::scheduler::{BatchAborted, ProgressFn, ScenarioResult, Scheduler, Work
 use crate::suite::resolve_batch;
 use crate::sweep::Sweep;
 
-/// How often the accept loop wakes to poll the stop condition while no
-/// client is connected (the listeners run non-blocking so a SIGTERM
-/// flag is honored promptly instead of waiting for the next client).
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
 /// How long the daemon waits for a connected client to deliver its
 /// request frame. Requests are small and sent in one burst, so this is
-/// generous; without it a single idle connection (a port probe, a
-/// client stopped mid-frame) would wedge the synchronous daemon — and
-/// block shutdown — until the peer went away.
+/// generous; without it an idle connection (a port probe, a client
+/// stopped mid-frame) would hold its thread, and the drain, forever.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long one reply *write syscall* may stall before the daemon
-/// abandons the reply. Reports can be large and clients slow, so this
-/// is generous — but it must exist: an unbounded write to a stalled
-/// client would wedge the single-threaded daemon forever, with the
-/// batch's work already done.
+/// abandons the reply: generous, since reports can be large and
+/// clients slow, but an unbounded write to a stalled client would hold
+/// its thread, and the drain, forever.
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Total budget for one whole reply. `SO_SNDTIMEO` only bounds each
-/// write syscall, so a slow-drip client — draining a few bytes just
-/// often enough to keep every syscall under [`RESPONSE_TIMEOUT`] —
-/// could still hold the single-threaded daemon indefinitely; this
-/// cumulative deadline closes that hole. Generous: a healthy client
-/// on any sane link drains a multi-megabyte report in seconds.
+/// Total budget for one whole reply: `SO_SNDTIMEO` bounds only each
+/// write syscall, which a slow-drip client can keep under
+/// [`RESPONSE_TIMEOUT`] indefinitely. Generous: a healthy client on
+/// any sane link drains a multi-megabyte report in seconds.
 const REPLY_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Total budget for reading one whole request, mirroring
-/// [`REPLY_DEADLINE`] on the read side: `SO_RCVTIMEO` only bounds
-/// each read syscall, so a client dripping one header byte per
-/// interval could otherwise hold the single-threaded daemon in
+/// [`REPLY_DEADLINE`] on the read side: a client dripping one header
+/// byte per [`REQUEST_TIMEOUT`] could otherwise hold a thread in
 /// `read_frame_head` for hours — pre-authentication, on the
-/// network-exposed listener. Requests are small and sent in one
-/// burst; a healthy client never comes near this.
+/// network-exposed listener.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(60);
 
 /// How long the daemon waits for the *next* frame on a connection
-/// that just completed a store exchange. Store peers hold one
-/// persistent connection and send requests in bursts
-/// ([`chipletqc_store::remote::RemoteBackend`] reuses its dialed
-/// connection), so a short window lets a burst skip per-request
-/// dials and hellos — while an idle peer releases the single-threaded
-/// accept loop promptly. A peer cut off mid-burst transparently
-/// redials: its client side retries once on a fresh connection.
+/// that just completed a store exchange. Store peers reuse one
+/// connection for a burst of requests
+/// ([`chipletqc_store::remote::RemoteBackend`]), so a short window
+/// saves per-request dials and hellos, while an idle peer's thread
+/// ends promptly. A peer cut off mid-burst redials once.
 const STORE_KEEPALIVE: Duration = Duration::from_millis(250);
 
-/// How often a connection thread polls its client (for a disconnect or
-/// a `cancel` frame) and its batch (for progress) while the submission
-/// waits in the admission queue or runs.
-const CLIENT_POLL: Duration = Duration::from_millis(25);
+/// How many lab configurations the warm hub keeps after each batch:
+/// idle ones beyond the most recently used this many are evicted
+/// ([`CacheHub::trim`]). An evicted configuration costs only
+/// recomputation, or a store read, the next time it is submitted.
+const WARM_CONFIGS: usize = 32;
 
 /// Default cap on concurrently running batches.
 pub const DEFAULT_MAX_INFLIGHT: usize = 4;
@@ -333,16 +336,8 @@ impl ServiceConfig {
 
     /// A TCP-only configuration (no Unix socket).
     pub fn tcp(addr: impl Into<String>, token: impl Into<String>) -> ServiceConfig {
-        ServiceConfig {
-            socket: None,
-            listen: Some(addr.into()),
-            token: Some(token.into()),
-            default_workers: None,
-            default_shards: 1,
-            mesh_worker: false,
-            max_inflight: DEFAULT_MAX_INFLIGHT,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
-        }
+        ServiceConfig { socket: None, ..ServiceConfig::new(PathBuf::new()) }
+            .with_listen(addr, token)
     }
 
     /// Marks the daemon as a mesh worker: it will accept and execute
@@ -393,132 +388,83 @@ pub struct ServiceSummary {
 }
 
 /// One accepted client connection, Unix or TCP — the service handles
-/// both through the same synchronous, frame-at-a-time path. Each conn
-/// lives on exactly one handler thread.
+/// both through the same synchronous, frame-at-a-time path. A
+/// connection thread writes to it while, during a submission, its
+/// socket-reader thread reads from it.
 #[derive(Debug)]
-struct Conn {
-    stream: Stream,
-    /// One byte read ahead by [`Conn::peek_state`]'s non-blocking
-    /// probe (`UnixStream::peek` is not stable, so the probe consumes
-    /// a byte), handed back to the next `read`.
-    pushback: Cell<Option<u8>>,
-}
-
-#[derive(Debug)]
-enum Stream {
+enum Conn {
     Unix(UnixStream),
     Tcp(TcpStream),
 }
 
 impl Conn {
-    fn unix(stream: UnixStream) -> Conn {
-        Conn { stream: Stream::Unix(stream), pushback: Cell::new(None) }
-    }
-
-    fn tcp(stream: TcpStream) -> Conn {
-        Conn { stream: Stream::Tcp(stream), pushback: Cell::new(None) }
-    }
-
     /// Remote connections must authenticate; local (Unix) ones are
     /// trusted via filesystem permissions.
     fn is_remote(&self) -> bool {
-        matches!(self.stream, Stream::Tcp(_))
+        matches!(self, Conn::Tcp(_))
     }
 
     fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match &self.stream {
-            Stream::Unix(s) => s.set_read_timeout(timeout),
-            Stream::Tcp(s) => s.set_read_timeout(timeout),
+        match self {
+            Conn::Unix(s) => s.set_read_timeout(timeout),
+            Conn::Tcp(s) => s.set_read_timeout(timeout),
         }
     }
 
     fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match &self.stream {
-            Stream::Unix(s) => s.set_write_timeout(timeout),
-            Stream::Tcp(s) => s.set_write_timeout(timeout),
+        match self {
+            Conn::Unix(s) => s.set_write_timeout(timeout),
+            Conn::Tcp(s) => s.set_write_timeout(timeout),
         }
     }
 
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match &self.stream {
-            Stream::Unix(s) => s.set_nonblocking(nonblocking),
-            Stream::Tcp(s) => s.set_nonblocking(nonblocking),
-        }
-    }
-
-    /// A non-blocking probe: has the client sent more bytes, closed
-    /// the connection, or neither? Used by connection threads to
-    /// notice a mid-batch `cancel` frame or disconnect without
-    /// blocking the poll loop. The probe reads (at most) one byte and
-    /// stashes it in `pushback` for the next real read. Errors degrade
-    /// to [`PeekState::Idle`] — a transient probe failure must not
-    /// cancel a healthy client's batch; a truly dead client surfaces
-    /// on the next reply write instead.
-    fn peek_state(&self) -> PeekState {
-        if self.pushback.get().is_some() {
-            return PeekState::Readable;
-        }
-        if self.set_nonblocking(true).is_err() {
-            return PeekState::Idle;
-        }
-        let mut buf = [0u8; 1];
-        let probed = match &self.stream {
-            Stream::Unix(s) => (&mut &*s).read(&mut buf),
-            Stream::Tcp(s) => (&mut &*s).read(&mut buf),
+    /// Shuts the read side, so a reader blocked on it sees end of
+    /// stream.
+    fn shutdown_read(&self) {
+        let _ = match self {
+            Conn::Unix(s) => s.shutdown(Shutdown::Read),
+            Conn::Tcp(s) => s.shutdown(Shutdown::Read),
         };
-        let _ = self.set_nonblocking(false);
-        match probed {
-            Ok(0) => PeekState::Closed,
-            Ok(_) => {
-                self.pushback.set(Some(buf[0]));
-                PeekState::Readable
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => PeekState::Idle,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => PeekState::Idle,
-            Err(_) => PeekState::Closed,
-        }
     }
-}
-
-/// What [`Conn::peek_state`] saw on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PeekState {
-    /// No bytes pending; connection open.
-    Idle,
-    /// The client sent bytes (a `cancel` frame, or garbage).
-    Readable,
-    /// The client closed its write side (or the probe hard-failed).
-    Closed,
 }
 
 impl Read for &Conn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        if let Some(byte) = self.pushback.take() {
-            buf[0] = byte;
-            return Ok(1);
-        }
-        match &self.stream {
-            Stream::Unix(s) => (&mut &*s).read(buf),
-            Stream::Tcp(s) => (&mut &*s).read(buf),
+        match self {
+            Conn::Unix(s) => (&mut &*s).read(buf),
+            Conn::Tcp(s) => (&mut &*s).read(buf),
         }
     }
 }
 
 impl Write for &Conn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match &self.stream {
-            Stream::Unix(s) => (&mut &*s).write(buf),
-            Stream::Tcp(s) => (&mut &*s).write(buf),
+        match self {
+            Conn::Unix(s) => (&mut &*s).write(buf),
+            Conn::Tcp(s) => (&mut &*s).write(buf),
         }
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match &self.stream {
-            Stream::Unix(s) => (&mut &*s).flush(),
-            Stream::Tcp(s) => (&mut &*s).flush(),
+        match self {
+            Conn::Unix(s) => (&mut &*s).flush(),
+            Conn::Tcp(s) => (&mut &*s).flush(),
+        }
+    }
+}
+
+/// A bound listener, handing out [`Conn`]s.
+#[derive(Debug)]
+enum Listener {
+    Unix(UnixListener),
+    Tcp(TcpListener),
+}
+
+impl Listener {
+    fn accept(&self) -> io::Result<Conn> {
+        match self {
+            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
         }
     }
 }
@@ -528,8 +474,8 @@ impl Write for &Conn {
 #[derive(Debug)]
 pub struct Service {
     config: ServiceConfig,
-    unix: Option<UnixListener>,
-    tcp: Option<TcpListener>,
+    /// The Unix listener first, when there is one.
+    listeners: Vec<Listener>,
     tcp_addr: Option<SocketAddr>,
     /// The lifetime-held takeover lock (see the module docs); dropping
     /// it releases the lock however the daemon exits.
@@ -542,29 +488,6 @@ fn socket_lock_path(socket: &Path) -> PathBuf {
     let mut name = socket.as_os_str().to_os_string();
     name.push(".lock");
     PathBuf::from(name)
-}
-
-/// The one stream operation [`Service::poll_accept`] needs, abstracted
-/// over the two stream types so the accept arms share one non-fatal
-/// error policy.
-trait SetNonblocking: Sized {
-    /// The peer-address type `accept` pairs the stream with.
-    type Addr;
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
-}
-
-impl SetNonblocking for UnixStream {
-    type Addr = std::os::unix::net::SocketAddr;
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        UnixStream::set_nonblocking(self, nonblocking)
-    }
-}
-
-impl SetNonblocking for TcpStream {
-    type Addr = SocketAddr;
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        TcpStream::set_nonblocking(self, nonblocking)
-    }
 }
 
 /// Reads and discards whatever request bytes a rejected client
@@ -615,26 +538,29 @@ impl Service {
                 "a TCP listener requires a shared token (clients authenticate with it)",
             ));
         }
-        let (unix, lock) = match &config.socket {
+        let mut listeners = Vec::new();
+        let lock = match &config.socket {
             Some(socket) => {
                 let (listener, lock) = Self::bind_unix(socket)?;
-                (Some(listener), Some(lock))
+                listeners.push(Listener::Unix(listener));
+                Some(lock)
             }
-            None => (None, None),
+            None => None,
         };
-        let (tcp, tcp_addr) = match &config.listen {
+        let tcp_addr = match &config.listen {
             Some(addr) => {
                 let listener = TcpListener::bind(addr)?;
                 let local = listener.local_addr()?;
-                (Some(listener), Some(local))
+                listeners.push(Listener::Tcp(listener));
+                Some(local)
             }
-            None => (None, None),
+            None => None,
         };
         let hub = match store {
             Some(store) => CacheHub::new().with_store(store),
             None => CacheHub::new(),
         };
-        Ok(Service { config, unix, tcp, tcp_addr, _lock: lock, hub })
+        Ok(Service { config, listeners, tcp_addr, _lock: lock, hub })
     }
 
     /// The probe-remove-bind sequence for the Unix socket, serialized
@@ -704,104 +630,59 @@ impl Service {
     /// Serves submissions until a `shutdown` frame arrives or
     /// `should_stop` returns true (the binary points this at its
     /// SIGTERM flag; tests pass `|| false` and use the frame).
+    /// `should_stop` is re-checked whenever a connection arrives on the
+    /// first listener — the Unix socket, when there is one — so
+    /// whoever sets the flag wakes the daemon by connecting there.
     /// Connections are handled concurrently, one thread each, against
     /// a shared [`WorkPool`]; shutdown stops accepting and then
     /// drains **every** admitted batch — running and queued alike —
     /// to a full reply before the listeners close.
     pub fn run(self, should_stop: impl Fn() -> bool) -> io::Result<ServiceSummary> {
-        if let Some(unix) = &self.unix {
-            unix.set_nonblocking(true)?;
-        }
-        if let Some(tcp) = &self.tcp {
-            tcp.set_nonblocking(true)?;
-        }
         let pool_workers = self
             .config
             .default_workers
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             admission: Admission::new(self.config.max_inflight, self.config.queue_depth),
             pool: WorkPool::new(pool_workers),
             reset_gate: RwLock::new(()),
             config: self.config.clone(),
+            tcp_addr: self.tcp_addr,
             hub: self.hub.clone(),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
+        };
+        std::thread::scope(|scope| {
+            let shared = &shared;
+            // A panicking handler costs its own connection, never the
+            // daemon.
+            let serve = move |conn| {
+                scope.spawn(move || {
+                    let _ = catch_unwind(AssertUnwindSafe(|| shared.handle(conn)));
+                });
+            };
+            // The first listener (the Unix socket, when there is one) is
+            // served on this thread, which alone may call `should_stop`;
+            // the TCP listener beside it gets a thread of its own.
+            let mut listeners = self.listeners.iter();
+            let first = listeners.next();
+            for listener in listeners {
+                scope.spawn(move || shared.accept_loop(listener, &|| false, &serve));
+            }
+            if let Some(listener) = first {
+                shared.accept_loop(listener, &should_stop, &serve);
+            }
+            // Leaving the scope joins every connection thread: the
+            // graceful drain, queued submissions included.
         });
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !shared.shutdown.load(Ordering::SeqCst) && !should_stop() {
-            let mut idle = true;
-            if let Some(unix) = &self.unix {
-                if let Some(stream) = Self::poll_accept(unix.accept(), "unix") {
-                    idle = false;
-                    let shared = Arc::clone(&shared);
-                    handlers
-                        .push(std::thread::spawn(move || shared.handle(Conn::unix(stream))));
-                }
-            }
-            if let Some(tcp) = &self.tcp {
-                if let Some(stream) = Self::poll_accept(tcp.accept(), "tcp") {
-                    idle = false;
-                    let shared = Arc::clone(&shared);
-                    handlers.push(std::thread::spawn(move || shared.handle(Conn::tcp(stream))));
-                }
-            }
-            // Reap finished connection threads so a long-lived daemon
-            // does not accumulate handles.
-            handlers.retain(|handle| !handle.is_finished());
-            if idle {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-        // Graceful drain: no new connections are accepted, but every
-        // connection already in flight — including submissions still
-        // waiting in the admission queue — runs to its reply.
-        for handle in handlers {
-            let _ = handle.join();
-        }
         // Outstanding store writes land before the directory is handed
         // back (to a next daemon, or to one-shot runs).
         shared.hub.flush_store();
         let summary = shared.counters.summary();
-        // All handler threads joined, so this is the last Arc; drop it
-        // here so the pool's worker threads exit before the socket
-        // file is removed.
+        // Drop the pool here so its worker threads exit before the
+        // socket file is removed.
         drop(shared);
         Ok(summary)
-    }
-
-    /// Resolves one non-blocking `accept` attempt, switching an
-    /// accepted stream back to blocking. NOTHING on this path may
-    /// kill the daemon: a peer that RSTs out of the backlog
-    /// (`ConnectionAborted`), fd exhaustion (`EMFILE`), or a failed
-    /// `set_nonblocking` on one stream costs a log line and a loop
-    /// iteration — the accept loop stays idle-paced by `ACCEPT_POLL`,
-    /// so even a persistent error cannot spin hot — never the warm
-    /// hub the daemon exists to preserve.
-    fn poll_accept<S: SetNonblocking>(
-        accepted: io::Result<(S, S::Addr)>,
-        listener: &str,
-    ) -> Option<S> {
-        match accepted {
-            Ok((stream, _)) => match stream.set_nonblocking(false) {
-                // The accepted stream must block: request handling is
-                // synchronous.
-                Ok(()) => Some(stream),
-                Err(error) => {
-                    eprintln!(
-                        "chipletqc-engine serve: dropping one {listener} connection \
-                         (set_nonblocking: {error})"
-                    );
-                    None
-                }
-            },
-            Err(error) if error.kind() == io::ErrorKind::WouldBlock => None,
-            Err(error) if error.kind() == io::ErrorKind::Interrupted => None,
-            Err(error) => {
-                eprintln!("chipletqc-engine serve: {listener} accept failed: {error}");
-                None
-            }
-        }
     }
 }
 
@@ -843,8 +724,6 @@ struct Admission {
     max_inflight: usize,
     queue_depth: usize,
     state: Mutex<AdmissionState>,
-    /// Signalled whenever a slot frees or the queue shifts.
-    changed: Condvar,
     /// Observability mirrors of `state.inflight` / `state.queue.len()`,
     /// updated by delta at every transition. The registry is
     /// process-wide (parallel tests share it), so the gauges are an
@@ -856,8 +735,9 @@ struct Admission {
 #[derive(Debug, Default)]
 struct AdmissionState {
     inflight: usize,
-    /// Waiting tickets, front = next to admit.
-    queue: VecDeque<u64>,
+    /// Waiting tickets, front = next to admit, each with the channel
+    /// its connection thread blocks on.
+    queue: VecDeque<(u64, mpsc::Sender<Event>)>,
     next_ticket: u64,
 }
 
@@ -866,8 +746,10 @@ struct AdmissionState {
 enum Entry {
     /// An execution slot is held; pair with [`Admission::leave`].
     Admitted,
-    /// Waiting at `position` (1 = next in line) under `ticket`; poll
-    /// [`Admission::try_admit`], or [`Admission::abandon`] to give up.
+    /// Waiting at `position` (1 = next in line) under `ticket`: the
+    /// gate sends [`Event::Queued`] as the line moves and
+    /// [`Event::Admitted`] with a slot, or [`Admission::abandon`]
+    /// gives up.
     Queued { ticket: u64, position: usize },
     /// Queue full: reject with a `busy` frame.
     Busy { inflight: usize, queued: usize },
@@ -879,13 +761,14 @@ impl Admission {
             max_inflight: max_inflight.max(1),
             queue_depth,
             state: Mutex::new(AdmissionState::default()),
-            changed: Condvar::new(),
             inflight_gauge: chipletqc_obs::gauge("service.inflight"),
             queued_gauge: chipletqc_obs::gauge("service.queued"),
         }
     }
 
-    fn enter(&self) -> Entry {
+    /// Takes a slot, or a place in the queue whose notices go to
+    /// `events`, or neither.
+    fn enter(&self, events: &mpsc::Sender<Event>) -> Entry {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         // FIFO fairness: a free slot goes to the queue front, never to
         // a newcomer jumping it.
@@ -897,59 +780,59 @@ impl Admission {
         if state.queue.len() < self.queue_depth {
             let ticket = state.next_ticket;
             state.next_ticket += 1;
-            state.queue.push_back(ticket);
+            state.queue.push_back((ticket, events.clone()));
             self.queued_gauge.inc();
             return Entry::Queued { ticket, position: state.queue.len() };
         }
         Entry::Busy { inflight: state.inflight, queued: state.queue.len() }
     }
 
-    /// Admits `ticket` iff it is at the queue front and a slot is
-    /// free.
-    fn try_admit(&self, ticket: u64) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if state.inflight < self.max_inflight && state.queue.front() == Some(&ticket) {
-            state.queue.pop_front();
-            state.inflight += 1;
-            self.queued_gauge.dec();
-            self.inflight_gauge.inc();
-            drop(state);
-            self.changed.notify_all();
-            return true;
-        }
-        false
-    }
-
-    /// Removes a queued ticket (client cancelled or disconnected
-    /// while waiting).
+    /// Withdraws a queued ticket (client cancelled or disconnected
+    /// while waiting). A ticket the gate admitted in the meantime hands
+    /// its slot straight back.
     fn abandon(&self, ticket: u64) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(at) = state.queue.iter().position(|&t| t == ticket) {
-            state.queue.remove(at);
-            self.queued_gauge.dec();
+        match state.queue.iter().position(|(t, _)| *t == ticket) {
+            Some(at) => {
+                state.queue.remove(at);
+                self.queued_gauge.dec();
+                self.advance(&mut state, at);
+            }
+            None => self.release(&mut state),
         }
-        drop(state);
-        self.changed.notify_all();
     }
 
     /// Releases an execution slot taken via [`Entry::Admitted`] or
-    /// [`Admission::try_admit`].
+    /// [`Event::Admitted`].
     fn leave(&self) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        self.release(&mut state);
+    }
+
+    fn release(&self, state: &mut AdmissionState) {
         if state.inflight > 0 {
             self.inflight_gauge.dec();
         }
         state.inflight = state.inflight.saturating_sub(1);
-        drop(state);
-        self.changed.notify_all();
+        self.advance(state, 0);
     }
 
-    /// This ticket's current queue position (1 = next in line), or
-    /// `None` once it is no longer queued — the source for the
-    /// queue-position refresh progress frames.
-    fn position(&self, ticket: u64) -> Option<usize> {
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.queue.iter().position(|&t| t == ticket).map(|at| at + 1)
+    /// Hands free slots to the queue front, then tells every waiter
+    /// from index `moved` on its new position.
+    fn advance(&self, state: &mut AdmissionState, mut moved: usize) {
+        while state.inflight < self.max_inflight {
+            let Some((_, events)) = state.queue.pop_front() else { break };
+            self.queued_gauge.dec();
+            moved = 0;
+            // A waiter whose connection thread is gone takes no slot.
+            if events.send(Event::Admitted).is_ok() {
+                state.inflight += 1;
+                self.inflight_gauge.inc();
+            }
+        }
+        for (at, (_, events)) in state.queue.iter().enumerate().skip(moved) {
+            let _ = events.send(Event::Queued(at + 1));
+        }
     }
 
     /// This daemon's exact, instantaneous `(inflight, queued)` — what
@@ -959,22 +842,23 @@ impl Admission {
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         (state.inflight, state.queue.len())
     }
-
-    /// Blocks until the gate may have changed, at most `timeout` — the
-    /// queue-wait poll interval (bounded so the waiter also polls its
-    /// client for disconnects).
-    fn wait_changed(&self, timeout: Duration) {
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ =
-            self.changed.wait_timeout(state, timeout).unwrap_or_else(PoisonError::into_inner);
-    }
 }
 
-/// What a connection thread saw when it polled its client mid-wait or
-/// mid-batch.
+/// What wakes a connection thread while its submission waits or runs.
+enum Event {
+    /// From the socket reader: what the client did.
+    Client(ClientEvent),
+    /// From the admission gate: the queue moved this submission to
+    /// `position` (1 = next in line).
+    Queued(usize),
+    /// From the admission gate: an execution slot is held.
+    Admitted,
+    /// From the batch: `done` of `total` tasks retired.
+    Progress(usize, usize),
+}
+
+/// What a client sent after its submission.
 enum ClientEvent {
-    /// Nothing new; keep going.
-    Idle,
     /// The client closed the connection.
     Gone,
     /// The client sent an explicit `cancel` frame.
@@ -1045,13 +929,64 @@ struct Shared {
     /// refabrication).
     reset_gate: RwLock<()>,
     counters: Counters,
-    /// Set by a `shutdown` frame; the accept loop drains and exits.
+    /// The bound TCP address, for the shutdown self-connect.
+    tcp_addr: Option<SocketAddr>,
+    /// Set once shutdown starts ([`Shared::stop`]); the listener
+    /// threads exit and the drain begins.
     shutdown: AtomicBool,
 }
 
 type ConnReader<'c> = BufReader<DeadlineReader<&'c Conn>>;
 
 impl Shared {
+    /// One listener's thread: blocks in `accept`, re-checks
+    /// `should_stop` on every arrival and hands each connection to
+    /// `serve`, until shutdown, whose self-connect wakes it a last
+    /// time. An accept error (a peer that reset out of the backlog, fd
+    /// exhaustion) costs a log line, never the warm hub the daemon
+    /// exists to preserve.
+    fn accept_loop(
+        &self,
+        listener: &Listener,
+        should_stop: &dyn Fn() -> bool,
+        serve: &(dyn Fn(Conn) + Sync),
+    ) {
+        loop {
+            let accepted = listener.accept();
+            if !self.shutdown.load(Ordering::SeqCst) && should_stop() {
+                self.stop();
+            }
+            if self.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            match accepted {
+                Ok(conn) => serve(conn),
+                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
+                Err(error) => eprintln!("chipletqc-engine serve: accept failed: {error}"),
+            }
+        }
+    }
+
+    /// Starts the drain: from here on no new connection is served, and
+    /// each listener thread, parked in `accept`, is woken by a
+    /// self-connect to see that. Idempotent.
+    fn stop(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(socket) = &self.config.socket {
+            if let Err(error) = UnixStream::connect(socket) {
+                eprintln!("chipletqc-engine serve: cannot wake the unix listener: {error}");
+            }
+        }
+        // A wildcard bind address, as a connect target, is this host.
+        if let Some(addr) = self.tcp_addr {
+            if let Err(error) = TcpStream::connect(addr) {
+                eprintln!("chipletqc-engine serve: cannot wake the tcp listener: {error}");
+            }
+        }
+    }
+
     /// Handles one connection on its own thread. Most requests are
     /// one-request, one-response (plus progress frames); a completed
     /// *store* exchange instead keeps the connection open for
@@ -1123,19 +1058,17 @@ impl Shared {
                 }
                 Request::Shutdown => {
                     self.respond(&conn, &Response::ShuttingDown);
-                    self.shutdown.store(true, Ordering::SeqCst);
+                    self.stop();
                     return;
                 }
                 Request::Store(store_request) => {
                     self.handle_store(&conn, store_request);
                 }
                 Request::Submit(submission) => {
-                    self.handle_submit(&conn, &mut reader, &submission);
-                    return;
+                    return self.handle_batch(&conn, reader, &submission, true);
                 }
                 Request::WorkClaim(submission) => {
-                    self.handle_claim(&conn, &mut reader, &submission);
-                    return;
+                    return self.handle_batch(&conn, reader, &submission, false);
                 }
             }
             // Only store exchanges fall through to here: give the
@@ -1371,112 +1304,134 @@ impl Shared {
         Ok(Prepared { suite, scheduler })
     }
 
-    /// Checks what the client sent (if anything) while its submission
-    /// waits or runs. Bytes already buffered take precedence over the
-    /// socket peek, so a pipelined `cancel` is not missed.
-    fn poll_client(&self, conn: &Conn, reader: &mut ConnReader<'_>) -> ClientEvent {
-        if reader.buffer().is_empty() {
-            match conn.peek_state() {
-                PeekState::Idle => return ClientEvent::Idle,
-                PeekState::Closed => return ClientEvent::Gone,
-                PeekState::Readable => {}
+    /// One submission-shaped request end to end: prepare, admit, run,
+    /// respond, account. `interactive` submissions stream queue and
+    /// task progress and may be cancelled mid-run; mesh claims wait
+    /// silently and answer with pieces — their coordinator reads
+    /// exactly one response frame per claim, and a queue-full worker's
+    /// `busy` is handled by its retry discipline. Both pass through
+    /// the same admission gate, so a mesh coordinator cannot overload
+    /// a worker past its bounds.
+    ///
+    /// A scoped socket-reader thread ([`watch_client`]) watches an
+    /// interactive client throughout, and a mesh claim's client only
+    /// if the claim has to queue: nothing stops a running claim.
+    /// Shutting the socket's read side after the reply releases it.
+    fn handle_batch(
+        &self,
+        conn: &Conn,
+        reader: ConnReader<'_>,
+        submission: &Submission,
+        interactive: bool,
+    ) {
+        if !interactive && !self.config.mesh_worker {
+            return self.reject(
+                conn,
+                "daemon is not a mesh worker (start it with `serve --mesh-worker`)".into(),
+            );
+        }
+        let prepared = match self.prepare(submission) {
+            Ok(prepared) => prepared,
+            Err(message) => return self.reject(conn, message),
+        };
+        // The reader blocks until the client acts, however long the
+        // batch takes; the reply path keeps its write deadlines.
+        let _ = conn.set_read_timeout(None);
+        let (events, inbox) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let mut reader = Some(reader);
+            let mut watch = || {
+                if let Some(reader) = reader.take() {
+                    let client = events.clone();
+                    scope.spawn(move || watch_client(reader, &client));
+                }
+            };
+            if interactive {
+                watch();
             }
-        }
-        // A frame is (or is arriving) on the wire; read it with a
-        // fresh whole-request budget.
-        reader.get_mut().reset();
-        match read_request(reader) {
-            Ok(Request::Cancel) => ClientEvent::Cancel,
-            Ok(_) => ClientEvent::Bad(
-                "only `cancel` may follow a submission on its connection".into(),
-            ),
-            Err(error) if error.kind() == io::ErrorKind::UnexpectedEof => ClientEvent::Gone,
-            Err(error) => ClientEvent::Bad(format!("bad request: {error}")),
-        }
+            if self.admit(conn, &inbox, &events, interactive, &mut watch) {
+                let outcome = self.run_admitted(
+                    conn,
+                    &inbox,
+                    &events,
+                    &prepared,
+                    submission.reset,
+                    interactive,
+                );
+                self.admission.leave();
+                self.finish(conn, outcome, interactive);
+            }
+            conn.shutdown_read();
+        });
     }
 
-    /// Takes the submission through the admission gate. Returns true
-    /// once an execution slot is held (pair with `admission.leave()`);
-    /// false means the connection is already answered or abandoned.
-    /// `interactive` submissions get a queue-position progress frame —
-    /// re-sent whenever their position changes — and terminal acks;
-    /// mesh claims wait silently (their coordinator reads exactly one
-    /// response frame).
-    fn admit(&self, conn: &Conn, reader: &mut ConnReader<'_>, interactive: bool) -> bool {
+    /// Takes the submission through the admission gate, blocking on
+    /// `inbox` while it waits (`watch` starts the socket reader first).
+    /// Returns true once an execution slot is held (pair with
+    /// `admission.leave()`); false means the connection is already
+    /// answered or abandoned. `interactive` submissions are told their
+    /// queue position on entry and whenever it changes, and get
+    /// terminal acks; mesh claims wait silently.
+    fn admit(
+        &self,
+        conn: &Conn,
+        inbox: &mpsc::Receiver<Event>,
+        events: &mpsc::Sender<Event>,
+        interactive: bool,
+        watch: &mut dyn FnMut(),
+    ) -> bool {
         let _wait = chipletqc_obs::span("service.admission_wait");
-        match self.admission.enter() {
-            Entry::Admitted => true,
+        let (ticket, position) = match self.admission.enter(events) {
+            Entry::Admitted => return true,
             Entry::Busy { inflight, queued } => {
                 self.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 self.respond(
                     conn,
                     &Response::Busy { inflight: inflight as u64, queued: queued as u64 },
                 );
-                false
+                return false;
             }
-            Entry::Queued { ticket, position } => {
-                let mut last_sent = position as u64;
-                if interactive
-                    && !self.send_progress(conn, Progress::Queued { position: last_sent })
+            Entry::Queued { ticket, position } => (ticket, position),
+        };
+        watch();
+        let mut event = Event::Queued(position);
+        let client = loop {
+            match event {
+                Event::Admitted => return true,
+                Event::Queued(position)
+                    if interactive
+                        && !self.send_progress(
+                            conn,
+                            Progress::Queued { position: position as u64 },
+                        ) =>
                 {
-                    self.admission.abandon(ticket);
-                    self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                    return false;
+                    break ClientEvent::Gone;
                 }
-                loop {
-                    if self.admission.try_admit(ticket) {
-                        return true;
-                    }
-                    // Queue-position refresh: a waiting client learns
-                    // every time the line in front of it shortens (or
-                    // grows — an abandon ahead, then a re-queue, can
-                    // shift either way), not just once on entry.
-                    if interactive {
-                        if let Some(position) = self.admission.position(ticket) {
-                            let position = position as u64;
-                            if position != last_sent {
-                                if !self.send_progress(conn, Progress::Queued { position }) {
-                                    self.admission.abandon(ticket);
-                                    self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                                    return false;
-                                }
-                                last_sent = position;
-                            }
-                        }
-                    }
-                    match self.poll_client(conn, reader) {
-                        ClientEvent::Idle => {}
-                        ClientEvent::Gone => {
-                            self.admission.abandon(ticket);
-                            self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                            return false;
-                        }
-                        ClientEvent::Cancel => {
-                            self.admission.abandon(ticket);
-                            self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                            if interactive {
-                                self.respond(conn, &Response::Cancelled);
-                            }
-                            return false;
-                        }
-                        ClientEvent::Bad(message) => {
-                            self.admission.abandon(ticket);
-                            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                            if interactive {
-                                self.respond(conn, &Response::Error(message));
-                            }
-                            return false;
-                        }
-                    }
-                    self.admission.wait_changed(CLIENT_POLL);
-                }
+                Event::Client(client) => break client,
+                Event::Queued(_) | Event::Progress(..) => {}
             }
+            // `events` is ours, so the channel never disconnects.
+            event = inbox.recv().unwrap_or(Event::Client(ClientEvent::Gone));
+        };
+        self.admission.abandon(ticket);
+        let (counter, reply) = match client {
+            ClientEvent::Gone => (&self.counters.cancelled, None),
+            ClientEvent::Cancel => (&self.counters.cancelled, Some(Response::Cancelled)),
+            ClientEvent::Bad(message) => {
+                (&self.counters.rejected, Some(Response::Error(message)))
+            }
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(reply) = reply.filter(|_| interactive) {
+            self.respond(conn, &reply);
         }
+        false
     }
 
-    /// Runs an admitted batch on the shared pool, streaming task
-    /// progress and polling the client for a disconnect or `cancel`
-    /// (interactive submissions only — mesh claims run silently).
+    /// Runs an admitted batch on the shared pool. An interactive
+    /// submission's thread blocks on `inbox` for task progress, which
+    /// it streams on, and for the client's `cancel` or hang-up, which
+    /// cancels the batch; mesh claims just wait for the result.
     /// Counter deltas are race-safe: snapshots are taken under the
     /// reset gate, so no concurrent `clear` can shift the baseline
     /// mid-batch, and the hub's totals are monotone under its own
@@ -1484,7 +1439,8 @@ impl Shared {
     fn run_admitted(
         &self,
         conn: &Conn,
-        reader: &mut ConnReader<'_>,
+        inbox: &mpsc::Receiver<Event>,
+        events: &mpsc::Sender<Event>,
         prepared: &Prepared,
         reset: bool,
         interactive: bool,
@@ -1499,63 +1455,44 @@ impl Shared {
         let fabrication_before = self.hub.fabrication_stats();
         let store_before = self.hub.store_stats();
         let peer_before = self.hub.peer_stats();
-        let (tx, rx) = mpsc::channel::<(usize, usize)>();
         let progress: Option<ProgressFn> = interactive.then(|| {
+            let events = events.clone();
             Box::new(move |done: usize, total: usize| {
-                // The receiver may stop listening first; that is fine.
-                let _ = tx.send((done, total));
+                // The connection thread may stop listening first.
+                let _ = events.send(Event::Progress(done, total));
             }) as ProgressFn
         });
         let handle = self.pool.submit(prepared.scheduler, &prepared.suite, &self.hub, progress);
-        let total = handle.total_tasks() as u64;
-        let mut explicit_cancel = false;
-        let mut bad: Option<String> = None;
-        if interactive {
-            // The initial 0/total frame doubles as the admission
-            // notification ("your batch is running now").
-            if self.send_progress(conn, Progress::Tasks { done: 0, total }) {
-                let mut done = 0u64;
-                while done < total {
-                    // Poll the client every iteration — even when
-                    // progress events stream fast — so a cancel or
-                    // disconnect is never starved out.
-                    match self.poll_client(conn, reader) {
-                        ClientEvent::Idle => {}
-                        ClientEvent::Gone => {
-                            handle.cancel();
-                            break;
-                        }
-                        ClientEvent::Cancel => {
-                            explicit_cancel = true;
-                            handle.cancel();
-                            break;
-                        }
-                        ClientEvent::Bad(message) => {
-                            bad = Some(message);
-                            handle.cancel();
-                            break;
-                        }
-                    }
-                    match rx.recv_timeout(CLIENT_POLL) {
-                        Ok((d, t)) => {
-                            done = d as u64;
-                            if !self
-                                .send_progress(conn, Progress::Tasks { done, total: t as u64 })
-                            {
-                                handle.cancel();
-                                break;
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {}
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        let total = handle.total_tasks();
+        let mut ended: Option<ClientEvent> = None;
+        // The initial 0/total frame doubles as the admission
+        // notification ("your batch is running now").
+        if interactive
+            && !self.send_progress(conn, Progress::Tasks { done: 0, total: total as u64 })
+        {
+            ended = Some(ClientEvent::Gone);
+        }
+        let mut done = 0;
+        while interactive && ended.is_none() && done < total {
+            match inbox.recv() {
+                Ok(Event::Progress(d, t)) => {
+                    done = d;
+                    let frame = Progress::Tasks { done: d as u64, total: t as u64 };
+                    if !self.send_progress(conn, frame) {
+                        ended = Some(ClientEvent::Gone);
                     }
                 }
-            } else {
-                handle.cancel();
+                Ok(Event::Client(client)) => ended = Some(client),
+                Ok(Event::Queued(_) | Event::Admitted) => {}
+                Err(_) => break,
             }
+        }
+        if ended.is_some() {
+            handle.cancel();
         }
         let result = handle.wait();
         self.hub.flush_store();
+        self.hub.trim(WARM_CONFIGS);
         match result {
             Ok(results) => RunOutcome::Completed(BatchExecution {
                 // Per-submission counters: the hub's totals are
@@ -1573,42 +1510,45 @@ impl Shared {
             Err(BatchAborted::Panicked(payload)) => {
                 RunOutcome::Failed(panic_message(payload.as_ref()))
             }
-            Err(BatchAborted::Cancelled) => match bad {
-                Some(message) => RunOutcome::Failed(message),
-                None => RunOutcome::Cancelled { acked: explicit_cancel },
+            Err(BatchAborted::Cancelled) => match ended {
+                Some(ClientEvent::Bad(message)) => RunOutcome::Failed(message),
+                explicit => RunOutcome::Cancelled {
+                    acked: matches!(explicit, Some(ClientEvent::Cancel)),
+                },
             },
         }
     }
 
-    /// One interactive submission, end to end: prepare, admit, run,
-    /// respond, account.
-    fn handle_submit(&self, conn: &Conn, reader: &mut ConnReader<'_>, submission: &Submission) {
-        let prepared = match self.prepare(submission) {
-            Ok(prepared) => prepared,
-            Err(message) => {
-                self.reject(conn, message);
-                return;
-            }
-        };
-        if !self.admit(conn, reader, true) {
-            return;
-        }
-        let outcome = self.run_admitted(conn, reader, &prepared, submission.reset, true);
-        self.admission.leave();
+    /// Answers and accounts for an admitted batch: a report for a
+    /// submission, pieces for a mesh claim.
+    fn finish(&self, conn: &Conn, outcome: RunOutcome, interactive: bool) {
         match outcome {
             RunOutcome::Completed(run) => {
-                let batch = self.counters.batches.fetch_add(1, Ordering::Relaxed) + 1;
                 self.counters.scenarios.fetch_add(run.results.len() as u64, Ordering::Relaxed);
-                let report =
-                    RunReport::from_results(&run.results, run.fabrication, run.store, run.peer);
-                self.respond(
-                    conn,
-                    &Response::Report {
+                let response = if interactive {
+                    let batch = self.counters.batches.fetch_add(1, Ordering::Relaxed) + 1;
+                    let report = RunReport::from_results(
+                        &run.results,
+                        run.fabrication,
+                        run.store,
+                        run.peer,
+                    );
+                    Response::Report {
                         batch,
                         timing: batch_timing_summary(batch, &run.results, run.workers),
                         report: report.to_json(),
-                    },
-                );
+                    }
+                } else {
+                    self.counters.work_units.fetch_add(1, Ordering::Relaxed);
+                    let outcome = mesh::outcome_from_results(
+                        &run.results,
+                        run.fabrication,
+                        run.store,
+                        run.peer,
+                    );
+                    Response::WorkResult { pieces: mesh::encode_pieces(&outcome) }
+                };
+                self.respond(conn, &response);
             }
             RunOutcome::Cancelled { acked } => {
                 self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
@@ -1616,61 +1556,34 @@ impl Shared {
                     self.respond(conn, &Response::Cancelled);
                 }
             }
-            RunOutcome::Failed(message) => {
-                self.reject(conn, message);
-            }
+            RunOutcome::Failed(message) => self.reject(conn, message),
         }
     }
+}
 
-    /// One mesh work claim, end to end. Claims pass through the same
-    /// admission gate as submissions — a mesh coordinator cannot
-    /// overload a worker past its bounds — but wait silently and skip
-    /// progress streaming: the coordinator reads exactly one response
-    /// frame per claim. A queue-full worker answers `busy`, which the
-    /// coordinator's retry discipline already handles.
-    fn handle_claim(&self, conn: &Conn, reader: &mut ConnReader<'_>, submission: &Submission) {
-        if !self.config.mesh_worker {
-            self.reject(
-                conn,
-                "daemon is not a mesh worker (start it with `serve --mesh-worker`)".into(),
-            );
-            return;
-        }
-        let prepared = match self.prepare(submission) {
-            Ok(prepared) => prepared,
-            Err(message) => {
-                self.reject(conn, message);
-                return;
-            }
-        };
-        if !self.admit(conn, reader, false) {
-            return;
-        }
-        let outcome = self.run_admitted(conn, reader, &prepared, submission.reset, false);
-        self.admission.leave();
-        match outcome {
-            RunOutcome::Completed(run) => {
-                self.counters.work_units.fetch_add(1, Ordering::Relaxed);
-                self.counters.scenarios.fetch_add(run.results.len() as u64, Ordering::Relaxed);
-                let outcome = mesh::outcome_from_results(
-                    &run.results,
-                    run.fabrication,
-                    run.store,
-                    run.peer,
-                );
-                self.respond(
-                    conn,
-                    &Response::WorkResult { pieces: mesh::encode_pieces(&outcome) },
-                );
-            }
-            RunOutcome::Cancelled { .. } => {
-                self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            RunOutcome::Failed(message) => {
-                self.reject(conn, message);
+/// The socket reader behind a submission: blocks until the client
+/// sends its next frame — only a `cancel` may follow a submission — or
+/// hangs up, and reports which as one [`Event::Client`]. The wait has
+/// no deadline (a batch may run for hours); a frame, once it starts,
+/// gets a fresh whole-request budget. Shutting the socket's read side
+/// ends the wait as a hang-up.
+fn watch_client(mut reader: ConnReader<'_>, events: &mpsc::Sender<Event>) {
+    reader.get_mut().reset();
+    let client = match reader.fill_buf() {
+        Ok(pending) if !pending.is_empty() => {
+            reader.get_mut().reset();
+            match read_request(&mut reader) {
+                Ok(Request::Cancel) => ClientEvent::Cancel,
+                Ok(_) => ClientEvent::Bad(
+                    "only `cancel` may follow a submission on its connection".into(),
+                ),
+                Err(error) if error.kind() == io::ErrorKind::UnexpectedEof => ClientEvent::Gone,
+                Err(error) => ClientEvent::Bad(format!("bad request: {error}")),
             }
         }
-    }
+        _ => ClientEvent::Gone,
+    };
+    let _ = events.send(Event::Client(client));
 }
 
 /// One executed batch, before it is framed as a report or as mesh
@@ -2165,6 +2078,37 @@ mod tests {
     }
 
     #[test]
+    fn past_its_cap_the_warm_hub_refabricates_only_the_least_recently_used_seed() {
+        let socket = temp_socket("warm-cap");
+        let service = Service::bind(ServiceConfig::new(&socket), None).unwrap();
+        let handle = std::thread::spawn(move || service.run(|| false).unwrap());
+        // Whether serving `seed` fabricated anything.
+        let fabricates = |seed: usize| {
+            let submission = Submission {
+                sweep_text: Some(format!(
+                    "kind = fig8\ngrid = 10q2x2\nbatch = 20\nseed = {seed}\n"
+                )),
+                workers: Some(1),
+                ..Submission::default()
+            };
+            match request(&socket, &Request::Submit(submission)).unwrap() {
+                Response::Report { report, .. } => !report.contains("\"chiplet_campaigns\": 0"),
+                other => panic!("expected a report, got {other:?}"),
+            }
+        };
+        for seed in 0..WARM_CONFIGS {
+            assert!(fabricates(seed), "seed {seed} is new");
+        }
+        assert!(!fabricates(0), "a full hub still holds the first seed");
+        assert!(fabricates(WARM_CONFIGS), "one seed past the cap");
+        assert!(!fabricates(0), "the first seed was used recently, so it stays warm");
+        assert!(fabricates(1), "the least recently used seed was evicted");
+        request(&socket, &Request::Shutdown).unwrap();
+        handle.join().unwrap();
+        let _ = std::fs::remove_file(socket_lock_path(&socket));
+    }
+
+    #[test]
     fn deadline_writer_cuts_off_a_dripping_reply() {
         // SO_SNDTIMEO bounds one syscall; the deadline bounds the
         // whole reply. Once past it, every write and flush fails as a
@@ -2200,6 +2144,9 @@ mod tests {
             std::thread::spawn(move || service.run(move || flag.load(Ordering::SeqCst)));
         std::thread::sleep(Duration::from_millis(60));
         stop.store(true, Ordering::SeqCst);
+        // The flag is re-checked on every arrival; a bare connection
+        // wakes the daemon, as the binary's signal handler does.
+        drop(UnixStream::connect(&socket).unwrap());
         let summary = handle.join().unwrap().unwrap();
         assert_eq!(summary, ServiceSummary::default());
         assert!(!socket.exists());

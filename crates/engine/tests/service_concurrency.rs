@@ -360,3 +360,111 @@ fn drain_under_load_completes_every_admitted_batch() {
     assert_eq!(summary.rejected, 0);
     assert!(!socket.exists(), "socket removed after the drain");
 }
+
+/// A raw submission connection, read one frame at a time.
+struct Client {
+    stream: UnixStream,
+    reader: BufReader<UnixStream>,
+}
+
+impl Client {
+    fn submit(socket: &std::path::Path, submission: &Submission) -> Client {
+        let stream = UnixStream::connect(socket).expect("connect");
+        write_request(&mut BufWriter::new(&stream), &Request::Submit(submission.clone()))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        Client { stream, reader }
+    }
+
+    fn next(&mut self) -> Response {
+        read_response(&mut self.reader).expect("response frame")
+    }
+
+    /// Sends `cancel` and returns the terminal frame, skipping progress
+    /// frames already in flight.
+    fn cancel(mut self) -> Response {
+        write_request(&mut BufWriter::new(&self.stream), &Request::Cancel).unwrap();
+        loop {
+            match self.next() {
+                Response::Progress(_) => continue,
+                terminal => return terminal,
+            }
+        }
+    }
+}
+
+/// A daemon at `with_admission(1, 2)` with one slow batch running and
+/// two more queued behind it, at positions 1 and 2.
+fn full_line(
+    tag: &str,
+) -> (std::path::PathBuf, std::thread::JoinHandle<ServiceSummary>, [Client; 3]) {
+    let socket = temp_socket(tag);
+    let config = ServiceConfig::new(&socket).with_admission(1, 2);
+    let service = Service::bind(config, None).expect("bind");
+    let daemon = std::thread::spawn(move || service.run(|| false).expect("serve"));
+    let slow = submission(SLOW_SWEEP, 2);
+    let mut running = Client::submit(&socket, &slow);
+    assert!(
+        matches!(running.next(), Response::Progress(Progress::Tasks { done: 0, .. })),
+        "the first client runs"
+    );
+    let mut first = Client::submit(&socket, &slow);
+    assert_eq!(first.next(), Response::Progress(Progress::Queued { position: 1 }));
+    let mut second = Client::submit(&socket, &slow);
+    assert_eq!(second.next(), Response::Progress(Progress::Queued { position: 2 }));
+    (socket, daemon, [running, first, second])
+}
+
+#[test]
+fn a_queued_cancel_is_acknowledged_frees_its_place_and_moves_the_line_up() {
+    let (socket, daemon, [running, first, mut second]) = full_line("queued-cancel.sock");
+    let slow = submission(SLOW_SWEEP, 2);
+    assert_eq!(
+        service::request(&socket, &Request::Submit(slow.clone())).expect("busy"),
+        Response::Busy { inflight: 1, queued: 2 },
+        "the line is full"
+    );
+
+    assert_eq!(first.cancel(), Response::Cancelled, "a queued cancel is acknowledged");
+    assert_eq!(
+        second.next(),
+        Response::Progress(Progress::Queued { position: 1 }),
+        "the client behind the cancelled one is told it moved up"
+    );
+    let mut late = Client::submit(&socket, &slow);
+    assert_eq!(
+        late.next(),
+        Response::Progress(Progress::Queued { position: 2 }),
+        "the cancelled client's place is free again"
+    );
+
+    for client in [late, second, running] {
+        assert_eq!(client.cancel(), Response::Cancelled);
+    }
+    service::request(&socket, &Request::Shutdown).expect("shutdown");
+    let summary = daemon.join().expect("daemon thread");
+    assert_eq!(
+        summary,
+        ServiceSummary { rejected: 1, cancelled: 4, ..ServiceSummary::default() },
+        "one busy refusal; four cancellations, none of them completed"
+    );
+}
+
+#[test]
+fn a_queued_client_that_hangs_up_is_abandoned_and_counted_as_cancelled() {
+    let (socket, daemon, [running, first, mut second]) = full_line("queued-hangup.sock");
+    drop(first);
+    assert_eq!(
+        second.next(),
+        Response::Progress(Progress::Queued { position: 1 }),
+        "the hung-up client left the queue"
+    );
+
+    for client in [second, running] {
+        assert_eq!(client.cancel(), Response::Cancelled);
+    }
+    service::request(&socket, &Request::Shutdown).expect("shutdown");
+    let summary = daemon.join().expect("daemon thread");
+    assert_eq!(summary.cancelled, 3, "the hang-up counts as cancelled, beside two cancels");
+    assert_eq!((summary.batches, summary.rejected), (0, 0));
+}
