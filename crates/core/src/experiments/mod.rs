@@ -1,7 +1,7 @@
 //! One module per paper table/figure.
 //!
 //! Each experiment exposes a config type with `paper()` (full-scale,
-//! used by the regeneration binaries in `chipletqc-bench`) and
+//! used by `chipletqc-engine` runs without `--quick`) and
 //! `quick()` (reduced-scale, used by tests and doc examples) variants,
 //! a `run` entry point returning a plain data struct, and a `render`
 //! function producing the textual table/series.

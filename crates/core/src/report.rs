@@ -1,7 +1,7 @@
 //! Plain-text, CSV, and JSON rendering.
 //!
 //! Every experiment renders its data through [`TextTable`] so the
-//! regeneration binaries print the same rows the paper's tables and
+//! engine's text artifacts hold the same rows the paper's tables and
 //! figure series contain, in a form that diffs cleanly run-to-run.
 //! Structured outputs (the engine's run reports) go through [`Json`],
 //! a deterministic, insertion-ordered JSON value: the same data always

@@ -2,8 +2,7 @@
 //!
 //! Parallel experiment orchestration for the chipletqc reproduction.
 //!
-//! The per-figure binaries in `chipletqc_bench` each hard-code one
-//! experiment; this crate turns experiments into *data* and runs them
+//! This crate turns the paper's experiments into *data* and runs them
 //! at scale:
 //!
 //! * [`scenario`] — a [`Scenario`](scenario::Scenario) names an
@@ -39,7 +38,7 @@
 //!
 //! The `chipletqc-engine` binary wires these together as a CLI
 //! (one-shot runs, `store` maintenance, `serve`/`submit` service
-//! mode) and replaces the old serial `all_figures` regeneration pass.
+//! mode); it is the one regeneration path for every figure.
 //!
 //! # Quickstart
 //!

@@ -15,8 +15,10 @@
 //! `run_report.json` under `--out` (default `target/figures`). The
 //! JSON is bit-identical for any `--workers` and `--shards` values —
 //! and, apart from the `fabrication`/`store` counter objects, for any
-//! `--cache` state and for daemon-submitted runs of the same batch;
-//! timings go to stdout (one-shot) or stderr (`submit`) only.
+//! `--cache` state and for daemon-submitted runs of the same batch.
+//! Banners, timings and progress go to stderr; stdout carries only
+//! data (the report under `--no-files` or from `submit`, scenario
+//! names under `--list`).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -24,9 +26,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use chipletqc::lab::CacheHub;
-use chipletqc::report::{Json, TextTable};
-use chipletqc_collision::checker::is_collision_free;
-use chipletqc_collision::criteria::CollisionParams;
+use chipletqc::report::TextTable;
 use chipletqc_engine::mesh::{self, MeshConfig};
 use chipletqc_engine::protocol::{parse_count, Progress, Request, Response, Submission};
 use chipletqc_engine::report::{timing_summary, RunReport};
@@ -37,14 +37,8 @@ use chipletqc_engine::suite::resolve_batch;
 use chipletqc_engine::sweep::Sweep;
 use chipletqc_math::rng::Seed;
 use chipletqc_store::backend::Backend as _;
-use chipletqc_store::envelope::Encoding;
 use chipletqc_store::remote::RemoteBackend;
-use chipletqc_store::{CacheMode, EntryKey, Store};
-use chipletqc_topology::family::MonolithicSpec;
-use chipletqc_yield::fabrication::FabricationParams;
-use chipletqc_yield::monte_carlo::{
-    fabricate_collision_free, simulate_yield_range, TrialRange,
-};
+use chipletqc_store::{CacheMode, Store};
 
 const USAGE: &str = "\
 chipletqc-engine — parallel paper-figure and design-space scenario batches
@@ -67,7 +61,6 @@ USAGE:
                           [BATCH OPTIONS] [--mesh-deadline SECS] [--mesh-units N]
   chipletqc-engine submit (--socket PATH | --connect HOST:PORT --token-file F) --shutdown
   chipletqc-engine status (--socket PATH | --connect HOST:PORT --token-file F)
-  chipletqc-engine bench [--quick] [--out FILE]
   chipletqc-engine trace summarize FILE
   chipletqc-engine check [--format text|json] [--root DIR] [--fix [--dry-run]]
 
@@ -155,11 +148,6 @@ OBSERVABILITY (see README \"Observability\"):
                     inflight/queued gauges, request counters, and
                     latency histogram percentiles — served off the
                     batch path, so it answers even under full load
-  bench             run the fixed micro-benchmark suite (fabrication
-                    campaign, collision check, Monte Carlo chunk,
-                    store round-trip, daemon submit) and print a
-                    stable-schema JSON trajectory; --quick shrinks the
-                    workloads, --out FILE also writes the JSON to FILE
   trace summarize   aggregate a --trace-out file: per-span counts,
                     total/mean/max durations
 
@@ -268,7 +256,7 @@ impl CacheFlags {
 
     /// Opens the store when both a directory and a mode are
     /// configured, attaching the peer tier when one is named,
-    /// announcing it all on stdout. `token` is required iff a peer is
+    /// announcing it all on stderr. `token` is required iff a peer is
     /// configured (peers listen on TCP, which always authenticates).
     fn open_store(&self, token: Option<&str>) -> Result<Option<Store>, String> {
         match (&self.dir, self.mode) {
@@ -284,14 +272,14 @@ impl CacheFlags {
                             Some(token.to_string()),
                         )))
                         .with_push(self.push);
-                    println!(
+                    eprintln!(
                         "result store: {} ({}) {} peer {peer}",
                         dir.display(),
                         mode.name(),
                         if self.push { "<->" } else { "<-" }
                     );
                 } else {
-                    println!("result store: {} ({})", dir.display(), mode.name());
+                    eprintln!("result store: {} ({})", dir.display(), mode.name());
                 }
                 Ok(Some(store))
             }
@@ -1099,191 +1087,6 @@ fn status_cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     }
 }
 
-/// Times `runs` invocations of `f`; returns `(mean, min, max)` in
-/// microseconds.
-fn time_runs(runs: usize, mut f: impl FnMut()) -> (u64, u64, u64) {
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        // check:allow(clock-discipline) bench harness measurement; timings go to the bench JSON only
-        let started = Instant::now();
-        f();
-        samples.push(started.elapsed().as_micros() as u64);
-    }
-    let min = *samples.iter().min().expect("runs >= 1");
-    let max = *samples.iter().max().expect("runs >= 1");
-    let mean = samples.iter().sum::<u64>() / samples.len() as u64;
-    (mean, min, max)
-}
-
-/// One entry of the bench trajectory, in the committed
-/// `BENCH_XXXX.json` schema: metric name plus mean/min/max over the
-/// timed runs.
-fn bench_metric(name: &str, runs: usize, timing: (u64, u64, u64)) -> Json {
-    let (mean, min, max) = timing;
-    Json::obj()
-        .field("name", name)
-        .field("runs", runs)
-        .field("mean_us", mean)
-        .field("min_us", min)
-        .field("max_us", max)
-}
-
-/// A one-scenario quick sweep for the daemon-submit metric: small
-/// enough that the timed repeats measure the request round-trip and
-/// report serialization, not fabrication (the warm-up run pays that).
-const BENCH_SWEEP: &str = "name = bench\n\
-                           kind = fig8\n\
-                           scale = quick\n\
-                           grid = 10q2x2\n\
-                           batch = 60\n\
-                           seed = 5\n";
-
-/// The `bench` subcommand: a fixed micro-benchmark suite over the
-/// pipeline's hot paths, reported in a stable JSON schema so commits
-/// can carry a comparable performance trajectory (`BENCH_XXXX.json`).
-/// Metric *names* are the stable surface CI diffs; timings are
-/// machine-dependent and only comparable run-to-run on one host.
-fn bench_cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut quick = false;
-    let mut out: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?)),
-            other => return Err(format!("bench: unknown argument {other} (try --help)")),
-        }
-    }
-    let runs = if quick { 3 } else { 10 };
-    let device = MonolithicSpec::with_qubits(20)
-        .map_err(|e| format!("bench: build device: {e}"))?
-        .build();
-    let fab = FabricationParams::state_of_the_art();
-    let params = CollisionParams::paper();
-    let mut metrics: Vec<Json> = Vec::new();
-
-    // 1. A full fabrication campaign: sample + collision-check a
-    //    batch, collecting the collision-free bin.
-    let batch = if quick { 50 } else { 200 };
-    metrics.push(bench_metric(
-        "fabrication_campaign",
-        runs,
-        time_runs(runs, || {
-            std::hint::black_box(fabricate_collision_free(
-                &device,
-                &fab,
-                &params,
-                batch,
-                Seed(1),
-            ));
-        }),
-    ));
-
-    // 2. The collision checker alone, on one sampled assignment.
-    let freqs = fab.sample(&device, &mut Seed(2).rng());
-    let checks = if quick { 200 } else { 1000 };
-    metrics.push(bench_metric(
-        "collision_check",
-        runs,
-        time_runs(runs, || {
-            for _ in 0..checks {
-                std::hint::black_box(is_collision_free(&device, &freqs, &params));
-            }
-        }),
-    ));
-
-    // 3. One Monte Carlo yield chunk, single-threaded so the number is
-    //    a per-core figure.
-    let trials = if quick { 100 } else { 400 };
-    metrics.push(bench_metric(
-        "monte_carlo_chunk",
-        runs,
-        time_runs(runs, || {
-            std::hint::black_box(simulate_yield_range(
-                &device,
-                &fab,
-                &params,
-                TrialRange::full(trials),
-                Seed(3),
-                Some(1),
-            ));
-        }),
-    ));
-
-    // 4. A store round-trip: put + flush (join the write-behind) +
-    //    get, a fresh key each run so every put hits the disk.
-    let store_dir =
-        std::env::temp_dir().join(format!("chipletqc-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let store = Store::open(&store_dir, CacheMode::ReadWrite)
-        .map_err(|e| format!("bench: open store: {e}"))?;
-    let payload = vec![7u8; 64 * 1024];
-    let mut round = 0u64;
-    metrics.push(bench_metric(
-        "store_round_trip",
-        runs,
-        time_runs(runs, || {
-            round += 1;
-            let key = EntryKey::new("bench-key", "tally", format!("round-{round}"));
-            store.put(&key, Encoding::Binary, payload.clone());
-            store.flush();
-            assert!(store.get(&key).is_some(), "bench store round-trip lost its entry");
-        }),
-    ));
-    drop(store);
-    let _ = std::fs::remove_dir_all(&store_dir);
-
-    // 5. A daemon submit round-trip against an in-process daemon on a
-    //    temp Unix socket. The warm-up run pays the fabrication; the
-    //    timed repeats measure protocol + warm-hub + report overhead.
-    let socket =
-        std::env::temp_dir().join(format!("chipletqc-bench-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&socket);
-    let service = Service::bind(ServiceConfig::new(&socket), None)
-        .map_err(|e| format!("bench: bind daemon: {e}"))?;
-    let daemon = std::thread::spawn(move || service.run(|| false));
-    let submission = Submission {
-        sweep_text: Some(BENCH_SWEEP.into()),
-        workers: Some(1),
-        ..Submission::default()
-    };
-    let submit_once = || -> Result<(), String> {
-        match service::request(&socket, &Request::Submit(submission.clone()))
-            .map_err(|e| format!("bench: submit: {e}"))?
-        {
-            Response::Report { .. } => Ok(()),
-            other => Err(format!("bench: daemon answered a submit with {other:?}")),
-        }
-    };
-    submit_once()?; // warm-up: fabricate once, outside the timing
-    let mut submit_error = None;
-    metrics.push(bench_metric(
-        "daemon_submit",
-        runs,
-        time_runs(runs, || {
-            if let Err(error) = submit_once() {
-                submit_error.get_or_insert(error);
-            }
-        }),
-    ));
-    let _ = service::request(&socket, &Request::Shutdown);
-    let _ = daemon.join();
-    if let Some(error) = submit_error {
-        return Err(error);
-    }
-
-    let report = Json::obj()
-        .field("schema", 1u64)
-        .field("mode", if quick { "quick" } else { "full" })
-        .field("metrics", Json::Arr(metrics));
-    let text = report.to_json_pretty();
-    if let Some(path) = &out {
-        std::fs::write(path, &text).map_err(|e| format!("write {}: {e}", path.display()))?;
-        eprintln!("wrote {} ({} bytes)", path.display(), text.len());
-    }
-    println!("{text}");
-    Ok(())
-}
-
 /// Extracts the raw text after `\"key\": ` in a single-line JSON
 /// object (the shape `--trace-out` writes — one event per line, keys
 /// rendered with exactly this spacing).
@@ -1474,9 +1277,7 @@ fn workspace_root() -> Result<PathBuf, String> {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1).peekable();
     let subcommand = match args.peek().map(String::as_str) {
-        Some(
-            name @ ("store" | "serve" | "submit" | "status" | "bench" | "trace" | "check"),
-        ) => {
+        Some(name @ ("store" | "serve" | "submit" | "status" | "trace" | "check")) => {
             let name = name.to_string();
             args.next();
             Some(name)
@@ -1488,7 +1289,6 @@ fn main() -> ExitCode {
             "store" => store_cli(args),
             "serve" => serve_cli(args),
             "status" => status_cli(args),
-            "bench" => bench_cli(args),
             "trace" => trace_cli(args),
             "check" => check_cli(args),
             _ => submit_cli(args),
@@ -1545,7 +1345,7 @@ fn main() -> ExitCode {
         }
     };
     if let Some(seed) = options.seed {
-        println!("root seed override: {}", Seed(seed));
+        eprintln!("root seed override: {}", Seed(seed));
     }
 
     let scheduler = options
@@ -1556,14 +1356,14 @@ fn main() -> ExitCode {
         Some(sweep) => sweep.scale.name(),
         None => options.scale.name(),
     };
-    println!(
+    eprintln!(
         "chipletqc-engine :: {} scenario(s), {} scale, {} worker(s), {} shard(s)/scenario",
         suite.len(),
         scale_label,
         scheduler.workers(),
         scheduler.shards()
     );
-    println!("{}", "=".repeat(72));
+    eprintln!("{}", "=".repeat(72));
 
     let token = match &options.token_file {
         Some(path) => match read_token_file(path) {
@@ -1583,7 +1383,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // check:allow(clock-discipline) batch wall-time for the stderr/stdout timing lines only
+    // check:allow(clock-discipline) batch wall-time for the stderr timing lines only
     let started = Instant::now();
     let results = scheduler.run(&suite, &hub);
     let batch_wall = started.elapsed();
@@ -1598,21 +1398,21 @@ fn main() -> ExitCode {
         hub.store_stats(),
         hub.peer_stats(),
     );
-    print!("{}", timing_summary(&results, scheduler.workers()));
-    println!("  {:<24} {:>9.3}s (batch wall clock)", "elapsed", batch_wall.as_secs_f64());
+    eprint!("{}", timing_summary(&results, scheduler.workers()));
+    eprintln!("  {:<24} {:>9.3}s (batch wall clock)", "elapsed", batch_wall.as_secs_f64());
     let stats = hub.fabrication_stats();
-    println!(
+    eprintln!(
         "fabrication campaigns: {} chiplet, {} monolithic (shared across scenarios)",
         stats.chiplet_fabrications, stats.mono_fabrications
     );
     if hub.store().is_some() {
         let store = hub.store_stats();
-        println!(
+        eprintln!(
             "result store: {} hit(s), {} miss(es), {} write(s), {} invalid",
             store.hits, store.misses, store.writes, store.invalid
         );
         if options.cache.peer.is_some() {
-            println!("{}", peer_stats_line(&hub.peer_stats()));
+            eprintln!("{}", peer_stats_line(&hub.peer_stats()));
         }
     }
 
@@ -1646,7 +1446,7 @@ fn main() -> ExitCode {
                 eprintln!("error: write {}: {error}", path.display());
                 return ExitCode::FAILURE;
             }
-            println!("wrote {} ({} bytes)", path.display(), contents.len());
+            eprintln!("wrote {} ({} bytes)", path.display(), contents.len());
         }
         let path = options.out.join("run_report.json");
         if written.contains(&path) {
@@ -1658,12 +1458,12 @@ fn main() -> ExitCode {
             eprintln!("error: write {}: {error}", path.display());
             return ExitCode::FAILURE;
         }
-        println!("wrote {} ({} bytes)", path.display(), json.len());
+        eprintln!("wrote {} ({} bytes)", path.display(), json.len());
     } else {
         print!("{}", report.to_json());
     }
     chipletqc_obs::flush_trace();
-    println!("done.");
+    eprintln!("done.");
     ExitCode::SUCCESS
 }
 

@@ -64,7 +64,7 @@ impl RunReport {
     ///
     /// When the batch contains Fig. 8 and Fig. 9 results, the paper's
     /// headline numbers are composed from them (plus Fig. 10 when
-    /// present) exactly as `all_figures` historically did.
+    /// present).
     ///
     /// The `store` counters come from the hub's persistent result
     /// store ([`chipletqc::lab::CacheHub::store_stats`]; zeros when no

@@ -1,6 +1,6 @@
 //! Scenario descriptions: an experiment kind plus parameter overrides.
 //!
-//! A [`Scenario`] turns the per-figure binaries into *data*: it names
+//! A [`Scenario`] turns a paper experiment into *data*: it names
 //! an experiment, a scale, and a set of overrides (batch, seed, link
 //! ratios, chiplet/system limits, topology grid, comparison mode,
 //! fabrication precision), and [`Scenario::run`] materializes the
@@ -466,7 +466,7 @@ pub enum ExperimentData {
 
 impl ExperimentData {
     /// The rendered artifact files `(file name, contents)` this data
-    /// produces — the same files `all_figures` historically wrote.
+    /// produces — the text files a one-shot `--out` run writes.
     pub fn artifacts(&self) -> Vec<(String, String)> {
         match self {
             ExperimentData::Fig3b(d) => vec![("fig3b.txt".into(), d.render())],

@@ -7,10 +7,9 @@ use crate::sweep::Sweep;
 /// as one scenario batch, in the paper's presentation order.
 ///
 /// Running this batch through the scheduler plus
-/// [`RunReport`](crate::report::RunReport) reproduces everything the
-/// old serial `all_figures` binary produced — including the composed
-/// headline — with cross-scenario sharing of fabrication and
-/// characterization work.
+/// [`RunReport`](crate::report::RunReport) reproduces every figure and
+/// table — including the composed headline — with cross-scenario
+/// sharing of fabrication and characterization work.
 pub fn paper_suite(scale: Scale) -> Vec<Scenario> {
     ExperimentKind::ALL.into_iter().map(|kind| Scenario::new(kind, scale)).collect()
 }

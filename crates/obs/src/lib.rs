@@ -15,7 +15,7 @@
 //! trace has been enabled with [`trace_to`], each finished span also
 //! appends one event line — monotonic microsecond timestamps relative
 //! to process start, plus any labels attached with [`Span::label`] —
-//! suitable for `chipletqc trace summarize` or external tooling.
+//! suitable for `chipletqc-engine trace summarize` or external tooling.
 //!
 //! [`snapshot`] returns a pure-data [`Snapshot`] (names and numbers
 //! only); serialization is the caller's concern, so this crate stays

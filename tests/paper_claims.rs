@@ -3,8 +3,7 @@
 //!
 //! Absolute tolerances here are wider than the paper's reported values
 //! because these tests run with small batches; the full-scale numbers
-//! are regenerated by the `chipletqc-bench` binaries and recorded in
-//! EXPERIMENTS.md.
+//! are regenerated by `chipletqc-engine` run without `--quick`.
 
 use chipletqc::experiments::*;
 use chipletqc::lab::{Lab, LabConfig};
