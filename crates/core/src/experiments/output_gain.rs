@@ -170,7 +170,6 @@ pub fn run_shard_in(
             &config.collision,
             range,
             seed,
-            None,
         ),
         None => simulate_yield_range(
             device,

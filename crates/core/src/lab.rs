@@ -54,9 +54,7 @@ use chipletqc_topology::device::Device;
 use chipletqc_topology::family::{ChipletSpec, MonolithicSpec};
 use chipletqc_topology::mcm::McmSpec;
 use chipletqc_yield::fabrication::FabricationParams;
-use chipletqc_yield::monte_carlo::{
-    fabricate_collision_free_with_workers, TrialRange, YieldEstimate,
-};
+use chipletqc_yield::monte_carlo::{fabricate_collision_free, TrialRange, YieldEstimate};
 
 /// How MCM and monolithic populations are matched before averaging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -85,11 +83,6 @@ pub struct LabConfig {
     pub link_ratio: Option<f64>,
     /// Population matching mode.
     pub comparison: ComparisonMode,
-    /// Worker threads for Monte Carlo fabrication; `None` picks a
-    /// heuristic from the batch size and hardware parallelism. The
-    /// engine sets this to divide hardware between concurrent
-    /// scenarios. Never affects results, only wall-clock time.
-    pub yield_workers: Option<usize>,
     /// Root seed; every sub-stream derives from it.
     pub seed: Seed,
 }
@@ -105,7 +98,6 @@ impl LabConfig {
             assembly: AssemblyParams::paper(),
             link_ratio: None,
             comparison: ComparisonMode::MatchMonolithicCount,
-            yield_workers: None,
             seed: Seed(2022),
         }
     }
@@ -128,17 +120,10 @@ impl LabConfig {
         LabConfig { seed, ..self }
     }
 
-    /// Returns a copy pinned to a fabrication worker count.
-    #[must_use]
-    pub fn with_yield_workers(self, workers: Option<usize>) -> LabConfig {
-        LabConfig { yield_workers: workers, ..self }
-    }
-
     /// The key under which labs may share fabrication/characterization
     /// caches: everything that determines those products (batch,
     /// fabrication model, collision thresholds, root seed) and nothing
-    /// that does not (link ratio, comparison mode, assembly policy,
-    /// worker counts).
+    /// that does not (link ratio, comparison mode, assembly policy).
     ///
     /// Public because it is also the natural *cross-process* cache
     /// key: shards of one scenario — or repeated engine invocations —
@@ -503,15 +488,13 @@ impl Lab {
                 &self.config.collision,
                 TrialRange::full(self.config.batch),
                 seed,
-                self.config.yield_workers,
             ),
-            None => fabricate_collision_free_with_workers(
+            None => fabricate_collision_free(
                 device,
                 &self.config.fabrication,
                 &self.config.collision,
                 self.config.batch,
                 seed,
-                self.config.yield_workers,
             ),
         }
     }

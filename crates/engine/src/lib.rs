@@ -13,10 +13,11 @@
 //!   chiplet design space (grid size × link ratio × σ_f × batch ×
 //!   seed, parsed from a small text format) and expands
 //!   deterministically into a scenario batch;
-//! * [`scheduler`] — a work-stealing
-//!   [`Scheduler`](scheduler::Scheduler) executes scenario batches on
-//!   scoped threads, sharing fabrication/characterization work through
-//!   a [`CacheHub`](chipletqc::lab::CacheHub); with
+//! * [`scheduler`] — a [`Scheduler`](scheduler::Scheduler) executes
+//!   scenario batches on a fixed worker pool that hands each idle
+//!   thread the next task round-robin across batches, sharing
+//!   fabrication/characterization work through a
+//!   [`CacheHub`](chipletqc::lab::CacheHub); with
 //!   [`with_shards`](scheduler::Scheduler::with_shards) it splits
 //!   single scenarios into system-slice and Monte Carlo trial-range
 //!   shard tasks that interleave across the worker pool;

@@ -65,9 +65,11 @@ USAGE:
   chipletqc-engine check [--format text|json] [--root DIR] [--fix [--dry-run]]
 
 OPTIONS:
-  --workers N       scheduler worker threads (default: hardware threads)
-  --shards N        split each scenario into up to N shard tasks
-                    (default: 1; never changes results)
+  --workers N       the batch's thread count: N pool threads, and no
+                    others (default: hardware threads)
+  --shards N        split each Fig. 8/9/10 or output-gain scenario into
+                    up to N tasks so one scenario can use more than one
+                    of those threads (default: 1; never changes results)
   --quick           reduced-scale configurations (default: paper scale)
   --sweep FILE      expand a sweep description file into the batch
                     (replaces the paper suite; see README \"Sweeps\")

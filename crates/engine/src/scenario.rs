@@ -148,10 +148,6 @@ pub struct Overrides {
     pub max_system_qubits: Option<usize>,
     /// Replace the evaluated system set entirely (topology override).
     pub systems: Option<Vec<SystemSpec>>,
-    /// Fabrication worker threads (the scheduler fills this in to
-    /// divide hardware between concurrent scenarios; never affects
-    /// results).
-    pub yield_workers: Option<usize>,
 }
 
 impl Overrides {
@@ -174,7 +170,6 @@ impl Overrides {
         if let Some(step) = self.detuning_step {
             lab.fabrication = lab.fabrication.with_plan(FrequencyPlan::with_step(step));
         }
-        lab.yield_workers = self.yield_workers;
         lab
     }
 

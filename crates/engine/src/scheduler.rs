@@ -1,4 +1,5 @@
-//! The work-stealing scenario scheduler, with intra-scenario sharding.
+//! The scenario scheduler: a fixed worker pool, with intra-scenario
+//! sharding.
 //!
 //! Work units are *shard tasks*: at `shards = 1` (the default) each
 //! scenario is one task, exactly as in the original scheduler. At
@@ -15,10 +16,11 @@
 //!
 //! Execution runs on a [`WorkPool`]: a fixed set of worker threads
 //! serving any number of concurrent *batch roots*. Each submitted
-//! batch becomes one root holding its own task queue and per-batch
-//! concurrency cap (the batch's `workers` setting); idle pool workers
-//! pick the next task round-robin **across roots**, so two clients'
-//! batches interleave fairly instead of queueing behind each other.
+//! batch becomes one root holding its own FIFO task queue and
+//! per-batch concurrency cap (the batch's `workers` setting); the pool
+//! does not steal work: each idle worker takes the front task of the
+//! next root round-robin **across roots**, so two clients' batches
+//! interleave fairly instead of queueing behind each other.
 //! [`Scheduler::run`] — the one-shot path — is a pool of its own with
 //! a single root, which reproduces the historical serial behavior
 //! exactly (including panic propagation). A root can be cancelled:
@@ -40,17 +42,19 @@
 //! `(workers, shards)` pair —
 //! [`RunReport`](crate::report::RunReport) serialization included.
 //!
-//! Inner parallelism is budgeted: with `W` workers on `H` hardware
-//! threads, each task's Monte Carlo fabrication gets `max(1, H/W)`
-//! threads (unless the scenario pins its own count), so one scenario
-//! saturates the machine at `W = 1` while wide batches hand each
-//! task a fair share at `W = H`.
+//! ## One level of parallelism
+//!
+//! The pool's threads are the only compute threads: a task's Monte
+//! Carlo runs sequentially on the pool thread that picked it. A
+//! batch's `workers` setting is therefore its whole thread count, and
+//! `shards` is how one Fig. 8/9/10 or output-gain scenario spreads
+//! over more than one of those threads.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 // Lock poisoning policy: batch tasks run under `catch_unwind` and
 // never hold a pool lock, so a poisoned guard means an internal
 // bookkeeping thread died mid-update; the long-lived pool recovers
@@ -70,8 +74,7 @@ use crate::scenario::{ExperimentData, ExperimentKind, Scenario};
 pub struct ScenarioResult {
     /// Position in the submitted batch.
     pub index: usize,
-    /// The scenario that ran (with the scheduler's worker budget
-    /// applied).
+    /// The scenario that ran, as submitted.
     pub scenario: Scenario,
     /// The typed experiment output (merged across shards).
     pub data: ExperimentData,
@@ -80,7 +83,8 @@ pub struct ScenarioResult {
     pub wall: Duration,
 }
 
-/// A work-stealing scheduler executing scenario batches.
+/// A scheduler executing scenario batches on `workers` pool threads,
+/// splitting each shardable scenario into up to `shards` tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scheduler {
     workers: usize,
@@ -129,16 +133,9 @@ impl Scheduler {
         self.shards
     }
 
-    /// Fabrication threads each task may use so that `workers`
-    /// concurrent tasks share the hardware fairly.
-    fn inner_workers(&self) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        (hw / self.workers).max(1)
-    }
-
-    /// Splits one (budgeted) scenario into at most `self.shards`
-    /// tasks. Slices are contiguous and non-empty, so merging outputs
-    /// in shard order reproduces the single-pass order.
+    /// Splits one scenario into at most `self.shards` tasks. Slices
+    /// are contiguous and non-empty, so merging outputs in shard order
+    /// reproduces the single-pass order.
     fn plan(&self, scenario: &Scenario) -> Vec<ShardTask> {
         if self.shards <= 1 {
             return vec![ShardTask::Run(scenario.clone())];
@@ -273,23 +270,6 @@ pub enum BatchAborted {
     Panicked(Box<dyn Any + Send>),
 }
 
-/// How many batches currently hold the process-wide inner-thread
-/// budget. The budget only tunes fabrication thread counts (never
-/// results), so last-writer-wins between overlapping batches is fine;
-/// the count exists to clear the default once the *last* batch ends.
-static ACTIVE_BATCHES: AtomicUsize = AtomicUsize::new(0);
-
-fn budget_batch_started(inner: usize) {
-    ACTIVE_BATCHES.fetch_add(1, Ordering::SeqCst);
-    chipletqc_yield::monte_carlo::set_default_workers(Some(inner));
-}
-
-fn budget_batch_ended() {
-    if ACTIVE_BATCHES.fetch_sub(1, Ordering::SeqCst) == 1 {
-        chipletqc_yield::monte_carlo::set_default_workers(None);
-    }
-}
-
 /// A fixed set of worker threads executing any number of concurrent
 /// batches ("roots") fairly: idle workers pick the next pending task
 /// round-robin across roots, each root capped at its own `workers`
@@ -345,8 +325,6 @@ struct RootSched {
     skipped: usize,
     outputs: Vec<Option<(ShardOutput, Duration)>>,
     panic: Option<Box<dyn Any + Send>>,
-    /// Ensures the inner-thread budget is returned exactly once.
-    budget_released: bool,
 }
 
 impl RootSched {
@@ -372,9 +350,8 @@ impl WorkPool {
     }
 
     /// Submits one batch as a new root and returns a handle to await
-    /// (or cancel) it. `scheduler` supplies the batch's shard plan,
-    /// concurrency cap, and inner-thread budget, exactly as in
-    /// [`Scheduler::run`].
+    /// (or cancel) it. `scheduler` supplies the batch's shard plan and
+    /// concurrency cap, exactly as in [`Scheduler::run`].
     pub fn submit(
         &self,
         scheduler: Scheduler,
@@ -382,22 +359,7 @@ impl WorkPool {
         hub: &CacheHub,
         progress: Option<ProgressFn>,
     ) -> BatchHandle {
-        let inner = scheduler.inner_workers();
-        // Budget inner fabrication threads two ways: the per-scenario
-        // override reaches Lab-based experiments precisely, and the
-        // process-wide default covers every other call into the yield
-        // Monte Carlo (Fig. 4 sweeps, Fig. 6, output gain). Neither
-        // affects results, only thread counts.
-        budget_batch_started(inner);
-        let jobs: Vec<Scenario> = scenarios
-            .iter()
-            .map(|s| {
-                let mut s = s.clone();
-                // Respect an explicit per-scenario pin; otherwise budget.
-                s.overrides.yield_workers = s.overrides.yield_workers.or(Some(inner));
-                s
-            })
-            .collect();
+        let jobs = scenarios.to_vec();
 
         // Flatten shard plans; `spans[i]` is jobs[i]'s task range.
         let mut tasks: Vec<ShardTask> = Vec::new();
@@ -418,7 +380,6 @@ impl WorkPool {
                 skipped: 0,
                 outputs: (0..total).map(|_| None).collect(),
                 panic: None,
-                budget_released: false,
             }),
             tasks,
             jobs,
@@ -524,18 +485,11 @@ impl BatchHandle {
     }
 }
 
-/// If `root` has completed, returns its inner-thread budget (once),
-/// removes it from the pool's root list, and wakes waiters.
+/// If `root` has completed, removes it from the pool's root list and
+/// wakes waiters.
 fn settle(shared: &PoolShared, root: &Arc<BatchRoot>) {
-    let complete = {
-        let mut sched = root.sched.lock().unwrap_or_else(PoisonError::into_inner);
-        let complete = sched.complete(root.tasks.len());
-        if complete && !sched.budget_released {
-            sched.budget_released = true;
-            budget_batch_ended();
-        }
-        complete
-    };
+    let complete =
+        root.sched.lock().unwrap_or_else(PoisonError::into_inner).complete(root.tasks.len());
     if complete {
         root.done.notify_all();
         let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
@@ -680,7 +634,7 @@ mod tests {
         assert_eq!(results.len(), 3);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.index, i);
-            assert_eq!(r.scenario.name, batch[i].name);
+            assert_eq!(r.scenario, batch[i]);
         }
     }
 

@@ -156,7 +156,6 @@ impl Store {
         params: &CollisionParams,
         range: TrialRange,
         seed: Seed,
-        workers: Option<usize>,
     ) -> Vec<Frequencies> {
         let mut survivors = Vec::new();
         for chunk in chunk_cover(range, CHUNK_TRIALS) {
@@ -174,7 +173,7 @@ impl Store {
                 },
                 || {
                     encode_to_vec(&fabricate_collision_free_indexed_range(
-                        device, fab, params, chunk, seed, workers,
+                        device, fab, params, chunk, seed,
                     ))
                 },
             );
@@ -206,7 +205,6 @@ impl Store {
         params: &CollisionParams,
         range: TrialRange,
         seed: Seed,
-        workers: Option<usize>,
     ) -> YieldEstimate {
         let mut survivors = 0;
         for chunk in chunk_cover(range, CHUNK_TRIALS) {
@@ -222,7 +220,7 @@ impl Store {
                 },
                 || {
                     let indices =
-                        collision_free_trial_indices(device, fab, params, chunk, seed, workers);
+                        collision_free_trial_indices(device, fab, params, chunk, seed);
                     tally_chunk_to_json(chunk, &indices)
                 },
             );
@@ -364,19 +362,10 @@ mod tests {
         let params = CollisionParams::paper();
         let seed = Seed(41);
         let full = TrialRange::full(1100);
-        let direct = simulate_yield_range(&device, &fab, &params, full, seed, Some(2));
+        let direct = simulate_yield_range(&device, &fab, &params, full, seed, None);
 
         // Cold: one run over the full range.
-        let cold = store.yield_range_cached(
-            "fabkey",
-            "s",
-            &device,
-            &fab,
-            &params,
-            full,
-            seed,
-            Some(2),
-        );
+        let cold = store.yield_range_cached("fabkey", "s", &device, &fab, &params, full, seed);
         assert_eq!(cold, direct);
         store.flush();
         let cold_stats = store.stats();
@@ -384,16 +373,7 @@ mod tests {
         assert_eq!(cold_stats.hits, 0);
         // Re-reading through the same store is served from the
         // in-process memo: no further disk traffic at all.
-        let again = store.yield_range_cached(
-            "fabkey",
-            "s",
-            &device,
-            &fab,
-            &params,
-            full,
-            seed,
-            Some(2),
-        );
+        let again = store.yield_range_cached("fabkey", "s", &device, &fab, &params, full, seed);
         assert_eq!(again, direct);
         assert_eq!(store.stats(), cold_stats);
 
@@ -402,16 +382,7 @@ mod tests {
         // entirely from the same chunks.
         let warm_store = Store::open(&dir, CacheMode::ReadWrite).unwrap();
         let merged = YieldEstimate::merge(TrialRange::split(1100, 3).into_iter().map(|r| {
-            warm_store.yield_range_cached(
-                "fabkey",
-                "s",
-                &device,
-                &fab,
-                &params,
-                r,
-                seed,
-                Some(1),
-            )
+            warm_store.yield_range_cached("fabkey", "s", &device, &fab, &params, r, seed)
         }));
         assert_eq!(merged, direct);
         let warm = warm_store.stats();
@@ -428,11 +399,10 @@ mod tests {
             &params,
             TrialRange::full(1400),
             seed,
-            Some(2),
         );
         assert_eq!(
             bigger,
-            simulate_yield_range(&device, &fab, &params, TrialRange::full(1400), seed, Some(1))
+            simulate_yield_range(&device, &fab, &params, TrialRange::full(1400), seed, None)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -446,58 +416,24 @@ mod tests {
         let seed = Seed(5);
         let range = TrialRange::full(700);
         let direct = chipletqc_yield::monte_carlo::fabricate_collision_free_range(
-            &device,
-            &fab,
-            &params,
-            range,
-            seed,
-            Some(2),
+            &device, &fab, &params, range, seed,
         );
-        let cold = store.fabricate_bin_cached(
-            "fk",
-            "chip",
-            &device,
-            &fab,
-            &params,
-            range,
-            seed,
-            Some(2),
-        );
+        let cold =
+            store.fabricate_bin_cached("fk", "chip", &device, &fab, &params, range, seed);
         assert_eq!(cold, direct);
         store.flush();
         let warm_store = Store::open(&dir, CacheMode::ReadWrite).unwrap();
-        let warm = warm_store.fabricate_bin_cached(
-            "fk",
-            "chip",
-            &device,
-            &fab,
-            &params,
-            range,
-            seed,
-            Some(2),
-        );
+        let warm =
+            warm_store.fabricate_bin_cached("fk", "chip", &device, &fab, &params, range, seed);
         assert_eq!(warm, direct);
         assert_eq!(warm_store.stats().hits, 2, "both chunks hit on the warm read");
         // A shifted sub-range is served from the same chunks.
         let sub = TrialRange { start: 100, end: 600 };
         let sub_direct = chipletqc_yield::monte_carlo::fabricate_collision_free_range(
-            &device,
-            &fab,
-            &params,
-            sub,
-            seed,
-            Some(1),
+            &device, &fab, &params, sub, seed,
         );
-        let sub_cached = warm_store.fabricate_bin_cached(
-            "fk",
-            "chip",
-            &device,
-            &fab,
-            &params,
-            sub,
-            seed,
-            Some(1),
-        );
+        let sub_cached =
+            warm_store.fabricate_bin_cached("fk", "chip", &device, &fab, &params, sub, seed);
         assert_eq!(sub_cached, sub_direct);
         assert_eq!(warm_store.stats().writes, 0, "no new writes for the sub-range");
         let _ = std::fs::remove_dir_all(&dir);
@@ -510,16 +446,8 @@ mod tests {
         let fab = FabricationParams::state_of_the_art();
         let params = CollisionParams::paper();
         let range = TrialRange::full(600);
-        let cold = store.fabricate_bin_cached(
-            "fk",
-            "c",
-            &device,
-            &fab,
-            &params,
-            range,
-            Seed(9),
-            Some(1),
-        );
+        let cold =
+            store.fabricate_bin_cached("fk", "c", &device, &fab, &params, range, Seed(9));
         store.flush();
         // Vandalize every stored entry.
         for shard in std::fs::read_dir(dir.join("objects")).unwrap() {
@@ -531,16 +459,8 @@ mod tests {
         // A fresh store (the memo is per-process) sees the vandalized
         // files, rejects every one, and recomputes identical results.
         let reopened = Store::open(&dir, CacheMode::ReadWrite).unwrap();
-        let recomputed = reopened.fabricate_bin_cached(
-            "fk",
-            "c",
-            &device,
-            &fab,
-            &params,
-            range,
-            Seed(9),
-            Some(1),
-        );
+        let recomputed =
+            reopened.fabricate_bin_cached("fk", "c", &device, &fab, &params, range, Seed(9));
         assert_eq!(recomputed, cold);
         assert_eq!(reopened.stats().invalid, 2, "{:?}", reopened.stats());
         let _ = std::fs::remove_dir_all(&dir);

@@ -10,7 +10,7 @@
 //!   fabrication), 0.014 GHz (laser-tuned, state of the art), and
 //!   0.006 GHz (the projected threshold for >10³-qubit monolithic
 //!   devices);
-//! * [`monte_carlo`] — deterministic, multi-threaded batch simulation;
+//! * [`monte_carlo`] — deterministic batch simulation;
 //!   also produces the surviving *collision-free bin* with its sampled
 //!   frequencies, which the assembly crate consumes, and supports
 //!   splitting a batch into [`TrialRange`] shards whose merged results

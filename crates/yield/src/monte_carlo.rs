@@ -1,9 +1,12 @@
-//! Deterministic, multi-threaded batch yield simulation.
+//! Deterministic batch yield simulation.
 //!
 //! Device `i` of a batch is always fabricated from `seed.split(i)`, so
-//! results are bit-identical regardless of thread count, and any
+//! results are bit-identical however a batch is split, and any
 //! individual device of a batch can be re-derived in isolation (useful
-//! when debugging a rare collision pattern).
+//! when debugging a rare collision pattern). Every call runs on the
+//! calling thread; parallelism belongs to the caller (the engine runs
+//! scenarios and their trial-range shards as tasks on its worker
+//! pool).
 //!
 //! ## Trial-range sharding
 //!
@@ -13,8 +16,6 @@
 //! [`YieldEstimate::merge`] (or by concatenating bins in range order)
 //! into exactly the result a single full-batch run produces. This is
 //! the primitive behind the engine's intra-scenario sharding.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use chipletqc_collision::checker::is_collision_free;
 use chipletqc_collision::criteria::CollisionParams;
@@ -163,47 +164,6 @@ impl Codec for TrialRange {
     }
 }
 
-/// Trials processed per work-queue claim (and the granularity below
-/// which extra workers would idle).
-const CHUNK: usize = 16;
-
-/// Process-wide default worker count (0 = unset, use the hardware
-/// heuristic). See [`set_default_workers`].
-static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default fabrication worker count, used
-/// whenever a call site does not pass an explicit count (like a global
-/// thread-pool size). `None` (or `Some(0)`) restores the hardware
-/// heuristic.
-///
-/// The engine's scenario scheduler sets this to divide hardware
-/// between concurrent scenarios. Worker count never affects results
-/// (device `i` always derives from `seed.split(i)`), only wall-clock
-/// time, so changing it at any moment is always safe.
-pub fn set_default_workers(workers: Option<usize>) {
-    DEFAULT_WORKERS.store(workers.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// Picks a worker count for `trials` trials: an explicit *nonzero*
-/// request wins, then the process-wide default, otherwise one thread
-/// per ~64 devices capped by hardware parallelism. A requested `0`
-/// means "unset" and falls through to the default, exactly like
-/// `None`. Every path is capped so no spawned worker could find the
-/// queue already drained (`workers > trials` never spawns idle
-/// threads).
-fn worker_count(trials: usize, requested: Option<usize>) -> usize {
-    let cap = trials.div_ceil(CHUNK).max(1);
-    if let Some(n) = requested.filter(|&n| n > 0) {
-        return n.min(cap);
-    }
-    let default = DEFAULT_WORKERS.load(Ordering::Relaxed);
-    if default > 0 {
-        return default.min(cap);
-    }
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    hw.min(trials / 64).max(1).min(cap)
-}
-
 /// Simulates the collision-free yield of `device` over a fabrication
 /// batch.
 ///
@@ -234,20 +194,7 @@ pub fn simulate_yield(
     batch: usize,
     seed: Seed,
 ) -> YieldEstimate {
-    simulate_yield_with_workers(device, fab, params, batch, seed, None)
-}
-
-/// [`simulate_yield`] with an explicit worker count (`None` keeps the
-/// heuristic). Results are bit-identical for every worker count.
-pub fn simulate_yield_with_workers(
-    device: &Device,
-    fab: &FabricationParams,
-    params: &CollisionParams,
-    batch: usize,
-    seed: Seed,
-    workers: Option<usize>,
-) -> YieldEstimate {
-    simulate_yield_range(device, fab, params, TrialRange::full(batch), seed, workers)
+    simulate_yield_range(device, fab, params, TrialRange::full(batch), seed, None)
 }
 
 /// Simulates only the trials of `range` (batch-global indices; trial
@@ -256,38 +203,21 @@ pub fn simulate_yield_with_workers(
 /// estimates of every shard of a [`TrialRange::split`] with
 /// [`YieldEstimate::merge`] reproduces the full-batch
 /// [`simulate_yield`] result exactly.
+///
+/// `_workers` is ignored: every call runs on the calling thread (the
+/// parameter stays while `chipletbench` still passes one).
 pub fn simulate_yield_range(
     device: &Device,
     fab: &FabricationParams,
     params: &CollisionParams,
     range: TrialRange,
     seed: Seed,
-    workers: Option<usize>,
+    _workers: Option<usize>,
 ) -> YieldEstimate {
-    let survivors = AtomicUsize::new(0);
-    let next = AtomicUsize::new(range.start);
-    let workers = worker_count(range.len(), workers);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(CHUNK, Ordering::Relaxed);
-                if start >= range.end {
-                    break;
-                }
-                let end = (start + CHUNK).min(range.end);
-                let mut local = 0;
-                for i in start..end {
-                    let mut rng = seed.split(i as u64).rng();
-                    let freqs = fab.sample(device, &mut rng);
-                    if is_collision_free(device, &freqs, params) {
-                        local += 1;
-                    }
-                }
-                survivors.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-    });
-    YieldEstimate { survivors: survivors.into_inner(), batch: range.len() }
+    YieldEstimate {
+        survivors: survivors(device, fab, params, range, seed).count(),
+        batch: range.len(),
+    }
 }
 
 /// Fabricates a batch and returns the **collision-free bin**: the
@@ -304,21 +234,21 @@ pub fn fabricate_collision_free(
     batch: usize,
     seed: Seed,
 ) -> Vec<Frequencies> {
-    fabricate_collision_free_with_workers(device, fab, params, batch, seed, None)
+    fabricate_collision_free_range(device, fab, params, TrialRange::full(batch), seed)
 }
 
-/// [`fabricate_collision_free`] with an explicit worker count (`None`
-/// keeps the heuristic). The returned bin is bit-identical for every
-/// worker count.
+/// [`fabricate_collision_free`]; `_workers` is ignored: every call
+/// runs on the calling thread (the wrapper stays while `chipletbench`
+/// still calls it).
 pub fn fabricate_collision_free_with_workers(
     device: &Device,
     fab: &FabricationParams,
     params: &CollisionParams,
     batch: usize,
     seed: Seed,
-    workers: Option<usize>,
+    _workers: Option<usize>,
 ) -> Vec<Frequencies> {
-    fabricate_collision_free_range(device, fab, params, TrialRange::full(batch), seed, workers)
+    fabricate_collision_free(device, fab, params, batch, seed)
 }
 
 /// The batch-global indices of the collision-free trials of `range`,
@@ -326,23 +256,14 @@ pub fn fabricate_collision_free_with_workers(
 /// with enough information to re-slice it into arbitrary sub-ranges
 /// (`est.survivors == indices within the sub-range`). The result
 /// store's chunked tally entries are built on this.
-///
-/// Delegates to [`fabricate_collision_free_indexed_range`] so there is
-/// exactly one implementation of the trial loop: the sampled
-/// frequencies are transient (callers pass chunk-sized ranges), and a
-/// tally can never disagree with the bin of the same range.
 pub fn collision_free_trial_indices(
     device: &Device,
     fab: &FabricationParams,
     params: &CollisionParams,
     range: TrialRange,
     seed: Seed,
-    workers: Option<usize>,
 ) -> Vec<usize> {
-    fabricate_collision_free_indexed_range(device, fab, params, range, seed, workers)
-        .into_iter()
-        .map(|(i, _)| i)
-        .collect()
+    survivors(device, fab, params, range, seed).map(|(i, _)| i).collect()
 }
 
 /// Fabricates only the trials of `range` (batch-global indices) and
@@ -355,12 +276,8 @@ pub fn fabricate_collision_free_range(
     params: &CollisionParams,
     range: TrialRange,
     seed: Seed,
-    workers: Option<usize>,
 ) -> Vec<Frequencies> {
-    fabricate_collision_free_indexed_range(device, fab, params, range, seed, workers)
-        .into_iter()
-        .map(|(_, f)| f)
-        .collect()
+    survivors(device, fab, params, range, seed).map(|(_, freqs)| freqs).collect()
 }
 
 /// [`fabricate_collision_free_range`] keeping each survivor's
@@ -376,39 +293,25 @@ pub fn fabricate_collision_free_indexed_range(
     params: &CollisionParams,
     range: TrialRange,
     seed: Seed,
-    workers: Option<usize>,
 ) -> Vec<(usize, Frequencies)> {
-    let workers = worker_count(range.len(), workers);
-    let next = AtomicUsize::new(range.start);
-    let mut per_worker: Vec<Vec<(usize, Frequencies)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut kept = Vec::new();
-                    loop {
-                        let start = next.fetch_add(CHUNK, Ordering::Relaxed);
-                        if start >= range.end {
-                            break;
-                        }
-                        let end = (start + CHUNK).min(range.end);
-                        for i in start..end {
-                            let mut rng = seed.split(i as u64).rng();
-                            let freqs = fab.sample(device, &mut rng);
-                            if is_collision_free(device, &freqs, params) {
-                                kept.push((i, freqs));
-                            }
-                        }
-                    }
-                    kept
-                })
-            })
-            .collect();
-        per_worker = handles.into_iter().map(|h| h.join().expect("worker panicked")).collect();
-    });
-    let mut all: Vec<(usize, Frequencies)> = per_worker.into_iter().flatten().collect();
-    all.sort_by_key(|(i, _)| *i);
-    all
+    survivors(device, fab, params, range, seed).collect()
+}
+
+/// The one trial loop: the collision-free trials of `range` in
+/// ascending order, each with its batch-global index and sampled
+/// frequencies. The tally, the bin and the index list all consume it,
+/// so they can never disagree about the same range.
+fn survivors<'a>(
+    device: &'a Device,
+    fab: &'a FabricationParams,
+    params: &'a CollisionParams,
+    range: TrialRange,
+    seed: Seed,
+) -> impl Iterator<Item = (usize, Frequencies)> + 'a {
+    (range.start..range.end).filter_map(move |i| {
+        let freqs = fab.sample(device, &mut seed.split(i as u64).rng());
+        is_collision_free(device, &freqs, params).then_some((i, freqs))
+    })
 }
 
 #[cfg(test)]
@@ -419,10 +322,6 @@ mod tests {
     fn params() -> CollisionParams {
         CollisionParams::paper()
     }
-
-    /// Serializes tests that mutate the process-wide default worker
-    /// count (cargo runs tests of a binary concurrently).
-    static DEFAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn zero_variation_yields_everything() {
@@ -494,37 +393,16 @@ mod tests {
         // Re-running returns the same bin (determinism).
         let again = fabricate_collision_free(&device, &fab, &params(), 250, Seed(11));
         assert_eq!(bin, again);
-    }
-
-    #[test]
-    fn explicit_worker_counts_never_change_results() {
-        let device = ChipletSpec::with_qubits(20).unwrap().build();
-        let fab = FabricationParams::state_of_the_art();
-        let baseline = fabricate_collision_free_with_workers(
+        // The `_with_workers` wrapper ignores its worker count.
+        let pinned = fabricate_collision_free_with_workers(
             &device,
             &fab,
             &params(),
-            200,
-            Seed(21),
-            Some(1),
+            250,
+            Seed(11),
+            Some(8),
         );
-        for workers in [2, 3, 8] {
-            let alt = fabricate_collision_free_with_workers(
-                &device,
-                &fab,
-                &params(),
-                200,
-                Seed(21),
-                Some(workers),
-            );
-            assert_eq!(baseline, alt, "bin changed at {workers} workers");
-        }
-        let est1 =
-            simulate_yield_with_workers(&device, &fab, &params(), 200, Seed(21), Some(1));
-        let est8 =
-            simulate_yield_with_workers(&device, &fab, &params(), 200, Seed(21), Some(8));
-        assert_eq!(est1, est8);
-        assert_eq!(est1.survivors, baseline.len());
+        assert_eq!(bin, pinned);
     }
 
     #[test]
@@ -557,68 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_falls_back_to_the_process_default() {
-        let _guard = DEFAULT_LOCK.lock().unwrap();
-        // An explicit `Some(0)` must behave exactly like `None`: use
-        // the process-wide default when one is set, else the hardware
-        // heuristic — never a hard-coded single worker.
-        set_default_workers(Some(3));
-        assert_eq!(worker_count(1000, Some(0)), worker_count(1000, None));
-        assert_eq!(worker_count(1000, Some(0)), 3);
-        set_default_workers(None);
-        assert_eq!(worker_count(1000, Some(0)), worker_count(1000, None));
-
-        // And `Some(0)` produces the same results as `None`.
-        let device = ChipletSpec::with_qubits(10).unwrap().build();
-        let fab = FabricationParams::state_of_the_art();
-        let with_zero =
-            simulate_yield_with_workers(&device, &fab, &params(), 200, Seed(13), Some(0));
-        let with_none =
-            simulate_yield_with_workers(&device, &fab, &params(), 200, Seed(13), None);
-        assert_eq!(with_zero, with_none);
-    }
-
-    #[test]
-    fn more_workers_than_trials_spawns_no_empty_shards() {
-        let _guard = DEFAULT_LOCK.lock().unwrap();
-        // 10 trials fit one chunk: whatever the request or default, at
-        // most one worker is needed (and results never change).
-        assert_eq!(worker_count(10, Some(64)), 1);
-        assert_eq!(worker_count(0, Some(64)), 1);
-        set_default_workers(Some(64));
-        assert_eq!(worker_count(10, None), 1);
-        set_default_workers(None);
-        // 33 trials span three chunks: requests are capped there.
-        assert_eq!(worker_count(33, Some(64)), 3);
-        assert_eq!(worker_count(33, Some(2)), 2);
-
-        let device = ChipletSpec::with_qubits(10).unwrap().build();
-        let fab = FabricationParams::state_of_the_art();
-        let narrow =
-            simulate_yield_with_workers(&device, &fab, &params(), 10, Seed(17), Some(1));
-        let wide =
-            simulate_yield_with_workers(&device, &fab, &params(), 10, Seed(17), Some(64));
-        assert_eq!(narrow, wide);
-        let bin_narrow = fabricate_collision_free_with_workers(
-            &device,
-            &fab,
-            &params(),
-            10,
-            Seed(17),
-            Some(1),
-        );
-        let bin_wide = fabricate_collision_free_with_workers(
-            &device,
-            &fab,
-            &params(),
-            10,
-            Seed(17),
-            Some(64),
-        );
-        assert_eq!(bin_narrow, bin_wide);
-    }
-
-    #[test]
     fn trial_range_split_partitions_without_empty_shards() {
         for (batch, shards) in [(100, 1), (100, 3), (100, 7), (5, 8), (1, 4), (16, 16)] {
             let ranges = TrialRange::split(batch, shards);
@@ -647,21 +463,15 @@ mod tests {
         let full_bin = fabricate_collision_free(&device, &fab, &params(), 250, Seed(23));
         for shards in [2, 3, 8] {
             let ranges = TrialRange::split(250, shards);
-            let merged = YieldEstimate::merge(ranges.iter().map(|&r| {
-                simulate_yield_range(&device, &fab, &params(), r, Seed(23), Some(1))
-            }));
+            let merged =
+                YieldEstimate::merge(ranges.iter().map(|&r| {
+                    simulate_yield_range(&device, &fab, &params(), r, Seed(23), None)
+                }));
             assert_eq!(merged, full, "estimate diverged at {shards} shards");
             let merged_bin: Vec<_> = ranges
                 .iter()
                 .flat_map(|&r| {
-                    fabricate_collision_free_range(
-                        &device,
-                        &fab,
-                        &params(),
-                        r,
-                        Seed(23),
-                        Some(1),
-                    )
+                    fabricate_collision_free_range(&device, &fab, &params(), r, Seed(23))
                 })
                 .collect();
             assert_eq!(merged_bin, full_bin, "bin diverged at {shards} shards");
@@ -673,18 +483,11 @@ mod tests {
         let device = ChipletSpec::with_qubits(20).unwrap().build();
         let fab = FabricationParams::state_of_the_art();
         let range = TrialRange { start: 40, end: 120 };
-        let indexed = fabricate_collision_free_indexed_range(
-            &device,
-            &fab,
-            &params(),
-            range,
-            Seed(23),
-            Some(2),
-        );
+        let indexed =
+            fabricate_collision_free_indexed_range(&device, &fab, &params(), range, Seed(23));
         assert!(indexed.iter().all(|(i, _)| range.start <= *i && *i < range.end));
         assert!(indexed.windows(2).all(|w| w[0].0 < w[1].0), "indices not ascending");
-        let plain =
-            fabricate_collision_free_range(&device, &fab, &params(), range, Seed(23), Some(3));
+        let plain = fabricate_collision_free_range(&device, &fab, &params(), range, Seed(23));
         assert_eq!(indexed.into_iter().map(|(_, f)| f).collect::<Vec<_>>(), plain);
     }
 
@@ -693,23 +496,16 @@ mod tests {
         let device = ChipletSpec::with_qubits(20).unwrap().build();
         let fab = FabricationParams::state_of_the_art();
         let range = TrialRange { start: 30, end: 250 };
-        let indices =
-            collision_free_trial_indices(&device, &fab, &params(), range, Seed(23), Some(3));
-        let est = simulate_yield_range(&device, &fab, &params(), range, Seed(23), Some(1));
+        let indices = collision_free_trial_indices(&device, &fab, &params(), range, Seed(23));
+        let est = simulate_yield_range(&device, &fab, &params(), range, Seed(23), None);
         assert_eq!(indices.len(), est.survivors);
         assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        let indexed = fabricate_collision_free_indexed_range(
-            &device,
-            &fab,
-            &params(),
-            range,
-            Seed(23),
-            Some(2),
-        );
+        let indexed =
+            fabricate_collision_free_indexed_range(&device, &fab, &params(), range, Seed(23));
         assert_eq!(indexed.iter().map(|(i, _)| *i).collect::<Vec<_>>(), indices);
         // Sub-range tallies are exactly the indices within the slice.
         let sub = TrialRange { start: 100, end: 200 };
-        let sub_est = simulate_yield_range(&device, &fab, &params(), sub, Seed(23), Some(1));
+        let sub_est = simulate_yield_range(&device, &fab, &params(), sub, Seed(23), None);
         let clipped = indices.iter().filter(|i| sub.start <= **i && **i < sub.end).count();
         assert_eq!(clipped, sub_est.survivors);
     }
