@@ -7,21 +7,30 @@
 //! catches accidental changes to report contents (schema drift, float
 //! formatting, artifact naming, scenario values).
 //!
+//! A second fixture pins the compile path: the quick Fig. 10 and
+//! Table II scenarios, whose numbers change whenever layout, routing
+//! or basis lowering emits a different gate sequence.
+//!
 //! To regenerate after an *intentional* report change:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p chipletqc-engine --test golden
 //! ```
 //!
-//! then re-run without the variable and commit the new fixture.
+//! then re-run without the variable and commit the new fixtures.
 
 use chipletqc::lab::CacheHub;
 use chipletqc_engine::report::{strip_counter_objects, RunReport};
+use chipletqc_engine::scenario::{Scale, Scenario};
 use chipletqc_engine::scheduler::Scheduler;
+use chipletqc_engine::suite::resolve_batch;
 use chipletqc_engine::sweep::Sweep;
 
 const GOLDEN: &str = include_str!("golden/run_report.json");
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/run_report.json");
+const COMPILE: &str = include_str!("golden/compile_report.json");
+const COMPILE_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/compile_report.json");
 
 /// The fixture's sweep: two fig8 scenarios (one a two-system group, so
 /// shard counts above 1 actually slice something) at quick scale.
@@ -39,9 +48,12 @@ fn golden_sweep() -> Sweep {
 }
 
 fn report_at(workers: usize, shards: usize) -> String {
+    stripped_report(&golden_sweep().expand(), workers, shards)
+}
+
+fn stripped_report(batch: &[Scenario], workers: usize, shards: usize) -> String {
     let hub = CacheHub::new();
-    let results =
-        Scheduler::new(workers).with_shards(shards).run(&golden_sweep().expand(), &hub);
+    let results = Scheduler::new(workers).with_shards(shards).run(batch, &hub);
     let json = RunReport::from_results(
         &results,
         hub.fabrication_stats(),
@@ -70,4 +82,21 @@ fn run_report_matches_the_checked_in_golden_at_1_2_and_8_workers() {
              (if the change is intentional, regenerate with UPDATE_GOLDEN=1)"
         );
     }
+}
+
+#[test]
+fn compile_report_matches_the_checked_in_golden() {
+    let only = ["fig10".to_string(), "table2".to_string()];
+    let batch = resolve_batch(None, Scale::Quick, Some(&only), None).expect("batch resolves");
+    let report = stripped_report(&batch, 1, 1);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(COMPILE_PATH, &report).expect("write compile fixture");
+        eprintln!("regenerated {COMPILE_PATH}; re-run without UPDATE_GOLDEN");
+        return;
+    }
+    assert_eq!(
+        report, COMPILE,
+        "quick Fig. 10 / Table II report diverged from tests/golden/compile_report.json \
+         (the compiler emitted different gates; if intentional, regenerate with UPDATE_GOLDEN=1)"
+    );
 }
