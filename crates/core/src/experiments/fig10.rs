@@ -13,8 +13,10 @@
 use std::collections::BTreeMap;
 
 use chipletqc_benchmarks::suite::Benchmark;
+use chipletqc_circuit::circuit::Circuit;
 use chipletqc_math::logspace::{ln_to_log10, mean_ln};
 use chipletqc_math::rng::Seed;
+use chipletqc_noise::assign::EdgeNoise;
 use chipletqc_topology::evalset::paper_mcms;
 use chipletqc_topology::mcm::McmSpec;
 use chipletqc_transpile::esp::{edge_usage, esp_from_usage};
@@ -222,8 +224,10 @@ pub fn run(config: &Fig10Config) -> Fig10Data {
 /// caches through `hub` (the engine's concurrent-scenario path).
 pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
     let lab = Lab::new_in(config.lab, hub);
-    // Monolithic compiles are shared across systems of equal size.
-    let mut mono_usage: BTreeMap<(usize, Benchmark), Vec<u32>> = BTreeMap::new();
+    // Monolithic log10 ESPs, one per benchmark, compiled and scored
+    // once per system size (an empty population scores `None` without
+    // compiling).
+    let mut mono_by_size: BTreeMap<usize, Vec<Option<f64>>> = BTreeMap::new();
 
     let mut rows: Vec<Fig10Row> = config
         .benchmarks
@@ -233,39 +237,44 @@ pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
 
     for spec in &config.systems {
         let qubits = spec.num_qubits();
-        let mcm_device = spec.build();
+        let circuits: Vec<Circuit> = config
+            .benchmarks
+            .iter()
+            .map(|b| b.for_device_qubits(qubits, config.circuit_seed))
+            .collect();
         let mono_pop = lab.mono_population(qubits);
+        let mono_esps = mono_by_size.entry(qubits).or_insert_with(|| {
+            let device = &mono_pop.device;
+            if mono_pop.members.is_empty() {
+                return vec![None; circuits.len()];
+            }
+            config
+                .transpiler
+                .transpile_many(&circuits, device)
+                .iter()
+                .map(|compiled| {
+                    let usage = edge_usage(&compiled.physical, device);
+                    log10_mean_esp(mono_pop.members.iter().map(|(_, noise)| noise), &usage)
+                })
+                .collect()
+        });
         let outcome = lab.assemble(spec);
         let selected = lab.selected_mcm_count(outcome.mcms.len(), mono_pop.estimate.survivors);
+        let mcm_device = spec.build();
 
-        for (bi, &benchmark) in config.benchmarks.iter().enumerate() {
-            let circuit = benchmark.for_device_qubits(qubits, config.circuit_seed);
-            let mcm_compiled = config.transpiler.transpile(&circuit, &mcm_device);
-            let mcm_use = edge_usage(&mcm_compiled.physical, &mcm_device);
-            let mcm_lns: Vec<f64> = outcome.mcms[..selected]
-                .iter()
-                .map(|m| esp_from_usage(&mcm_use, &m.noise).ln())
-                .collect();
-
-            let mono_use = mono_usage.entry((qubits, benchmark)).or_insert_with(|| {
-                let compiled = config.transpiler.transpile(&circuit, &mono_pop.device);
-                edge_usage(&compiled.physical, &mono_pop.device)
-            });
-            let mono_lns: Vec<f64> = mono_pop
-                .members
-                .iter()
-                .map(|(_, noise)| esp_from_usage(mono_use, noise).ln())
-                .collect();
-
-            let mcm_esp_log10 = (!mcm_lns.is_empty()).then(|| ln_to_log10(mean_ln(&mcm_lns)));
-            let mono_esp_log10 =
-                (!mono_lns.is_empty()).then(|| ln_to_log10(mean_ln(&mono_lns)));
+        let mcm_compiled = config.transpiler.transpile_many(&circuits, &mcm_device);
+        for ((row, compiled), &mono_esp_log10) in
+            rows.iter_mut().zip(&mcm_compiled).zip(&*mono_esps)
+        {
+            let usage = edge_usage(&compiled.physical, &mcm_device);
+            let mcm_esp_log10 =
+                log10_mean_esp(outcome.mcms[..selected].iter().map(|m| &m.noise), &usage);
             let point_outcome = match (mcm_esp_log10, mono_esp_log10) {
                 (Some(m), Some(o)) => RatioOutcome::Finite(m - o),
                 (Some(_), None) => RatioOutcome::MonolithicImpossible,
                 _ => RatioOutcome::McmUnavailable,
             };
-            rows[bi].points.push(Fig10Point {
+            row.points.push(Fig10Point {
                 spec: *spec,
                 mcm_esp_log10,
                 mono_esp_log10,
@@ -274,6 +283,16 @@ pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
         }
     }
     Fig10Data { rows }
+}
+
+/// The population geometric-mean `log10 ESP` of one compiled circuit's
+/// edge usage, `None` for an empty population.
+fn log10_mean_esp<'a>(
+    population: impl Iterator<Item = &'a EdgeNoise>,
+    usage: &[u32],
+) -> Option<f64> {
+    let lns: Vec<f64> = population.map(|noise| esp_from_usage(usage, noise).ln()).collect();
+    (!lns.is_empty()).then(|| ln_to_log10(mean_ln(&lns)))
 }
 
 #[cfg(test)]

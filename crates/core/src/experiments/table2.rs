@@ -8,7 +8,7 @@
 //! shape.
 
 use chipletqc_benchmarks::suite::Benchmark;
-use chipletqc_circuit::circuit::GateCounts;
+use chipletqc_circuit::circuit::{Circuit, GateCounts};
 use chipletqc_math::rng::Seed;
 use chipletqc_topology::family::ChipletSpec;
 use chipletqc_topology::mcm::McmSpec;
@@ -103,10 +103,13 @@ impl Table2Data {
 pub fn run(config: &Table2Config) -> Table2Data {
     let mut entries = Vec::new();
     for spec in &config.systems {
-        let device = spec.build();
-        for &benchmark in &config.benchmarks {
-            let circuit = benchmark.for_device_qubits(spec.num_qubits(), config.circuit_seed);
-            let compiled = config.transpiler.transpile(&circuit, &device);
+        let circuits: Vec<Circuit> = config
+            .benchmarks
+            .iter()
+            .map(|b| b.for_device_qubits(spec.num_qubits(), config.circuit_seed))
+            .collect();
+        let compiled = config.transpiler.transpile_many(&circuits, &spec.build());
+        for (&benchmark, compiled) in config.benchmarks.iter().zip(compiled) {
             entries.push(Table2Entry {
                 spec: *spec,
                 benchmark,

@@ -129,8 +129,9 @@ impl CouplingGraph {
     /// The full all-pairs hop-distance matrix (row-major,
     /// `matrix[a][b]`). `u32::MAX` marks disconnected pairs.
     ///
-    /// Cost is `O(V·E)`; for the paper's largest 500-qubit systems this
-    /// is well under a millisecond and is computed once per transpile.
+    /// Cost is `O(V·E)`, a few milliseconds for the paper's largest
+    /// 500-qubit systems; the transpiler builds it once per device for
+    /// a whole batch of circuits.
     pub fn distance_matrix(&self) -> Vec<Vec<u32>> {
         (0..self.num_qubits()).map(|q| self.bfs_distances(QubitId(q as u32))).collect()
     }

@@ -8,14 +8,17 @@
 //!   that favors the chain-structured benchmarks);
 //! * [`routing`] — SABRE-style SWAP insertion (front layer + extended
 //!   set + decay, after Li, Ding & Xie, ASPLOS'19 — the paper's
-//!   qubit-mapping reference);
+//!   qubit-mapping reference), with an event-driven drain that visits
+//!   only gates able to run, in the order a full rescan would;
 //! * [`decompose`] — lowering to the IBM-style physical basis
 //!   {RZ, SX, X, CX}, with optional CR-direction enforcement
 //!   (reversing a CX costs four HH wrappers; the paper treats reversal
 //!   as free, so enforcement defaults off);
 //! * [`esp`] — the fidelity-product figure of merit over all two-qubit
 //!   gates, computed in log space;
-//! * [`pipeline`] — the end-to-end [`pipeline::Transpiler`].
+//! * [`pipeline`] — the end-to-end [`pipeline::Transpiler`];
+//!   [`Transpiler::transpile_many`] compiles a batch of circuits onto
+//!   one device over a single all-pairs distance table.
 //!
 //! # Example
 //!

@@ -40,14 +40,41 @@ impl Transpiler {
         }
     }
 
-    /// Maps, routes, and lowers `circuit` onto `device`.
+    /// Maps, routes, and lowers `circuit` onto `device`: the
+    /// one-circuit case of [`Transpiler::transpile_many`].
     ///
     /// # Panics
     ///
     /// Panics if the circuit is wider than the device.
     pub fn transpile(&self, circuit: &Circuit, device: &Device) -> TranspiledCircuit {
-        let layout = self.layout.place(circuit.num_qubits(), device);
-        self.transpile_with_layout(circuit, device, layout)
+        self.transpile_many(std::slice::from_ref(circuit), device)
+            .pop()
+            .expect("one circuit in, one out")
+    }
+
+    /// Maps, routes, and lowers every circuit onto `device`, in order.
+    ///
+    /// The device's all-pairs distance table, which routing reads for
+    /// every candidate SWAP, is built once for the whole slice and
+    /// dropped on return; each result equals
+    /// [`Transpiler::transpile`] of that circuit alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a circuit is wider than the device.
+    pub fn transpile_many(
+        &self,
+        circuits: &[Circuit],
+        device: &Device,
+    ) -> Vec<TranspiledCircuit> {
+        let dist = device.graph().distance_matrix();
+        circuits
+            .iter()
+            .map(|circuit| {
+                let layout = self.layout.place(circuit.num_qubits(), device);
+                self.compile(circuit, device, &dist, layout)
+            })
+            .collect()
     }
 
     /// Like [`Transpiler::transpile`] but with a caller-provided
@@ -63,13 +90,25 @@ impl Transpiler {
         device: &Device,
         layout: Layout,
     ) -> TranspiledCircuit {
+        self.compile(circuit, device, &device.graph().distance_matrix(), layout)
+    }
+
+    /// Routes from `layout` over the distance table `dist`, then lowers
+    /// to the basis.
+    fn compile(
+        &self,
+        circuit: &Circuit,
+        device: &Device,
+        dist: &[Vec<u32>],
+        layout: Layout,
+    ) -> TranspiledCircuit {
         assert!(
             layout.num_logical() >= circuit.num_qubits(),
             "layout places {} qubits but the circuit needs {}",
             layout.num_logical(),
             circuit.num_qubits()
         );
-        let routed = route(circuit, device, &layout, &self.routing);
+        let routed = route(circuit, device, dist, &layout, &self.routing);
         let mut physical = to_basis(&routed.circuit);
         if self.enforce_direction {
             physical = enforce_cr_direction(&physical, device);
