@@ -244,10 +244,10 @@ pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
             .collect();
         let mono_pop = lab.mono_population(qubits);
         let mono_esps = mono_by_size.entry(qubits).or_insert_with(|| {
-            let device = &mono_pop.device;
             if mono_pop.members.is_empty() {
                 return vec![None; circuits.len()];
             }
+            let device = &mono_pop.device;
             config
                 .transpiler
                 .transpile_many(&circuits, device)

@@ -676,8 +676,8 @@ mod tests {
         /// The event-driven drain emits the rescan reference's exact
         /// output (gate order, SWAPs, final layout) on monolithic,
         /// chiplet and MCM devices under both layouts and any SABRE
-        /// parameters (lookahead weights above 1 make the heuristic
-        /// stall, which exercises the shortest-path fallback);
+        /// parameters (lookahead weights up to 4 stall the heuristic
+        /// often enough to exercise the shortest-path fallback);
         /// `transpile_many` equals per-circuit `transpile`.
         #[test]
         fn route_matches_the_rescan_reference(
