@@ -9,7 +9,10 @@
 //!
 //! A second fixture pins the compile path: the quick Fig. 10 and
 //! Table II scenarios, whose numbers change whenever layout, routing
-//! or basis lowering emits a different gate sequence.
+//! or basis lowering emits a different gate sequence. A third pins the
+//! yield path: the quick Fig. 4, Fig. 6, Fig. 8 and output-gain
+//! scenarios, whose numbers change whenever the Monte Carlo keeps or
+//! drops a different device.
 //!
 //! To regenerate after an *intentional* report change:
 //!
@@ -31,6 +34,8 @@ const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/run
 const COMPILE: &str = include_str!("golden/compile_report.json");
 const COMPILE_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/compile_report.json");
+const YIELD: &str = include_str!("golden/yield_report.json");
+const YIELD_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/yield_report.json");
 
 /// The fixture's sweep: two fig8 scenarios (one a two-system group, so
 /// shard counts above 1 actually slice something) at quick scale.
@@ -84,19 +89,42 @@ fn run_report_matches_the_checked_in_golden_at_1_2_and_8_workers() {
     }
 }
 
-#[test]
-fn compile_report_matches_the_checked_in_golden() {
-    let only = ["fig10".to_string(), "table2".to_string()];
+/// The stripped one-worker report of the named quick paper scenarios,
+/// or `None` after writing it to `path` under `UPDATE_GOLDEN`.
+fn quick_report_or_update(only: &[&str], path: &str) -> Option<String> {
+    let only: Vec<String> = only.iter().map(|s| s.to_string()).collect();
     let batch = resolve_batch(None, Scale::Quick, Some(&only), None).expect("batch resolves");
     let report = stripped_report(&batch, 1, 1);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(COMPILE_PATH, &report).expect("write compile fixture");
-        eprintln!("regenerated {COMPILE_PATH}; re-run without UPDATE_GOLDEN");
-        return;
+        std::fs::write(path, &report).expect("write fixture");
+        eprintln!("regenerated {path}; re-run without UPDATE_GOLDEN");
+        return None;
     }
+    Some(report)
+}
+
+#[test]
+fn compile_report_matches_the_checked_in_golden() {
+    let Some(report) = quick_report_or_update(&["fig10", "table2"], COMPILE_PATH) else {
+        return;
+    };
     assert_eq!(
         report, COMPILE,
         "quick Fig. 10 / Table II report diverged from tests/golden/compile_report.json \
          (the compiler emitted different gates; if intentional, regenerate with UPDATE_GOLDEN=1)"
+    );
+}
+
+#[test]
+fn yield_report_matches_the_checked_in_golden() {
+    let only = ["fig4", "fig6", "fig8", "output_gain"];
+    let Some(report) = quick_report_or_update(&only, YIELD_PATH) else {
+        return;
+    };
+    assert_eq!(
+        report, YIELD,
+        "quick Fig. 4 / Fig. 6 / Fig. 8 / output-gain report diverged from \
+         tests/golden/yield_report.json (the Monte Carlo kept or dropped different devices; \
+         if intentional, regenerate with UPDATE_GOLDEN=1)"
     );
 }
