@@ -2,12 +2,18 @@
 //!
 //! Quantifies the Table I criteria over a device: types 1–4 over every
 //! coupled pair (with the CR orientation the device defines), and types
-//! 5–7 over every control with two targets. [`is_collision_free`] is the
-//! early-exit predicate on the Monte Carlo hot path of the yield
-//! simulations (Figs. 4 and 8); [`find_collisions`] produces full
-//! reports for the per-type analysis.
+//! 5–7 over every control with two targets. Three entry points:
+//!
+//! * [`CheckSchedule`] is the Monte Carlo hot path of the yield
+//!   simulations (Figs. 4, 6 and 8). It files each check under the
+//!   highest qubit index it reads, so
+//!   [`CheckSchedule::fill_until_collision`] checks a trial while it is
+//!   drawn, qubit by qubit, and stops at the first collision;
+//! * [`is_collision_free`] is the same verdict as a predicate over a full
+//!   assignment, with an early exit;
+//! * [`find_collisions`] produces full reports for the per-type analysis.
 
-use chipletqc_topology::device::Device;
+use chipletqc_topology::device::{Device, Edge};
 use chipletqc_topology::qubit::QubitId;
 
 use crate::criteria::{
@@ -28,10 +34,30 @@ fn check_len(device: &Device, freqs: &Frequencies) {
     );
 }
 
+/// Whether any of types 1–4 fires on edge `e`.
+fn edge_collides(freqs: &Frequencies, e: &Edge, params: &CollisionParams) -> bool {
+    let (c, t) = (e.control, e.target());
+    type1(freqs, e.a, e.b, params)
+        || type2(freqs, c, t, params)
+        || type3(freqs, e.a, e.b, params)
+        || type4(freqs, c, t, params)
+}
+
+/// Whether any of types 5–7 fires on control `i` with targets `j`, `k`.
+fn triple_collides(
+    freqs: &Frequencies,
+    [i, j, k]: [QubitId; 3],
+    params: &CollisionParams,
+) -> bool {
+    type5(freqs, j, k, params) || type6(freqs, j, k, params) || type7(freqs, i, j, k, params)
+}
+
 /// Whether the fabricated device has **no** Table I collision.
 ///
 /// This is the paper's batch-classification predicate: "If all seven
-/// criteria return false, a QC is categorized as collision-free."
+/// criteria return false, a QC is categorized as collision-free." It
+/// needs the full assignment; the yield simulation instead checks each
+/// trial while drawing it, through a [`CheckSchedule`].
 ///
 /// # Panics
 ///
@@ -43,12 +69,7 @@ pub fn is_collision_free(
 ) -> bool {
     check_len(device, freqs);
     for e in device.edges() {
-        let (c, t) = (e.control, e.target());
-        if type1(freqs, e.a, e.b, params)
-            || type2(freqs, c, t, params)
-            || type3(freqs, e.a, e.b, params)
-            || type4(freqs, c, t, params)
-        {
+        if edge_collides(freqs, e, params) {
             return false;
         }
     }
@@ -56,16 +77,120 @@ pub fn is_collision_free(
         let targets = device.targets_of(i);
         for (jx, &j) in targets.iter().enumerate() {
             for &k in &targets[jx + 1..] {
-                if type5(freqs, j, k, params)
-                    || type6(freqs, j, k, params)
-                    || type7(freqs, i, j, k, params)
-                {
+                if triple_collides(freqs, [i, j, k], params) {
                     return false;
                 }
             }
         }
     }
     true
+}
+
+/// One device's Table I checks, each filed under the highest qubit
+/// index it reads: an edge's types 1–4 under its higher endpoint, and a
+/// (control, target, target) triple's types 5–7 under the highest of
+/// its three qubits.
+///
+/// The checks filed under qubit `q` read only qubits `0..=q`, so an
+/// assignment drawn in qubit order can be checked as it is drawn.
+/// Whether an assignment collides does not depend on the order of its
+/// checks, so the first check that fires settles the verdict
+/// [`is_collision_free`] gives on the full assignment. Build one per
+/// device and reuse it for every trial.
+#[derive(Debug, Clone)]
+pub struct CheckSchedule {
+    /// Every edge, by higher endpoint: qubit `q`'s are
+    /// `edges[edge_at[q]..edge_at[q + 1]]`.
+    edges: Vec<Edge>,
+    edge_at: Vec<usize>,
+    /// Every `[control, target, target]` triple, by highest qubit:
+    /// qubit `q`'s are `triples[triple_at[q]..triple_at[q + 1]]`.
+    triples: Vec<[QubitId; 3]>,
+    triple_at: Vec<usize>,
+}
+
+impl CheckSchedule {
+    /// Files every check of `device`.
+    pub fn new(device: &Device) -> CheckSchedule {
+        let n = device.num_qubits();
+        let mut edges = device.edges().to_vec();
+        edges.sort_by_key(|e| e.a.max(e.b));
+        let mut triples = Vec::new();
+        for i in device.qubits() {
+            let targets = device.targets_of(i);
+            for (jx, &j) in targets.iter().enumerate() {
+                for &k in &targets[jx + 1..] {
+                    triples.push([i, j, k]);
+                }
+            }
+        }
+        triples.sort_by_key(|&[i, j, k]| i.max(j).max(k));
+        CheckSchedule {
+            edge_at: bucket_starts(n, edges.iter().map(|e| e.a.max(e.b))),
+            edges,
+            triple_at: bucket_starts(n, triples.iter().map(|&[i, j, k]| i.max(j).max(k))),
+            triples,
+        }
+    }
+
+    /// The number of qubits of the device.
+    pub fn num_qubits(&self) -> usize {
+        self.edge_at.len() - 1
+    }
+
+    /// Writes `draw(q)` into `freqs` for each qubit `q` in index order,
+    /// runs the checks filed under `q` as soon as it is written, and
+    /// stops at the first that fires.
+    ///
+    /// Returns that qubit, the lowest over the assignment's collisions
+    /// of the highest qubit each involves, after exactly `q + 1` calls
+    /// of `draw`; qubits above it keep what `freqs` held before. Returns
+    /// `None` when the assignment is collision-free, after drawing every
+    /// qubit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `freqs` does not cover the device or `draw` returns a
+    /// non-finite value.
+    pub fn fill_until_collision(
+        &self,
+        freqs: &mut Frequencies,
+        params: &CollisionParams,
+        mut draw: impl FnMut(QubitId) -> f64,
+    ) -> Option<QubitId> {
+        assert_eq!(
+            freqs.len(),
+            self.num_qubits(),
+            "frequency assignment covers {} qubits but the device has {}",
+            freqs.len(),
+            self.num_qubits()
+        );
+        for q in 0..self.num_qubits() {
+            let qubit = QubitId(q as u32);
+            freqs.set_freq(qubit, draw(qubit));
+            let edges = &self.edges[self.edge_at[q]..self.edge_at[q + 1]];
+            let triples = &self.triples[self.triple_at[q]..self.triple_at[q + 1]];
+            if edges.iter().any(|e| edge_collides(freqs, e, params))
+                || triples.iter().any(|&t| triple_collides(freqs, t, params))
+            {
+                return Some(qubit);
+            }
+        }
+        None
+    }
+}
+
+/// The bucket starts of items sorted by qubit, given each item's qubit
+/// in that order: bucket `q` spans `starts[q]..starts[q + 1]`.
+fn bucket_starts(n: usize, sorted: impl Iterator<Item = QubitId>) -> Vec<usize> {
+    let mut starts = vec![0; n + 1];
+    for q in sorted {
+        starts[q.index() + 1] += 1;
+    }
+    for q in 0..n {
+        starts[q + 1] += starts[q];
+    }
+    starts
 }
 
 /// A full collision report for one fabricated device.
@@ -182,9 +307,11 @@ pub fn count_by_type(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chipletqc_topology::device::{DeviceBuilder, EdgeKind};
     use chipletqc_topology::evalset::paper_mcms;
     use chipletqc_topology::family::{ChipletSpec, MonolithicSpec};
     use chipletqc_topology::plan::FrequencyPlan;
+    use chipletqc_topology::qubit::{ChipIndex, FrequencyClass};
 
     fn paper_params() -> CollisionParams {
         CollisionParams::paper()
@@ -305,6 +432,53 @@ mod tests {
         let report = find_collisions(&device, &freqs, &paper_params());
         assert_eq!(report.counts_by_type(), count_by_type(&device, &freqs, &paper_params()));
         assert!(!report.is_collision_free());
+    }
+
+    #[test]
+    fn schedule_files_every_check_once_under_its_highest_qubit() {
+        // In the heavy-hex families a target is always a triple's highest
+        // qubit; in this star the control is.
+        let mut star = DeviceBuilder::new("star");
+        let targets = [FrequencyClass::F0, FrequencyClass::F1, FrequencyClass::F0]
+            .map(|class| star.add_qubit(class, ChipIndex(0)));
+        let control = star.add_qubit(FrequencyClass::F2, ChipIndex(0));
+        for t in targets {
+            star.add_edge(t, control, EdgeKind::OnChip);
+        }
+        let devices = [
+            star.build(),
+            ChipletSpec::with_qubits(20).unwrap().build(),
+            MonolithicSpec::with_qubits(100).unwrap().build(),
+            paper_mcms()[0].build(),
+        ];
+        for device in &devices {
+            let schedule = CheckSchedule::new(device);
+            assert_eq!(schedule.num_qubits(), device.num_qubits());
+            let (mut edges, mut triples) = (Vec::new(), Vec::new());
+            for (q, qubit) in device.qubits().enumerate() {
+                for e in &schedule.edges[schedule.edge_at[q]..schedule.edge_at[q + 1]] {
+                    assert_eq!(e.a.max(e.b), qubit, "{}: edge {:?}", device.name(), e.id);
+                    edges.push(*e);
+                }
+                for t in &schedule.triples[schedule.triple_at[q]..schedule.triple_at[q + 1]] {
+                    assert_eq!(t.iter().max(), Some(&qubit), "{}: triple {t:?}", device.name());
+                    triples.push(*t);
+                }
+            }
+            edges.sort_by_key(|e| e.id);
+            assert_eq!(edges, device.edges(), "{}: every edge once", device.name());
+            let mut expected = Vec::new();
+            for i in device.qubits() {
+                let targets = device.targets_of(i);
+                for (jx, &j) in targets.iter().enumerate() {
+                    expected.extend(targets[jx + 1..].iter().map(|&k| [i, j, k]));
+                }
+            }
+            assert!(!expected.is_empty());
+            triples.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(triples, expected, "{}: every triple once", device.name());
+        }
     }
 
     #[test]

@@ -93,6 +93,17 @@ impl Frequencies {
         self.freqs[q.index()]
     }
 
+    /// Overwrites the frequency of `q`: the checker's qubit-by-qubit
+    /// fill reuses one assignment across trials.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` is not finite.
+    pub(crate) fn set_freq(&mut self, q: QubitId, f: f64) {
+        assert!(f.is_finite(), "frequency of {q} must be finite, got {f}");
+        self.freqs[q.index()] = f;
+    }
+
     /// The anharmonicity of `q` in GHz (negative).
     pub fn alpha(&self, q: QubitId) -> f64 {
         self.alphas[q.index()]

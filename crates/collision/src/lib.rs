@@ -14,8 +14,10 @@
 //! * [`criteria`] — the seven criteria as pure predicates over
 //!   frequencies, with the paper's thresholds as defaults and every
 //!   threshold parameterizable;
-//! * [`checker`] — whole-device checking: early-exit collision-free
-//!   tests for the Monte Carlo hot path and full reports for analysis.
+//! * [`checker`] — whole-device checking: a per-device check schedule
+//!   that checks a Monte Carlo trial while it is drawn and stops at its
+//!   first collision, the collision-free predicate over a full
+//!   assignment, and full reports for analysis.
 //!
 //! # Example
 //!
@@ -41,6 +43,8 @@ pub mod checker;
 pub mod criteria;
 pub mod frequencies;
 
-pub use checker::{count_by_type, find_collisions, is_collision_free, CollisionReport};
+pub use checker::{
+    count_by_type, find_collisions, is_collision_free, CheckSchedule, CollisionReport,
+};
 pub use criteria::{Collision, CollisionParams, CollisionType};
 pub use frequencies::Frequencies;

@@ -2,12 +2,25 @@
 
 use proptest::prelude::*;
 
-use chipletqc_collision::checker::{find_collisions, is_collision_free};
+use chipletqc_collision::checker::{find_collisions, is_collision_free, CheckSchedule};
 use chipletqc_collision::criteria::{type1, type3, type5, type6, CollisionParams};
 use chipletqc_collision::frequencies::Frequencies;
-use chipletqc_topology::family::ChipletSpec;
+use chipletqc_math::dist::Normal;
+use chipletqc_math::rng::Seed;
+use chipletqc_topology::device::Device;
+use chipletqc_topology::family::{ChipletSpec, MonolithicSpec};
+use chipletqc_topology::mcm::McmSpec;
 use chipletqc_topology::plan::FrequencyPlan;
 use chipletqc_topology::qubit::QubitId;
+
+/// A small chiplet (`kind` 0), monolithic (1) or MCM (2) device.
+fn small_device(kind: usize, rows: usize, m: usize) -> Device {
+    match kind {
+        0 => ChipletSpec::new(2 * rows, m).unwrap().build(),
+        1 => MonolithicSpec::new(rows, m).unwrap().build(),
+        _ => McmSpec::new(ChipletSpec::new(2, m).unwrap(), rows.min(2), 2).build(),
+    }
+}
 
 proptest! {
     /// The fast predicate and the full report always agree.
@@ -83,5 +96,46 @@ proptest! {
         prop_assert!(!report.is_collision_free());
         // Every edge fires Type 1 at zero detuning.
         prop_assert_eq!(report.counts_by_type()[0], device.graph().num_edges());
+    }
+
+    /// The check schedule run over a full assignment agrees with both
+    /// full-assignment checks: it stops at the lowest, over the report's
+    /// collisions, of the highest qubit each involves (so it finds a
+    /// collision exactly when `is_collision_free` says there is one),
+    /// after drawing exactly the qubits up to it.
+    #[test]
+    fn schedule_agrees_with_the_full_assignment_checks(
+        (kind, rows, m) in (0usize..3, 1usize..4, 1usize..4),
+        sigma in prop_oneof![Just(0.0), Just(0.1323), 0.0f64..0.05],
+        (step, window, straddling) in (0.04f64..0.08, 0.5f64..1.5, 0u8..4),
+        seed in 0u64..1_000_000,
+    ) {
+        let device = small_device(kind, rows, m);
+        let plan = FrequencyPlan::with_step(step);
+        let noise = Normal::new(0.0, sigma).unwrap();
+        let mut rng = Seed(seed).rng();
+        let raw = device.qubits().map(|q| plan.ideal(device.class(q)) + noise.sample(&mut rng));
+        let full = Frequencies::with_uniform_alpha(raw.collect(), plan.anharmonicity()).unwrap();
+        let params = CollisionParams {
+            enforce_straddling: straddling != 0,
+            ..CollisionParams::paper().scaled(window)
+        };
+        let expected = find_collisions(&device, &full, &params)
+            .collisions
+            .iter()
+            .map(|c| *c.qubits.iter().max().unwrap())
+            .min();
+        let mut scratch = Frequencies::ideal(&device, &plan);
+        let mut draws = 0;
+        let hit = CheckSchedule::new(&device).fill_until_collision(&mut scratch, &params, |q| {
+            draws += 1;
+            full.freq(q)
+        });
+        prop_assert_eq!(hit, expected);
+        prop_assert_eq!(hit.is_none(), is_collision_free(&device, &full, &params));
+        prop_assert_eq!(draws, hit.map_or(device.num_qubits(), |q| q.index() + 1));
+        if hit.is_none() {
+            prop_assert_eq!(&scratch, &full);
+        }
     }
 }

@@ -18,6 +18,7 @@ use chipletqc_collision::frequencies::Frequencies;
 use chipletqc_math::dist::Normal;
 use chipletqc_topology::device::Device;
 use chipletqc_topology::plan::FrequencyPlan;
+use chipletqc_topology::qubit::QubitId;
 
 /// Fabrication model: ideal plan + precision.
 ///
@@ -106,14 +107,10 @@ impl FabricationParams {
     }
 
     /// Virtually fabricates one device: every qubit's frequency is drawn
-    /// from `N(F_class, σ_f)` (and its anharmonicity from
-    /// `N(α, σ_alpha)` if enabled).
+    /// from `N(F_class, σ_f)` in qubit order (and then every
+    /// anharmonicity from `N(α, σ_alpha)` if enabled).
     pub fn sample<R: Rng + ?Sized>(&self, device: &Device, rng: &mut R) -> Frequencies {
-        let freq_noise = Normal::new(0.0, self.sigma_f).expect("validated in constructor");
-        let freqs: Vec<f64> = device
-            .qubits()
-            .map(|q| self.plan.ideal(device.class(q)) + freq_noise.sample(rng))
-            .collect();
+        let freqs: Vec<f64> = device.qubits().map(|q| self.draw_freq(device, q, rng)).collect();
         if self.sigma_alpha == 0.0 {
             Frequencies::with_uniform_alpha(freqs, self.plan.anharmonicity())
                 .expect("sampled values are finite")
@@ -124,6 +121,25 @@ impl FabricationParams {
                 (0..device.num_qubits()).map(|_| alpha_noise.sample(rng)).collect();
             Frequencies::new(freqs, alphas).expect("sampled values are finite")
         }
+    }
+
+    /// Qubit `q`'s fabricated frequency, drawn from `N(F_class(q), σ_f)`:
+    /// the one per-qubit draw behind [`FabricationParams::sample`] and the
+    /// Monte Carlo loop, which draws a trial qubit by qubit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the drawn value is not finite.
+    pub(crate) fn draw_freq<R: Rng + ?Sized>(
+        &self,
+        device: &Device,
+        q: QubitId,
+        rng: &mut R,
+    ) -> f64 {
+        let noise = Normal::new(0.0, self.sigma_f).expect("validated in constructor");
+        let f = self.plan.ideal(device.class(q)) + noise.sample(rng);
+        assert!(f.is_finite(), "sampled values are finite");
+        f
     }
 }
 
