@@ -9,9 +9,12 @@
 //!   highest qubit index it reads, so
 //!   [`CheckSchedule::fill_until_collision`] checks a trial while it is
 //!   drawn, qubit by qubit, and stops at the first collision;
-//! * [`is_collision_free`] is the same verdict as a predicate over a full
-//!   assignment, with an early exit;
-//! * [`find_collisions`] produces full reports for the per-type analysis.
+//! * [`is_collision_free`] is the full-assignment predicate: the same
+//!   verdict over an assignment that is already drawn, with an early
+//!   exit (the yield loop's `sigma_alpha != 0` path, the property tests'
+//!   oracle and the benchmark's `collision.check_us`);
+//! * [`find_collisions`] lists every collision, for reports and the
+//!   per-type analysis.
 
 use chipletqc_topology::device::{Device, Edge};
 use chipletqc_topology::qubit::QubitId;
@@ -34,7 +37,11 @@ fn check_len(device: &Device, freqs: &Frequencies) {
     );
 }
 
+// Both checkers run these once per check; without `#[inline]` a full
+// `is_collision_free` scan measured ~15% slower.
+
 /// Whether any of types 1–4 fires on edge `e`.
+#[inline]
 fn edge_collides(freqs: &Frequencies, e: &Edge, params: &CollisionParams) -> bool {
     let (c, t) = (e.control, e.target());
     type1(freqs, e.a, e.b, params)
@@ -44,6 +51,7 @@ fn edge_collides(freqs: &Frequencies, e: &Edge, params: &CollisionParams) -> boo
 }
 
 /// Whether any of types 5–7 fires on control `i` with targets `j`, `k`.
+#[inline]
 fn triple_collides(
     freqs: &Frequencies,
     [i, j, k]: [QubitId; 3],
@@ -113,8 +121,6 @@ impl CheckSchedule {
     /// Files every check of `device`.
     pub fn new(device: &Device) -> CheckSchedule {
         let n = device.num_qubits();
-        let mut edges = device.edges().to_vec();
-        edges.sort_by_key(|e| e.a.max(e.b));
         let mut triples = Vec::new();
         for i in device.qubits() {
             let targets = device.targets_of(i);
@@ -124,17 +130,13 @@ impl CheckSchedule {
                 }
             }
         }
-        triples.sort_by_key(|&[i, j, k]| i.max(j).max(k));
-        CheckSchedule {
-            edge_at: bucket_starts(n, edges.iter().map(|e| e.a.max(e.b))),
-            edges,
-            triple_at: bucket_starts(n, triples.iter().map(|&[i, j, k]| i.max(j).max(k))),
-            triples,
-        }
+        let (edges, edge_at) = file_by_qubit(n, device.edges().to_vec(), |e| e.a.max(e.b));
+        let (triples, triple_at) = file_by_qubit(n, triples, |&[i, j, k]| i.max(j).max(k));
+        CheckSchedule { edges, edge_at, triples, triple_at }
     }
 
     /// The number of qubits of the device.
-    pub fn num_qubits(&self) -> usize {
+    fn num_qubits(&self) -> usize {
         self.edge_at.len() - 1
     }
 
@@ -180,17 +182,22 @@ impl CheckSchedule {
     }
 }
 
-/// The bucket starts of items sorted by qubit, given each item's qubit
-/// in that order: bucket `q` spans `starts[q]..starts[q + 1]`.
-fn bucket_starts(n: usize, sorted: impl Iterator<Item = QubitId>) -> Vec<usize> {
+/// Sorts `items` by `qubit` (stable) and returns them with each
+/// qubit's start: qubit `q`'s items are `items[starts[q]..starts[q + 1]]`.
+fn file_by_qubit<T>(
+    n: usize,
+    mut items: Vec<T>,
+    qubit: impl Fn(&T) -> QubitId,
+) -> (Vec<T>, Vec<usize>) {
+    items.sort_by_key(&qubit);
     let mut starts = vec![0; n + 1];
-    for q in sorted {
-        starts[q.index() + 1] += 1;
+    for item in &items {
+        starts[qubit(item).index() + 1] += 1;
     }
     for q in 0..n {
         starts[q + 1] += starts[q];
     }
-    starts
+    (items, starts)
 }
 
 /// A full collision report for one fabricated device.

@@ -149,8 +149,8 @@ impl Device {
     /// The qubits that `control` drives (its CR targets).
     ///
     /// Collision criteria 5–7 of Table I quantify over pairs of targets
-    /// that share a control; this accessor is the hot path of the
-    /// collision checker.
+    /// that share a control; the collision checker enumerates them
+    /// through this accessor.
     pub fn targets_of(&self, control: QubitId) -> &[QubitId] {
         &self.targets_of[control.index()]
     }

@@ -77,7 +77,9 @@ impl FabricationParams {
     }
 
     /// Returns a copy with per-qubit anharmonicity variation
-    /// (extension beyond the paper).
+    /// (extension beyond the paper). The anharmonicities are drawn after
+    /// every frequency, so Monte Carlo trials under this model draw in
+    /// full instead of stopping at their first collision.
     ///
     /// # Panics
     ///

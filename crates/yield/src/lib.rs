@@ -14,7 +14,10 @@
 //!   also produces the surviving *collision-free bin* with its sampled
 //!   frequencies, which the assembly crate consumes, and supports
 //!   splitting a batch into [`TrialRange`] shards whose merged results
-//!   are bit-identical to a single full-batch run;
+//!   are bit-identical to a single full-batch run. Each trial is drawn
+//!   qubit by qubit and stops at its first collision, with exactly the
+//!   output of drawing every qubit first (the `sigma_alpha` extension
+//!   keeps full draws);
 //! * [`sweep`] — yield-vs-size curve generation for the Fig. 4 and
 //!   Fig. 8 reproductions;
 //! * [`analytic`] — an independence-approximation analytic estimator

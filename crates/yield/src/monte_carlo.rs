@@ -562,8 +562,8 @@ mod tests {
 
     #[test]
     fn a_trial_stops_drawing_at_its_first_collision() {
-        // At Fig. 4's three precisions: most 0.1323
-        // trials collide early, most 0.006 trials survive.
+        // At Fig. 4's three precisions most 0.1323 trials collide
+        // early and most 0.006 trials survive.
         let devices = [
             ChipletSpec::with_qubits(20).unwrap().build(),
             MonolithicSpec::with_qubits(60).unwrap().build(),
