@@ -140,7 +140,7 @@ impl FabricationParams {
     ) -> f64 {
         let noise = Normal::new(0.0, self.sigma_f).expect("validated in constructor");
         let f = self.plan.ideal(device.class(q)) + noise.sample(rng);
-        assert!(f.is_finite(), "sampled values are finite");
+        assert!(f.is_finite(), "sampled frequency of {q} is not finite: {f}");
         f
     }
 }
