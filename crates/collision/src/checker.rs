@@ -38,7 +38,8 @@ fn check_len(device: &Device, freqs: &Frequencies) {
 }
 
 // Both checkers run these once per check; without `#[inline]` a full
-// `is_collision_free` scan measured ~15% slower.
+// `is_collision_free` scan of a 400- or 1,000-qubit device measured
+// ~15% slower (release build, 2-core x86-64 Xeon).
 
 /// Whether any of types 1–4 fires on edge `e`.
 #[inline]
