@@ -7,15 +7,11 @@
 //!   for every acquisition of class B while class A is held, and for
 //!   every call made while A is held into a function whose transitive
 //!   lock summary (a fixpoint over the workspace call graph) contains
-//!   B. Only *cycles* are findings — a consistent global order needs
-//!   no annotation at all, which is what retires the old per-fn
-//!   `nested-lock` pragmas on classed pairs. A lock held across a
-//!   call into a function that takes another lock is found even when
-//!   the two acquisitions live in different files.
-//! * **chunk-size-discipline** — the store's merge-on-read contract:
-//!   the only value that may reach a `chunk_cover` call site is the
-//!   `CHUNK_TRIALS` constant itself. A literal `512` is today's right
-//!   answer and tomorrow's torn chunk.
+//!   B. Only *cycles* are findings — a consistent global order is
+//!   fine wherever it is taken, so classed pairs need nothing from
+//!   `nested-lock`. A lock held across a call into a function that
+//!   takes another lock is found even when the two acquisitions live
+//!   in different files.
 //! * **axis-exhaustiveness** — every `Vec` axis field of
 //!   `struct Sweep` must be referenced in every axis handler
 //!   (`expanded_len`, `validate`, `expand`, `to_text`, `parse`): a
@@ -24,19 +20,15 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::TokenKind;
 use crate::symbols::{SymbolIndex, SWEEP_FILE};
 use crate::{Finding, SourceFile};
-
-/// The chunking primitive and the one constant allowed to reach it.
-const CHUNK_FN: &str = "chunk_cover";
-const CHUNK_CONST: &str = "CHUNK_TRIALS";
 
 /// Functions that must each handle every sweep axis.
 const AXIS_HANDLERS: &[&str] = &["expanded_len", "validate", "expand", "to_text", "parse"];
 
-/// One contribution to a lock-order edge, anchored where a pragma
-/// could suppress it.
+/// One contribution to a lock-order edge, anchored at the acquisition
+/// or call that adds it.
 struct EdgeSite {
     path: String,
     line: usize,
@@ -153,11 +145,11 @@ pub(crate) fn lock_order(files: &[SourceFile], index: &SymbolIndex, out: &mut Ve
                 path: site.path.clone(),
                 line: site.line,
                 message: format!(
-                    "{} — closes the lock-order cycle {cycle}; reorder the acquisitions, \
-                     drop the guard before the call, or annotate why this cannot deadlock",
+                    "{} — closes the lock-order cycle {cycle}; reorder the acquisitions \
+                     or drop the guard before the call, so every path takes these locks \
+                     in one order",
                     site.detail
                 ),
-                fix_available: true,
             });
         }
     }
@@ -199,78 +191,6 @@ fn cycle_path(
     names.join(" -> ")
 }
 
-pub(crate) fn chunk_size_discipline(
-    files: &[SourceFile],
-    index: &SymbolIndex,
-    out: &mut Vec<Finding>,
-) {
-    for (fi, lex) in index.lexed.iter().enumerate() {
-        let t = &lex.tokens;
-        for i in 0..t.len() {
-            if !t[i].is_ident(CHUNK_FN)
-                || !t.get(i + 1).is_some_and(|p| p.is_punct('('))
-                || (i > 0 && t[i - 1].is_ident("fn"))
-            {
-                continue;
-            }
-            let Some(arg) = second_arg(t, i + 1) else { continue };
-            if arg.len() == 1 && arg[0].is_ident(CHUNK_CONST) {
-                continue;
-            }
-            let shown: String =
-                arg.iter().map(|tok| tok.text.as_str()).collect::<Vec<_>>().join(" ");
-            out.push(Finding {
-                rule: "chunk-size-discipline",
-                path: files[fi].path.clone(),
-                line: t[i].line,
-                message: format!(
-                    "`{CHUNK_FN}` called with chunk `{}` — only the `{CHUNK_CONST}` constant \
-                     may reach a chunking site, or merged reads see torn chunk boundaries",
-                    truncate(&shown, 40)
-                ),
-                fix_available: true,
-            });
-        }
-    }
-}
-
-/// The tokens of the second top-level argument of the call whose `(`
-/// is at `open`, or None when the call has fewer than two arguments.
-fn second_arg(t: &[Token], open: usize) -> Option<&[Token]> {
-    let mut depth = 0i64;
-    let mut first_comma: Option<usize> = None;
-    let mut j = open;
-    loop {
-        let tok = t.get(j)?;
-        if tok.kind == TokenKind::Punct {
-            match tok.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return first_comma.map(|c| &t[c + 1..j]).filter(|a| !a.is_empty());
-                    }
-                }
-                "," if depth == 1 => match first_comma {
-                    None => first_comma = Some(j),
-                    Some(c) => return Some(&t[c + 1..j]),
-                },
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-}
-
-fn truncate(s: &str, max: usize) -> String {
-    if s.chars().count() <= max {
-        return s.to_string();
-    }
-    let mut out: String = s.chars().take(max).collect();
-    out.push('…');
-    out
-}
-
 pub(crate) fn axis_exhaustiveness(
     files: &[SourceFile],
     index: &SymbolIndex,
@@ -293,7 +213,6 @@ pub(crate) fn axis_exhaustiveness(
                     "axis handler fn `{handler}` not found in {SWEEP_FILE} — every sweep \
                      axis must be counted, validated, expanded, printed, and parsed"
                 ),
-                fix_available: true,
             });
             continue;
         }
@@ -315,7 +234,6 @@ pub(crate) fn axis_exhaustiveness(
                         axis.name,
                         AXIS_HANDLERS.join(", ")
                     ),
-                    fix_available: true,
                 });
             }
         }

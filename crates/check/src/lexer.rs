@@ -1,21 +1,21 @@
 //! A line/token-level Rust lexer — just enough structure for the rule
-//! engine: identifiers, punctuation, string/char/number literals, and
-//! comments, each tagged with a 1-based line number. Deliberately not
-//! a parser; the rules work on token adjacency and brace depth.
+//! engine: identifiers, punctuation, and string/char/number literals,
+//! each tagged with a 1-based line number. Comments are skipped.
+//! Deliberately not a parser; the rules work on token adjacency and
+//! brace depth.
 //!
 //! Two pieces of real work live here because every rule depends on
 //! them being right:
 //!
-//! * **String and comment state.** A `HashMap` mentioned inside a
-//!   string literal or a doc comment must not trip the
-//!   unordered-iteration rule, so the lexer fully tracks `"…"` (with
-//!   escapes), `r#"…"#` raw strings, byte strings, char literals
-//!   vs. lifetimes, and nested `/* … */` block comments.
+//! * **String and comment state.** A `.lock()` mentioned inside a
+//!   string literal or a doc comment must not trip the lock rules, so
+//!   the lexer fully tracks `"…"` (with escapes), `r#"…"#` raw
+//!   strings, byte strings, char literals vs. lifetimes, and nested
+//!   `/* … */` block comments.
 //! * **`#[cfg(test)]` regions.** Test modules and test-only items are
-//!   exempt from every rule (tests may unwrap and may use wall
-//!   clocks), so tokens under a `#[cfg(test)]` attribute — up to the
-//!   close of the following braced item or terminating `;` — are
-//!   dropped, along with comments on those lines.
+//!   exempt from every rule, so tokens under a `#[cfg(test)]`
+//!   attribute — up to the close of the following braced item or
+//!   terminating `;` — are dropped.
 
 /// What a token is; rules mostly switch on `Ident` vs `Str`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,21 +57,10 @@ impl Token {
     }
 }
 
-/// A comment with its 1-based line number. `text` excludes the
-/// comment markers; `doc` is true for `///` / `//!` doc comments,
-/// which are documentation and never carry `check:allow` pragmas.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    pub text: String,
-    pub line: usize,
-    pub doc: bool,
-}
-
 /// The lexed view of one source file, `#[cfg(test)]` regions removed.
 #[derive(Debug, Default)]
 pub struct Lexed {
     pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
 }
 
 pub fn lex(source: &str) -> Lexed {
@@ -81,7 +70,6 @@ pub fn lex(source: &str) -> Lexed {
 
 fn lex_raw(source: &str) -> Lexed {
     let mut tokens = Vec::new();
-    let mut comments = Vec::new();
     let chars: Vec<char> = source.chars().collect();
     let mut i = 0usize;
     let mut line = 1usize;
@@ -95,26 +83,13 @@ fn lex_raw(source: &str) -> Lexed {
             }
             c if c.is_whitespace() => i += 1,
             '/' if chars.get(i + 1) == Some(&'/') => {
-                let start = i + 2;
-                let doc = matches!(chars.get(start), Some('/') | Some('!'));
-                let mut end = start;
-                while end < chars.len() && chars[end] != '\n' {
-                    end += 1;
+                while i < chars.len() && chars[i] != '\n' {
+                    i += 1;
                 }
-                let mut text: String = chars[start..end].iter().collect();
-                if doc {
-                    text.remove(0);
-                }
-                comments.push(Comment { text: text.trim().to_string(), line, doc });
-                i = end;
             }
             '/' if chars.get(i + 1) == Some(&'*') => {
-                let start_line = line;
-                let doc = matches!(chars.get(i + 2), Some('*') | Some('!'))
-                    && chars.get(i + 3) != Some(&'/');
                 let mut depth = 1usize;
                 let mut j = i + 2;
-                let mut text = String::new();
                 while j < chars.len() && depth > 0 {
                     if chars[j] == '/' && chars.get(j + 1) == Some(&'*') {
                         depth += 1;
@@ -126,13 +101,9 @@ fn lex_raw(source: &str) -> Lexed {
                         if chars[j] == '\n' {
                             line += 1;
                         }
-                        if depth == 1 {
-                            text.push(chars[j]);
-                        }
                         j += 1;
                     }
                 }
-                comments.push(Comment { text: text.trim().to_string(), line: start_line, doc });
                 i = j;
             }
             '"' => {
@@ -194,7 +165,7 @@ fn lex_raw(source: &str) -> Lexed {
         }
     }
 
-    Lexed { tokens, comments }
+    Lexed { tokens }
 }
 
 /// Scans a `"…"` body starting just past the opening quote. Returns
@@ -342,34 +313,23 @@ fn is_lifetime(chars: &[char], i: usize) -> bool {
 
 /// Drops tokens covered by a `#[cfg(test)]` (or `#[cfg(all(test, …))]`
 /// etc.) attribute: the attribute itself, any further attributes, and
-/// the following item through its closing brace or `;`. Comments on
-/// the removed lines are dropped too, so pragmas cannot hide in test
-/// code.
+/// the following item through its closing brace or `;`.
 fn strip_test_regions(lexed: Lexed) -> Lexed {
     let tokens = lexed.tokens;
     let mut keep = vec![true; tokens.len()];
-    let mut test_lines: Vec<(usize, usize)> = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
         if let Some(end) = test_region_end(&tokens, i) {
-            let start_line = tokens[i].line;
-            let end_line = tokens[end - 1].line;
             for flag in keep.iter_mut().take(end).skip(i) {
                 *flag = false;
             }
-            test_lines.push((start_line, end_line));
             i = end;
         } else {
             i += 1;
         }
     }
-    let comments = lexed
-        .comments
-        .into_iter()
-        .filter(|c| !test_lines.iter().any(|&(lo, hi)| c.line >= lo && c.line <= hi))
-        .collect();
     let tokens = tokens.into_iter().zip(keep).filter_map(|(t, k)| k.then_some(t)).collect();
-    Lexed { tokens, comments }
+    Lexed { tokens }
 }
 
 /// If tokens[i..] starts a `#[cfg(test)]`-guarded item, returns the
@@ -465,7 +425,6 @@ mod tests {
             .any(|t| t.kind == TokenKind::Ident && t.text == "HashMap"));
         let strs: Vec<_> = lexed.tokens.iter().filter(|t| t.kind == TokenKind::Str).collect();
         assert_eq!(strs.len(), 2);
-        assert_eq!(lexed.comments.len(), 2);
     }
 
     #[test]

@@ -10,16 +10,8 @@
 //! Analysis is two-pass: pass 1 builds a whole-workspace
 //! [`symbols::SymbolIndex`] (fn definitions, classed lock sites,
 //! name-resolved call edges, sweep axes) from the lexer output; pass 2
-//! runs five local rules per file and three graph rules over the
-//! index:
+//! runs two local rules per file and two graph rules over the index:
 //!
-//! * **unordered-iteration** — no `HashMap`/`HashSet` on the
-//!   determinism surface.
-//! * **daemon-panic** — no `.unwrap()` / `.expect()` / `panic!` /
-//!   `unreachable!` (or `todo!` / `unimplemented!`) in long-lived
-//!   daemon paths.
-//! * **clock-discipline** — `Instant::now` / `SystemTime::now` only
-//!   inside `crates/obs` or at annotated timeout sites.
 //! * **frame-registry** — every protocol frame literal appears in the
 //!   central registry ([`frames::FRAMES`]), which is itself statically
 //!   verified well-formed, discriminable, and pairwise prefix-free.
@@ -30,21 +22,17 @@
 //!   lock classes must be acyclic, with lock summaries propagated
 //!   along call edges so a guard held across a call into a function
 //!   that locks elsewhere is found across files.
-//! * **chunk-size-discipline** — only the `CHUNK_TRIALS` constant may
-//!   reach a `chunk_cover` chunking site.
 //! * **axis-exhaustiveness** — every `Vec` axis of `struct Sweep` is
 //!   handled in every axis handler fn.
 //!
-//! Rules are deny-by-default. The only escape is an in-place pragma
-//! in a plain line comment — `check:allow(rule) reason` — whose
-//! reason is mandatory and whose presence must be justified: a pragma
-//! that matches no finding is itself a finding. Run it as
-//! `chipletqc-engine check [--format text|json]`; `check --fix`
-//! inserts `TODO(triage)` pragma scaffolds for the findings that
-//! support it ([`fix`]), and `--fix --dry-run` prints the patch
-//! without writing.
+//! Rules are deny-by-default with no escape hatch: a finding is fixed,
+//! or its locks are added to [`symbols::LOCK_CLASSES`]. Hash
+//! collections, clock reads and daemon-path panics are clippy's
+//! (`clippy.toml`, the workspace lints, and a `#![warn(…)]` header
+//! atop each daemon file), where an escape is an
+//! `#[expect(lint, reason = "…")]`. Run this checker as
+//! `chipletqc-engine check [--format text|json] [--root DIR]`.
 
-pub mod fix;
 pub mod frames;
 mod graph;
 pub mod lexer;
@@ -67,47 +55,31 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// An unallowlisted rule violation. `rule` is one of [`RULES`] or
-/// `"pragma"` for defects in the pragmas themselves.
+/// A rule violation. `rule` is one of [`RULES`].
 #[derive(Debug, Clone)]
 pub struct Finding {
     pub rule: &'static str,
     pub path: String,
     pub line: usize,
     pub message: String,
-    /// Whether `check --fix` can scaffold an allow pragma for this
-    /// finding. False for pragma defects and registry-level
-    /// `frame-registry` findings, which no pragma can suppress.
-    pub fix_available: bool,
-}
-
-/// A violation suppressed by a `check:allow` pragma, kept in the
-/// report so the allowlist stays auditable.
-#[derive(Debug, Clone)]
-pub struct Allowed {
-    pub rule: &'static str,
-    pub path: String,
-    pub line: usize,
-    pub reason: String,
 }
 
 /// The outcome of one check run. Deterministically ordered: findings
-/// and allows are sorted by (path, line, rule).
+/// are sorted by (path, line, rule).
 #[derive(Debug)]
 pub struct CheckReport {
     pub findings: Vec<Finding>,
-    pub allowed: Vec<Allowed>,
     pub files_scanned: usize,
 }
 
 impl CheckReport {
-    /// Deny-by-default: clean means zero unallowlisted findings.
+    /// Deny-by-default: clean means zero findings.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
 
     /// Human-readable rendering: one `path:line: [rule] message` per
-    /// finding, the allowlist, and a summary line.
+    /// finding and a summary line.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
@@ -116,29 +88,21 @@ impl CheckReport {
         if !self.findings.is_empty() {
             out.push('\n');
         }
-        for a in &self.allowed {
-            let _ = writeln!(out, "allowed {}:{}: [{}] {}", a.path, a.line, a.rule, a.reason);
-        }
-        if !self.allowed.is_empty() {
-            out.push('\n');
-        }
         let _ = writeln!(
             out,
-            "{} files scanned, {} finding(s), {} allowlisted",
+            "{} files scanned, {} finding(s)",
             self.files_scanned,
-            self.findings.len(),
-            self.allowed.len()
+            self.findings.len()
         );
         out
     }
 
-    /// Machine-readable rendering. Schema 2 is pinned by a
+    /// Machine-readable rendering. Schema 3 is pinned by a
     /// golden-shape test: top-level `schema` / `files_scanned` /
-    /// `clean` / `findings` / `allowed`; findings carry `rule` /
-    /// `file` / `line` / `message` / `fix_available`, allows carry
-    /// `rule` / `file` / `line` / `reason`.
+    /// `clean` / `findings`; findings carry `rule` / `file` / `line` /
+    /// `message`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 2,\n");
+        let mut out = String::from("{\n  \"schema\": 3,\n");
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(out, "  \"clean\": {},", self.is_clean());
         out.push_str("  \"findings\": [");
@@ -146,29 +110,14 @@ impl CheckReport {
             let sep = if i == 0 { "\n" } else { ",\n" };
             let _ = write!(
                 out,
-                "{sep}    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \
-                 \"fix_available\": {}}}",
+                "{sep}    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
                 json_str(f.rule),
                 json_str(&f.path),
                 f.line,
-                json_str(&f.message),
-                f.fix_available
+                json_str(&f.message)
             );
         }
-        out.push_str(if self.findings.is_empty() { "],\n" } else { "\n  ],\n" });
-        out.push_str("  \"allowed\": [");
-        for (i, a) in self.allowed.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(
-                out,
-                "{sep}    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"reason\": {}}}",
-                json_str(a.rule),
-                json_str(&a.path),
-                a.line,
-                json_str(&a.reason)
-            );
-        }
-        out.push_str(if self.allowed.is_empty() { "]\n" } else { "\n  ]\n" });
+        out.push_str(if self.findings.is_empty() { "]\n" } else { "\n  ]\n" });
         out.push_str("}\n");
         out
     }
@@ -284,92 +233,10 @@ mod tests {
     }
 
     #[test]
-    fn pragma_suppresses_and_records() {
-        let report = check_files(&[file(
-            "crates/core/src/lab.rs",
-            "// check:allow(unordered-iteration) keyed access only, never iterated\n\
-             use std::collections::HashMap;\n",
-        )]);
-        assert!(report.is_clean(), "{:?}", report.findings);
-        assert_eq!(report.allowed.len(), 1);
-        assert_eq!(report.allowed[0].rule, "unordered-iteration");
-        assert!(report.allowed[0].reason.contains("keyed access"));
-    }
-
-    #[test]
-    fn pragma_without_reason_is_a_finding() {
-        let report = check_files(&[file(
-            "crates/core/src/lab.rs",
-            "// check:allow(unordered-iteration)\nuse std::collections::HashMap;\n",
-        )]);
-        // The reasonless pragma is rejected, so the HashMap finding
-        // survives alongside the pragma defect.
-        assert_eq!(report.findings.len(), 2);
-        assert!(report.findings.iter().any(|f| f.rule == "pragma"));
-        assert!(report.findings.iter().any(|f| f.rule == "unordered-iteration"));
-    }
-
-    #[test]
-    fn unused_pragma_is_a_finding() {
-        let report = check_files(&[file(
-            "crates/core/src/lab.rs",
-            "// check:allow(unordered-iteration) nothing here needs this\nfn f() {}\n",
-        )]);
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].rule, "pragma");
-        assert!(report.findings[0].message.contains("matched no finding"));
-    }
-
-    #[test]
-    fn unknown_rule_pragma_is_a_finding() {
-        let report = check_files(&[file(
-            "crates/core/src/lab.rs",
-            "// check:allow(no-such-rule) whatever\nfn f() {}\n",
-        )]);
-        assert_eq!(report.findings.len(), 1);
-        assert!(report.findings[0].message.contains("unknown rule"));
-    }
-
-    #[test]
-    fn suffix_pragma_covers_its_own_line() {
-        let report = check_files(&[file(
-            "crates/store/src/lib.rs",
-            "use std::collections::HashMap; // check:allow(unordered-iteration) keyed only\n",
-        )]);
-        assert!(report.is_clean(), "{:?}", report.findings);
-    }
-
-    #[test]
-    fn pragma_covers_a_multiline_statement() {
-        let report = check_files(&[file(
-            "crates/engine/src/service.rs",
-            "fn f(x: Result<u8, u8>) -> u8 {\n\
-                 // check:allow(daemon-panic) checked by caller\n\
-                 x\n\
-                     .expect(\"fine\")\n\
-             }\n",
-        )]);
-        assert!(report.is_clean(), "{:?}", report.findings);
-        assert_eq!(report.allowed.len(), 1);
-    }
-
-    #[test]
-    fn doc_comments_are_not_pragmas() {
-        let report = check_files(&[file(
-            "crates/core/src/lab.rs",
-            "/// check:allow(unordered-iteration) docs describing the syntax\n\
-             fn f() {}\n",
-        )]);
-        // Neither a pragma (doc comment) nor an unused-pragma finding.
-        assert!(report.is_clean(), "{:?}", report.findings);
-    }
-
-    #[test]
     fn output_is_deterministic_and_sorted() {
-        let files = [
-            file("crates/core/src/b.rs", "use std::collections::HashMap;\n"),
-            file("crates/core/src/a.rs", "use std::collections::HashSet;\n"),
-        ];
+        let nested = "fn f(p: &P) { let a = p.left.lock(); let b = p.right.lock(); }\n";
+        let files =
+            [file("crates/core/src/b.rs", nested), file("crates/core/src/a.rs", nested)];
         let report = check_files(&files);
         let paths: Vec<&str> = report.findings.iter().map(|f| f.path.as_str()).collect();
         assert_eq!(paths, ["crates/core/src/a.rs", "crates/core/src/b.rs"]);

@@ -1,75 +1,22 @@
-//! The rule engine: eight named, deny-by-default lints, plus the
-//! pragma machinery that lets a finding be explicitly allowlisted in
-//! place — `check:allow(rule) reason`, in a plain `//` comment (doc
-//! comments are documentation, never pragmas), with a mandatory human
-//! reason. A pragma covers the statement it precedes (or shares a
-//! line with); an unmatched pragma is itself a finding, so the
-//! allowlist can never rot.
+//! The rule engine: four named, deny-by-default lints. There is no
+//! escape hatch: a finding is fixed, or (for a lock pair whose order
+//! is deliberate) both locks join [`crate::symbols::LOCK_CLASSES`] so
+//! `lock-order` judges the order globally.
 //!
 //! Analysis runs in two passes: pass 1 builds the workspace
 //! [`symbols::SymbolIndex`] (fn spans, classed lock sites, resolved
-//! call sites, sweep axes), pass 2 runs the five local rules over
-//! each file and the three graph rules ([`crate::graph`]) over the
-//! index, and only then matches *all* findings — local and
-//! cross-file alike — against the pragmas of the file each finding
-//! anchors in.
+//! call sites, sweep axes), pass 2 runs the two local rules over each
+//! file and the two graph rules ([`crate::graph`]) over the index.
 
 use crate::frames;
 use crate::graph;
-use crate::lexer::{Comment, Lexed, TokenKind};
+use crate::lexer::{Lexed, TokenKind};
 use crate::symbols::SymbolIndex;
-use crate::{Allowed, CheckReport, Finding, SourceFile};
+use crate::{CheckReport, Finding, SourceFile};
 
-/// The rule names, as they appear in findings and pragmas.
-pub const RULES: &[&str] = &[
-    "unordered-iteration",
-    "daemon-panic",
-    "clock-discipline",
-    "frame-registry",
-    "nested-lock",
-    "lock-order",
-    "chunk-size-discipline",
-    "axis-exhaustiveness",
-];
-
-/// Crates whose entire `src` tree sits on the determinism surface:
-/// their iteration order can reach report or wire bytes.
-const DETERMINISM_CRATES: &[&str] = &[
-    "crates/assembly/src/",
-    "crates/benchmarks/src/",
-    "crates/circuit/src/",
-    "crates/collision/src/",
-    "crates/core/src/",
-    "crates/math/src/",
-    "crates/noise/src/",
-    "crates/sim/src/",
-    "crates/store/src/",
-    "crates/topology/src/",
-    "crates/transpile/src/",
-    "crates/yield/src/",
-];
-
-/// Engine files on the determinism surface (the rest of the engine —
-/// CLI, service plumbing — only moves opaque report bytes around).
-const DETERMINISM_ENGINE_FILES: &[&str] = &[
-    "crates/engine/src/mesh.rs",
-    "crates/engine/src/report.rs",
-    "crates/engine/src/scenario.rs",
-    "crates/engine/src/scheduler.rs",
-    "crates/engine/src/suite.rs",
-    "crates/engine/src/sweep.rs",
-];
-
-/// Long-lived daemon paths: a panic here takes down the warm hub and
-/// every queued client, so panicking constructs are denied.
-const DAEMON_FILES: &[&str] = &[
-    "crates/engine/src/mesh.rs",
-    "crates/engine/src/protocol.rs",
-    "crates/engine/src/scheduler.rs",
-    "crates/engine/src/service.rs",
-    "crates/store/src/remote.rs",
-    "crates/store/src/wire.rs",
-];
+/// The rule names, as they appear in findings.
+pub const RULES: &[&str] =
+    &["frame-registry", "nested-lock", "lock-order", "axis-exhaustiveness"];
 
 /// The two files that write or read wire frames.
 const FRAME_FILES: &[&str] = &["crates/engine/src/protocol.rs", "crates/store/src/remote.rs"];
@@ -77,25 +24,6 @@ const FRAME_FILES: &[&str] = &["crates/engine/src/protocol.rs", "crates/store/sr
 /// Where the registry table itself lives; registry-level defects and
 /// stale-row findings anchor here.
 const REGISTRY_FILE: &str = "crates/check/src/frames.rs";
-
-/// The one crate allowed to read wall clocks without annotation.
-const CLOCK_CRATE: &str = "crates/obs/src/";
-
-fn on_determinism_surface(path: &str) -> bool {
-    DETERMINISM_CRATES.iter().any(|p| path.starts_with(p))
-        || DETERMINISM_ENGINE_FILES.contains(&path)
-}
-
-/// An allow pragma, parsed from a plain `//` comment.
-struct Pragma {
-    rule: String,
-    reason: String,
-    /// Line of the comment itself.
-    line: usize,
-    /// Lines of the statement the pragma covers.
-    covers: (usize, usize),
-    used: bool,
-}
 
 pub fn analyze(files: &[SourceFile]) -> CheckReport {
     let index = SymbolIndex::build(files);
@@ -105,267 +33,17 @@ pub fn analyze(files: &[SourceFile]) -> CheckReport {
 /// Pass 2 over a prebuilt index (the CLI builds the index under its
 /// own obs span, then calls this).
 pub fn analyze_indexed(files: &[SourceFile], index: &SymbolIndex) -> CheckReport {
-    // Raw findings: the five local rules, then the three graph rules.
-    let mut raw: Vec<Finding> = Vec::new();
-    for (i, file) in files.iter().enumerate() {
-        let lex = &index.lexed[i];
-        unordered_iteration(file, lex, &mut raw);
-        daemon_panic(file, lex, &mut raw);
-        clock_discipline(file, lex, &mut raw);
-        frame_literals(file, lex, &mut raw);
-    }
-    nested_lock(files, index, &mut raw);
-    graph::lock_order(files, index, &mut raw);
-    graph::chunk_size_discipline(files, index, &mut raw);
-    graph::axis_exhaustiveness(files, index, &mut raw);
-
-    // Pragma matching runs after every anchored rule, so a cross-file
-    // lock-order finding is suppressible at its own site like any
-    // local finding.
     let mut findings: Vec<Finding> = Vec::new();
-    let mut allowed: Vec<Allowed> = Vec::new();
-    let mut pragmas: Vec<(usize, Vec<Pragma>)> = files
-        .iter()
-        .enumerate()
-        .map(|(i, file)| (i, collect_pragmas(file, &index.lexed[i], &mut findings)))
-        .collect();
-    for finding in raw {
-        let hit = files
-            .iter()
-            .position(|f| f.path == finding.path)
-            .and_then(|fi| pragmas.iter_mut().find(|(i, _)| *i == fi))
-            .and_then(|(_, ps)| {
-                ps.iter_mut().find(|p| {
-                    p.rule == finding.rule
-                        && finding.line >= p.covers.0
-                        && finding.line <= p.covers.1
-                })
-            });
-        match hit {
-            Some(pragma) => {
-                pragma.used = true;
-                allowed.push(Allowed {
-                    rule: finding.rule,
-                    path: finding.path,
-                    line: finding.line,
-                    reason: pragma.reason.clone(),
-                });
-            }
-            None => findings.push(finding),
-        }
+    for (i, file) in files.iter().enumerate() {
+        frame_literals(file, &index.lexed[i], &mut findings);
     }
-    for (fi, ps) in &pragmas {
-        for pragma in ps.iter().filter(|p| !p.used) {
-            findings.push(Finding {
-                rule: "pragma",
-                path: files[*fi].path.clone(),
-                line: pragma.line,
-                message: format!(
-                    "allow pragma for `{}` matched no finding — remove it",
-                    pragma.rule
-                ),
-                fix_available: false,
-            });
-        }
-    }
-
+    nested_lock(files, index, &mut findings);
+    graph::lock_order(files, index, &mut findings);
+    graph::axis_exhaustiveness(files, index, &mut findings);
     frame_registry_global(files, index, &mut findings);
 
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    allowed.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    CheckReport { findings, allowed, files_scanned: files.len() }
-}
-
-/// Parses `check:allow(rule) reason` pragmas out of a file's plain
-/// comments. Malformed pragmas (no closing paren, unknown rule, empty
-/// reason) are findings in their own right — an escape hatch that can
-/// be silently wrong is worse than none.
-fn collect_pragmas(file: &SourceFile, lex: &Lexed, findings: &mut Vec<Finding>) -> Vec<Pragma> {
-    let mut pragmas = Vec::new();
-    for comment in lex.comments.iter().filter(|c| !c.doc) {
-        let Some(rest) = comment.text.trim().strip_prefix("check:allow(") else { continue };
-        let Some(close) = rest.find(')') else {
-            push_pragma_finding(findings, file, comment, "missing `)` after the rule name");
-            continue;
-        };
-        let rule = rest[..close].trim().to_string();
-        let reason = rest[close + 1..].trim().to_string();
-        if !RULES.contains(&rule.as_str()) {
-            push_pragma_finding(
-                findings,
-                file,
-                comment,
-                &format!("unknown rule `{rule}` (rules: {})", RULES.join(", ")),
-            );
-            continue;
-        }
-        if reason.is_empty() {
-            push_pragma_finding(
-                findings,
-                file,
-                comment,
-                &format!("allow pragma for `{rule}` requires a reason"),
-            );
-            continue;
-        }
-        let covers = pragma_coverage(lex, comment.line);
-        pragmas.push(Pragma { rule, reason, line: comment.line, covers, used: false });
-    }
-    pragmas
-}
-
-fn push_pragma_finding(findings: &mut Vec<Finding>, file: &SourceFile, c: &Comment, msg: &str) {
-    findings.push(Finding {
-        rule: "pragma",
-        path: file.path.clone(),
-        line: c.line,
-        message: msg.to_string(),
-        fix_available: false,
-    });
-}
-
-/// The lines a pragma suppresses: the statement beginning on the
-/// pragma's own line (suffix form) or on the first token line after
-/// it, extended through the statement's terminating `;`, opening
-/// `{`, or closing `}` — capped so a confused parse can never
-/// suppress half a file.
-fn pragma_coverage(lex: &Lexed, comment_line: usize) -> (usize, usize) {
-    const MAX_SPAN: usize = 25;
-    let own_line = lex.tokens.iter().any(|t| t.line == comment_line);
-    let start_line = if own_line {
-        comment_line
-    } else {
-        lex.tokens
-            .iter()
-            .map(|t| t.line)
-            .filter(|&l| l > comment_line)
-            .min()
-            .unwrap_or(comment_line)
-    };
-    let Some(first) = lex.tokens.iter().position(|t| t.line >= start_line) else {
-        return (start_line, start_line);
-    };
-    let mut depth = 0i64;
-    let mut end_line = start_line;
-    for token in &lex.tokens[first..] {
-        if token.line > start_line + MAX_SPAN {
-            break;
-        }
-        end_line = token.line;
-        if token.kind == TokenKind::Punct {
-            match token.text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth <= 0 => break,
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                }
-                ";" if depth <= 0 => break,
-                _ => {}
-            }
-        }
-    }
-    (start_line.min(comment_line), end_line)
-}
-
-/// Rule `unordered-iteration`: no `HashMap`/`HashSet` identifiers on
-/// the determinism surface. Hash iteration order varies run to run
-/// and (for the default hasher) process to process; one stray
-/// `.iter()` can reach report or wire bytes.
-fn unordered_iteration(file: &SourceFile, lex: &Lexed, out: &mut Vec<Finding>) {
-    if !on_determinism_surface(&file.path) {
-        return;
-    }
-    for token in &lex.tokens {
-        if token.kind == TokenKind::Ident
-            && (token.text == "HashMap" || token.text == "HashSet")
-        {
-            out.push(Finding {
-                rule: "unordered-iteration",
-                path: file.path.clone(),
-                line: token.line,
-                message: format!(
-                    "`{}` on the determinism surface — use BTreeMap/BTreeSet or sort at \
-                     the serialization boundary",
-                    token.text
-                ),
-                fix_available: true,
-            });
-        }
-    }
-}
-
-/// Rule `daemon-panic`: no panicking constructs in the long-lived
-/// daemon paths. A panic in a connection handler or the scheduler
-/// kills the warm hub for every tenant; errors must become error
-/// frames or logged continues.
-fn daemon_panic(file: &SourceFile, lex: &Lexed, out: &mut Vec<Finding>) {
-    if !DAEMON_FILES.contains(&file.path.as_str()) {
-        return;
-    }
-    let t = &lex.tokens;
-    for i in 0..t.len() {
-        if t[i].kind != TokenKind::Ident {
-            continue;
-        }
-        let name = t[i].text.as_str();
-        let method_call =
-            i > 0 && t[i - 1].is_punct('.') && t.get(i + 1).is_some_and(|n| n.is_punct('('));
-        let macro_call = t.get(i + 1).is_some_and(|n| n.is_punct('!'));
-        let flagged = match name {
-            "unwrap" | "expect" => method_call,
-            "panic" | "unreachable" | "todo" | "unimplemented" => macro_call,
-            _ => false,
-        };
-        if flagged {
-            let form = if method_call { format!(".{name}()") } else { format!("{name}!") };
-            out.push(Finding {
-                rule: "daemon-panic",
-                path: file.path.clone(),
-                line: t[i].line,
-                message: format!(
-                    "`{form}` in daemon code — return an error frame, log and continue, \
-                     or recover (poisoned locks: `unwrap_or_else(PoisonError::into_inner)`)"
-                ),
-                fix_available: true,
-            });
-        }
-    }
-}
-
-/// Rule `clock-discipline`: `Instant::now` / `SystemTime::now` only
-/// inside `crates/obs` (the telemetry layer owns time) or at
-/// explicitly annotated timeout sites. Unannotated clock reads are
-/// how nondeterminism leaks into supposedly pure paths.
-fn clock_discipline(file: &SourceFile, lex: &Lexed, out: &mut Vec<Finding>) {
-    if file.path.starts_with(CLOCK_CRATE) {
-        return;
-    }
-    let t = &lex.tokens;
-    for i in 0..t.len() {
-        let is_clock_type = t[i].is_ident("Instant") || t[i].is_ident("SystemTime");
-        if is_clock_type
-            && t.get(i + 1).is_some_and(|a| a.is_punct(':'))
-            && t.get(i + 2).is_some_and(|b| b.is_punct(':'))
-            && t.get(i + 3).is_some_and(|n| n.is_ident("now"))
-        {
-            out.push(Finding {
-                rule: "clock-discipline",
-                path: file.path.clone(),
-                line: t[i].line,
-                message: format!(
-                    "`{}::now` outside crates/obs — route timing through chipletqc-obs, \
-                     or annotate a genuine timeout/deadline site",
-                    t[i].text
-                ),
-                fix_available: true,
-            });
-        }
-    }
+    CheckReport { findings, files_scanned: files.len() }
 }
 
 /// Rule `nested-lock`: a `.lock()`/`.read()`/`.write()` acquired
@@ -395,10 +73,10 @@ fn nested_lock(files: &[SourceFile], index: &SymbolIndex, out: &mut Vec<Finding>
             line: site.line,
             message: format!(
                 "`.{}()` while {held_desc} may still be held — drop the first guard \
-                 first, or annotate why the order is deadlock-free",
+                 first, reorder the acquisitions, or add both locks to `LOCK_CLASSES` \
+                 so `lock-order` judges the order",
                 site.method
             ),
-            fix_available: true,
         });
     }
 }
@@ -422,7 +100,6 @@ fn frame_literals(file: &SourceFile, lex: &Lexed, out: &mut Vec<Finding>) {
                     "frame verb `{verb}` is not in the registry — add a FrameSpec row to \
                      {REGISTRY_FILE} (and prove prefix-freedom) before emitting it"
                 ),
-                fix_available: true,
             });
         }
     }
@@ -447,8 +124,7 @@ fn frame_verb(content: &str) -> Option<&str> {
 /// registry self-consistency (verb/header well-formedness, shape
 /// discriminability, pairwise prefix-freedom of rendered heads), no
 /// stale registry rows, and VERSION agreement with `wire.rs`. These
-/// findings anchor on the registry, not a source site, so no pragma
-/// (and no `--fix` scaffold) can suppress them.
+/// findings anchor on the registry, not a source site.
 fn frame_registry_global(files: &[SourceFile], index: &SymbolIndex, out: &mut Vec<Finding>) {
     let frame_files: Vec<usize> = files
         .iter()
@@ -466,7 +142,6 @@ fn frame_registry_global(files: &[SourceFile], index: &SymbolIndex, out: &mut Ve
             path: REGISTRY_FILE.to_string(),
             line: 1,
             message: defect,
-            fix_available: false,
         });
     }
 
@@ -494,7 +169,6 @@ fn frame_registry_global(files: &[SourceFile], index: &SymbolIndex, out: &mut Ve
                     spec.headers,
                     FRAME_FILES.join(" / ")
                 ),
-                fix_available: false,
             });
         }
     }
@@ -515,7 +189,6 @@ fn frame_registry_global(files: &[SourceFile], index: &SymbolIndex, out: &mut Ve
                     "registry VERSION `{}` does not match wire.rs ({declared:?})",
                     frames::VERSION
                 ),
-                fix_available: false,
             });
         }
     }

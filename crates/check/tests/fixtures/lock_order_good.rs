@@ -1,8 +1,8 @@
 //! Good fixture: the same two locks, acquired in one consistent
 //! order (state, then sched) at every site — including one function
-//! that holds both directly. The classed pair needs no nested-lock
-//! pragma: a consistent order keeps the whole-workspace lock-order
-//! graph acyclic, and that is the whole annotation.
+//! that holds both directly. The classed pair is no nested-lock
+//! finding: a consistent order keeps the whole-workspace lock-order
+//! graph acyclic, and that is all it takes.
 
 use std::sync::{Mutex, PoisonError};
 

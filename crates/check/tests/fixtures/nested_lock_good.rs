@@ -1,6 +1,5 @@
 // Known-good: guards are retired before the next lock is taken —
-// by drop(), by scope, or (when overlap is deliberate) under an
-// allowlist pragma stating the ordering invariant.
+// by drop() or by scope.
 use std::sync::Mutex;
 
 pub struct Pair {
@@ -24,12 +23,5 @@ impl Pair {
         };
         let right = self.right.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         l + *right
-    }
-
-    pub fn swap(&self) {
-        let mut left = self.left.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        // check:allow(nested-lock) every Pair method takes left then right; right is never held across a left acquisition
-        let mut right = self.right.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        std::mem::swap(&mut *left, &mut *right);
     }
 }

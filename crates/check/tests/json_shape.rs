@@ -3,38 +3,27 @@
 //! names; this test is the schema's change detector — bump `schema`
 //! when it has to move.
 
-use chipletqc_check::{Allowed, CheckReport, Finding};
+use chipletqc_check::{CheckReport, Finding};
 
 #[test]
-fn schema_two_shape_is_pinned() {
+fn schema_three_shape_is_pinned() {
     let report = CheckReport {
         findings: vec![Finding {
             rule: "lock-order",
             path: "crates/a/src/x.rs".to_string(),
             line: 7,
             message: "cycle".to_string(),
-            fix_available: true,
-        }],
-        allowed: vec![Allowed {
-            rule: "nested-lock",
-            path: "crates/a/src/y.rs".to_string(),
-            line: 9,
-            reason: "left then right".to_string(),
         }],
         files_scanned: 2,
     };
     let expected = concat!(
         "{\n",
-        "  \"schema\": 2,\n",
+        "  \"schema\": 3,\n",
         "  \"files_scanned\": 2,\n",
         "  \"clean\": false,\n",
         "  \"findings\": [\n",
         "    {\"rule\": \"lock-order\", \"file\": \"crates/a/src/x.rs\", \"line\": 7, ",
-        "\"message\": \"cycle\", \"fix_available\": true}\n",
-        "  ],\n",
-        "  \"allowed\": [\n",
-        "    {\"rule\": \"nested-lock\", \"file\": \"crates/a/src/y.rs\", \"line\": 9, ",
-        "\"reason\": \"left then right\"}\n",
+        "\"message\": \"cycle\"}\n",
         "  ]\n",
         "}\n",
     );
@@ -43,14 +32,13 @@ fn schema_two_shape_is_pinned() {
 
 #[test]
 fn empty_report_shape_is_pinned() {
-    let report = CheckReport { findings: vec![], allowed: vec![], files_scanned: 0 };
+    let report = CheckReport { findings: vec![], files_scanned: 0 };
     let expected = concat!(
         "{\n",
-        "  \"schema\": 2,\n",
+        "  \"schema\": 3,\n",
         "  \"files_scanned\": 0,\n",
         "  \"clean\": true,\n",
-        "  \"findings\": [],\n",
-        "  \"allowed\": []\n",
+        "  \"findings\": []\n",
         "}\n",
     );
     assert_eq!(report.to_json(), expected);

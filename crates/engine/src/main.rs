@@ -62,7 +62,7 @@ USAGE:
   chipletqc-engine submit (--socket PATH | --connect HOST:PORT --token-file F) --shutdown
   chipletqc-engine status (--socket PATH | --connect HOST:PORT --token-file F)
   chipletqc-engine trace summarize FILE
-  chipletqc-engine check [--format text|json] [--root DIR] [--fix [--dry-run]]
+  chipletqc-engine check [--format text|json] [--root DIR]
 
 OPTIONS:
   --workers N       the batch's thread count: N pool threads, and no
@@ -155,17 +155,13 @@ OBSERVABILITY (see README \"Observability\"):
 
 STATIC ANALYSIS (see README \"Static analysis\"):
   check             run the workspace invariant checker over
-                    crates/*/src: unordered-iteration, daemon-panic,
-                    clock-discipline, frame-registry, nested-lock,
-                    lock-order, chunk-size-discipline,
-                    axis-exhaustiveness. Deny-by-default — exits
-                    non-zero on any finding not allowlisted in place
-                    by a `check:allow(rule) reason` comment pragma.
-                    --format json emits machine-readable findings;
-                    --root DIR overrides workspace-root discovery;
-                    --fix [--dry-run] scaffolds a TODO(triage) pragma
-                    at every fixable finding (--dry-run prints the
-                    patch instead of writing it)
+                    crates/*/src: frame-registry, nested-lock,
+                    lock-order, axis-exhaustiveness. Deny-by-default,
+                    with no escape — exits non-zero on any finding.
+                    (Hash collections, clock reads and daemon-path
+                    panics are `cargo clippy`'s.) --format json emits
+                    machine-readable findings; --root DIR overrides
+                    workspace-root discovery
 ";
 
 #[derive(Debug)]
@@ -1155,8 +1151,6 @@ fn trace_cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
 fn check_cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut format = "text".to_string();
     let mut root: Option<PathBuf> = None;
-    let mut fix = false;
-    let mut dry_run = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--format" => {
@@ -1168,19 +1162,14 @@ fn check_cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             "--root" => {
                 root = Some(PathBuf::from(args.next().ok_or("check: --root needs a path")?));
             }
-            "--fix" => fix = true,
-            "--dry-run" => dry_run = true,
             other => return Err(format!("check: unexpected argument {other}")),
         }
-    }
-    if dry_run && !fix {
-        return Err("check: --dry-run only makes sense with --fix".to_string());
     }
     let root = match root {
         Some(root) => root,
         None => workspace_root()?,
     };
-    let (files, report) = {
+    let report = {
         let _span = chipletqc_obs::span("check.run");
         let files = chipletqc_check::load_workspace(&root)
             .map_err(|e| format!("check: scan {}: {e}", root.display()))?;
@@ -1188,51 +1177,18 @@ fn check_cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             let _span = chipletqc_obs::span("check.pass.index");
             chipletqc_check::build_index(&files)
         };
-        let report = {
-            let _span = chipletqc_obs::span("check.pass.rules");
-            chipletqc_check::check_files_indexed(&files, &index)
-        };
-        (files, report)
+        let _rules = chipletqc_obs::span("check.pass.rules");
+        chipletqc_check::check_files_indexed(&files, &index)
     };
     // Analysis health rides the same registry as runtime telemetry,
     // so a report or status snapshot taken from this process shows it.
     chipletqc_obs::counter("check.files_scanned").add(report.files_scanned as u64);
     chipletqc_obs::counter("check.findings").add(report.findings.len() as u64);
-    chipletqc_obs::counter("check.allowed").add(report.allowed.len() as u64);
     for rule in chipletqc_check::RULES {
         let n = report.findings.iter().filter(|f| f.rule == *rule).count();
         if n > 0 {
             chipletqc_obs::counter(&format!("check.rule.{rule}.findings")).add(n as u64);
         }
-    }
-    if fix {
-        let plan = chipletqc_check::fix::plan(&report, &files);
-        chipletqc_obs::flush_trace();
-        if plan.is_empty() {
-            println!("fix: nothing to scaffold ({} unfixable finding(s))", plan.unfixable);
-            return if report.is_clean() {
-                Ok(())
-            } else {
-                Err(format!("check: {} unfixable finding(s)", report.findings.len()))
-            };
-        }
-        if dry_run {
-            print!("{}", chipletqc_check::fix::render_patch(&plan, &files));
-            println!(
-                "fix: dry run — {} pragma(s) across {} file(s), nothing written",
-                plan.insertions.len(),
-                plan.files().len()
-            );
-            return Ok(());
-        }
-        let rewritten = chipletqc_check::fix::apply(&root, &files, &plan)
-            .map_err(|e| format!("check: fix rewrite: {e}"))?;
-        println!(
-            "fix: {} pragma(s) inserted across {rewritten} file(s) — review the \
-             TODO(triage) markers",
-            plan.insertions.len()
-        );
-        return Ok(());
     }
     match format.as_str() {
         "json" => print!("{}", report.to_json()),
@@ -1242,10 +1198,7 @@ fn check_cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     if report.is_clean() {
         Ok(())
     } else {
-        Err(format!(
-            "check: {} finding(s) — fix or allowlist with a reason",
-            report.findings.len()
-        ))
+        Err(format!("check: {} finding(s)", report.findings.len()))
     }
 }
 
@@ -1385,7 +1338,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // check:allow(clock-discipline) batch wall-time for the stderr timing lines only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "batch wall-time for the stderr timing lines only"
+    )]
     let started = Instant::now();
     let results = scheduler.run(&suite, &hub);
     let batch_wall = started.elapsed();
@@ -1426,7 +1382,7 @@ fn main() -> ExitCode {
         // RunReport guarantees unique artifact names; this check is
         // the engine's own defense against ever silently overwriting
         // one artifact with another (or with the report itself).
-        let mut written: std::collections::HashSet<PathBuf> = std::collections::HashSet::new();
+        let mut written = std::collections::BTreeSet::new();
         for (name, contents) in report.artifacts() {
             let path = options.out.join(name);
             if !written.insert(path.clone()) {

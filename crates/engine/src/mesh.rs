@@ -43,6 +43,16 @@
 //! shared state, which every requeue, completion, poisoning and worker
 //! death signals — it never sleeps on a timer.
 
+// Daemon path: a panic here takes down the warm hub and every queued
+// client. (`unwrap_used` comes from the workspace lints.)
+#![warn(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, BufWriter};
@@ -475,7 +485,10 @@ pub fn run_mesh(submission: &Submission, config: &MeshConfig) -> Result<MeshRun,
         })
         .collect();
 
-    // check:allow(clock-discipline) coordinator wall-time for the stderr timing block only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "coordinator wall-time for the stderr timing block only"
+    )]
     let started = Instant::now();
     let state = Mutex::new(MeshState {
         pending: (0..units.len()).collect(),
@@ -515,8 +528,11 @@ pub fn run_mesh(submission: &Submission, config: &MeshConfig) -> Result<MeshRun,
             units.len()
         ));
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "done == len means every slot was filled by a dispatcher"
+    )]
     let outcomes: Vec<WorkOutcome> =
-        // check:allow(daemon-panic) done == len means every slot was filled by a dispatcher
         state.outcomes.into_iter().map(|slot| slot.expect("done implies filled")).collect();
 
     let mut timing = format!(
@@ -588,7 +604,10 @@ fn dispatch_for_worker(
         };
         drop(st);
         attempted.insert(unit);
-        // check:allow(clock-discipline) per-unit latency for the obs histogram and retry accounting
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-unit latency for the obs histogram and retry accounting"
+        )]
         let claim_started = Instant::now();
         let failure = match claim(addr, &config.token, &units[unit], config.deadline) {
             Ok(Response::WorkResult { pieces }) => match decode_pieces(&pieces) {

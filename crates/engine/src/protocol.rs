@@ -162,6 +162,16 @@
 //! shutdown acknowledgement, or error), after which either side may
 //! close.
 
+// Daemon path: a panic here takes down the warm hub and every queued
+// client. (`unwrap_used` comes from the workspace lints.)
+#![warn(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::io::{self, BufRead, Write};
 
 use chipletqc_store::remote::{self, StoreRequest};

@@ -50,6 +50,16 @@
 //! `shards` is how one Fig. 8/9/10 or output-gain scenario spreads
 //! over more than one of those threads.
 
+// Daemon path: a panic here takes down the warm hub and every queued
+// client. (`unwrap_used` comes from the workspace lints.)
+#![warn(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -142,7 +152,10 @@ impl Scheduler {
         }
         match scenario.kind {
             ExperimentKind::Fig8 | ExperimentKind::Fig9 | ExperimentKind::Fig10 => {
-                // check:allow(daemon-panic) fig8/9/10 scenarios always carry systems; guarded by kind
+                #[expect(
+                    clippy::expect_used,
+                    reason = "fig8/9/10 scenarios always carry systems; guarded by kind"
+                )]
                 let systems = scenario.resolved_systems().expect("lab kinds have systems");
                 if systems.len() <= 1 {
                     return vec![ShardTask::Run(scenario.clone())];
@@ -154,7 +167,7 @@ impl Scheduler {
                     .collect()
             }
             ExperimentKind::OutputGain => {
-                // check:allow(daemon-panic) guarded by the OutputGain match arm
+                #[expect(clippy::expect_used, reason = "guarded by the OutputGain match arm")]
                 let config = scenario.output_gain_config().expect("kind is OutputGain");
                 // Both batches must split into the same shard count.
                 let n = self.shards.min(config.batch.max(1)).min(config.chiplet_batch().max(1));
@@ -187,8 +200,11 @@ impl Scheduler {
         match handle.wait() {
             Ok(results) => results,
             Err(BatchAborted::Panicked(payload)) => resume_unwind(payload),
+            #[expect(
+                clippy::unreachable,
+                reason = "one-shot CLI path, not the daemon; nothing holds a cancel handle"
+            )]
             Err(BatchAborted::Cancelled) => {
-                // check:allow(daemon-panic) one-shot CLI path, not the daemon; nothing holds a cancel handle
                 unreachable!("one-shot batches are never cancelled")
             }
         }
@@ -208,47 +224,65 @@ impl Default for Scheduler {
 fn merge_shards(scenario: &Scenario, outputs: Vec<ShardOutput>) -> ExperimentData {
     // Unsharded scenarios pass their data through untouched.
     if outputs.len() == 1 {
-        if let Some(ShardOutput::Data(data)) = outputs.into_iter().next() {
-            return data;
-        }
-        // check:allow(daemon-panic) plan() emits exactly one ShardTask::Run for single-task plans
-        unreachable!("single-task plans always produce ShardOutput::Data");
+        #[expect(
+            clippy::unreachable,
+            reason = "plan() emits exactly one ShardTask::Run for single-task plans"
+        )]
+        let Some(ShardOutput::Data(data)) = outputs.into_iter().next() else {
+            unreachable!("single-task plans always produce ShardOutput::Data");
+        };
+        return data;
     }
     match scenario.kind {
         ExperimentKind::Fig8 => {
             ExperimentData::Fig8(fig8::Fig8Data::merge(outputs.into_iter().map(|o| match o {
                 ShardOutput::Data(ExperimentData::Fig8(d)) => d,
-                // check:allow(daemon-panic) shard outputs are typed by plan(); runs under the task catch_unwind
+                #[expect(
+                    clippy::panic,
+                    reason = "shard outputs are typed by plan(); runs under the task catch_unwind"
+                )]
                 other => panic!("fig8 shard produced {other:?}"),
             })))
         }
         ExperimentKind::Fig9 => {
             ExperimentData::Fig9(fig9::Fig9Data::merge(outputs.into_iter().map(|o| match o {
                 ShardOutput::Data(ExperimentData::Fig9(d)) => d,
-                // check:allow(daemon-panic) shard outputs are typed by plan(); runs under the task catch_unwind
+                #[expect(
+                    clippy::panic,
+                    reason = "shard outputs are typed by plan(); runs under the task catch_unwind"
+                )]
                 other => panic!("fig9 shard produced {other:?}"),
             })))
         }
         ExperimentKind::Fig10 => ExperimentData::Fig10(fig10::Fig10Data::merge(
             outputs.into_iter().map(|o| match o {
                 ShardOutput::Data(ExperimentData::Fig10(d)) => d,
-                // check:allow(daemon-panic) shard outputs are typed by plan(); runs under the task catch_unwind
+                #[expect(
+                    clippy::panic,
+                    reason = "shard outputs are typed by plan(); runs under the task catch_unwind"
+                )]
                 other => panic!("fig10 shard produced {other:?}"),
             }),
         )),
         ExperimentKind::OutputGain => {
-            // check:allow(daemon-panic) guarded by the OutputGain match arm
+            #[expect(clippy::expect_used, reason = "guarded by the OutputGain match arm")]
             let config = scenario.output_gain_config().expect("kind is OutputGain");
             ExperimentData::OutputGain(output_gain::from_shards(
                 &config,
                 outputs.into_iter().map(|o| match o {
                     ShardOutput::OutputGainPartial(shard) => shard,
-                    // check:allow(daemon-panic) shard outputs are typed by plan(); runs under the task catch_unwind
+                    #[expect(
+                        clippy::panic,
+                        reason = "shard outputs are typed by plan(); runs under the task catch_unwind"
+                    )]
                     other => panic!("output-gain shard produced {other:?}"),
                 }),
             ))
         }
-        // check:allow(daemon-panic) every sharded kind is matched above; runs under the task catch_unwind
+        #[expect(
+            clippy::panic,
+            reason = "every sharded kind is matched above; runs under the task catch_unwind"
+        )]
         other => panic!("kind {other:?} cannot be sharded"),
     }
 }
@@ -387,7 +421,10 @@ impl WorkPool {
             hub: hub.clone(),
             cap: scheduler.workers(),
             cancelled: AtomicBool::new(false),
-            // check:allow(clock-discipline) queue-wait telemetry origin; feeds the obs histograms only
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "queue-wait telemetry origin; feeds the obs histograms only"
+            )]
             submitted: Instant::now(),
             picked: AtomicBool::new(false),
             progress,
@@ -473,7 +510,10 @@ impl BatchHandle {
                 let mut shard_outputs = Vec::with_capacity(span.len());
                 let mut wall = Duration::ZERO;
                 for slot in &mut outputs[span.clone()] {
-                    // check:allow(daemon-panic) spans partition the outputs; each slot is taken exactly once
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "spans partition the outputs; each slot is taken exactly once"
+                    )]
                     let (output, elapsed) = slot.take().expect("span taken once");
                     shard_outputs.push(output);
                     wall += elapsed;
@@ -563,7 +603,10 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
             }
         };
         picks.inc();
-        // check:allow(clock-discipline) task wall-time for stderr timing summaries; never reaches report bytes
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "task wall-time for stderr timing summaries; never reaches report bytes"
+        )]
         let started = Instant::now();
         // Tasks never hold a lock while running, so a panic cannot
         // poison pool state; it cancels the rest of its own root and

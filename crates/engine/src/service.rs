@@ -102,6 +102,16 @@
 //! (unlinking would reopen the race); the kernel releases the lock
 //! when the daemon exits, however it exits.
 
+// Daemon path: a panic here takes down the warm hub and every queued
+// client. (`unwrap_used` comes from the workspace lints.)
+#![warn(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -193,22 +203,33 @@ struct DeadlineReader<R> {
 
 impl<R: Read> DeadlineReader<R> {
     fn new(inner: R) -> DeadlineReader<R> {
-        // check:allow(clock-discipline) request-deadline arming, a genuine timeout site
-        DeadlineReader { inner, deadline: std::time::Instant::now() + REQUEST_DEADLINE }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "request-deadline arming, a genuine timeout site"
+        )]
+        let deadline = std::time::Instant::now() + REQUEST_DEADLINE;
+        DeadlineReader { inner, deadline }
     }
 
     /// Starts a fresh [`REQUEST_DEADLINE`] budget — called between
     /// requests on a kept-alive store connection, so each request gets
     /// the budget one request on a fresh connection would.
     fn reset(&mut self) {
-        // check:allow(clock-discipline) request-deadline re-arming, a genuine timeout site
-        self.deadline = std::time::Instant::now() + REQUEST_DEADLINE;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "request-deadline re-arming, a genuine timeout site"
+        )]
+        let deadline = std::time::Instant::now() + REQUEST_DEADLINE;
+        self.deadline = deadline;
     }
 }
 
 impl<R: Read> Read for DeadlineReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        // check:allow(clock-discipline) deadline probe on the request read path
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadline probe on the request read path"
+        )]
         if std::time::Instant::now() >= self.deadline {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
@@ -232,12 +253,16 @@ struct DeadlineWriter<W> {
 
 impl<W: Write> DeadlineWriter<W> {
     fn new(inner: W) -> DeadlineWriter<W> {
-        // check:allow(clock-discipline) reply-deadline arming, a genuine timeout site
-        DeadlineWriter { inner, deadline: std::time::Instant::now() + REPLY_DEADLINE }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reply-deadline arming, a genuine timeout site"
+        )]
+        let deadline = std::time::Instant::now() + REPLY_DEADLINE;
+        DeadlineWriter { inner, deadline }
     }
 
     fn check(&self) -> io::Result<()> {
-        // check:allow(clock-discipline) deadline probe on the reply write path
+        #[expect(clippy::disallowed_methods, reason = "deadline probe on the reply write path")]
         if std::time::Instant::now() >= self.deadline {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
@@ -2109,6 +2134,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "arms deadlines that have already passed")]
     fn deadline_writer_cuts_off_a_dripping_reply() {
         // SO_SNDTIMEO bounds one syscall; the deadline bounds the
         // whole reply. Once past it, every write and flush fails as a

@@ -15,11 +15,12 @@
 //! processes; this test pins it in-process where failures bisect
 //! better.
 
-// Test code panics on harness failures by design.
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "test code panics on harness failures by design")]
 #![cfg(unix)]
 
-use std::sync::mpsc;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 
 use chipletqc::lab::CacheHub;
 use chipletqc_engine::mesh::{run_mesh, MeshConfig};
@@ -133,34 +134,67 @@ fn a_meshed_sweep_reproduces_the_local_report_at_several_shapes() {
     );
 }
 
+/// Relays one connection to `upstream` in both directions until each
+/// side closes: a transparent hop in front of a real worker.
+fn relay(client: TcpStream, upstream: &str) {
+    let server = TcpStream::connect(upstream).expect("dial the worker behind the proxy");
+    let (client_read, server_write) =
+        (client.try_clone().unwrap(), server.try_clone().unwrap());
+    let request_pump = std::thread::spawn(move || {
+        let _ = std::io::copy(&mut &client_read, &mut &server_write);
+        let _ = server_write.shutdown(Shutdown::Write);
+    });
+    let _ = std::io::copy(&mut &server, &mut &client);
+    let _ = client.shutdown(Shutdown::Write);
+    request_pump.join().unwrap();
+}
+
 #[test]
 fn killing_one_worker_mid_sweep_retries_its_units_on_the_survivor() {
     let local = local_baseline(SWEEP);
     let (addr_a, thread_a, _rx_a) = spawn_worker("survivor");
 
     // The victim: a proxy in front of a hidden real worker that relays
-    // exactly one claim and then refuses every connection — a
-    // deterministic mid-sweep death (the first unit is genuinely
-    // served, every later claim on the address fails like a crashed
-    // host), with none of the timing races an actual timed kill has.
+    // exactly one claim, closes the next three unanswered (the
+    // coordinator's failure limit), and then refuses every connection
+    // — a mid-sweep death: the first unit is genuinely served, every
+    // later claim on the address fails like a crashed host.
     let (hidden_addr, hidden_thread, hidden_rx) = spawn_worker("hidden");
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind victim proxy");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind victim proxy");
     let victim_addr = listener.local_addr().unwrap().to_string();
     let upstream = hidden_addr.clone();
+    let (victim_dead, victim_is_dead) = mpsc::channel();
     let proxy_thread = std::thread::spawn(move || {
         let (client, _) = listener.accept().expect("first claim reaches the victim");
-        let server = std::net::TcpStream::connect(&upstream).expect("dial hidden worker");
-        let (client_read, server_write) =
-            (client.try_clone().unwrap(), server.try_clone().unwrap());
-        let request_pump = std::thread::spawn(move || {
-            let _ = std::io::copy(&mut &client_read, &mut &server_write);
-            let _ = server_write.shutdown(std::net::Shutdown::Write);
-        });
-        let _ = std::io::copy(&mut &server, &mut &client);
-        let _ = client.shutdown(std::net::Shutdown::Write);
-        request_pump.join().unwrap();
+        relay(client, &upstream);
+        for _ in 0..3 {
+            let (failed_claim, _) = listener.accept().expect("the victim claims again");
+            drop(failed_claim);
+        }
+        victim_dead.send(()).unwrap();
         // Dropping the listener here rejects the whole backlog and
         // every later dial: the victim is dead from now on.
+    });
+
+    // The survivor sits behind a gate that relays nothing until the
+    // victim has failed its three claims. That forces the order with
+    // no timing race: the victim is declared dead while units are
+    // still undone, and only then does the survivor finish them.
+    let gate = TcpListener::bind("127.0.0.1:0").expect("bind survivor gate");
+    let gate_addr = gate.local_addr().unwrap().to_string();
+    let gate_closing = Arc::new(AtomicBool::new(false));
+    let closing = Arc::clone(&gate_closing);
+    let survivor = addr_a.clone();
+    let gate_thread = std::thread::spawn(move || {
+        if victim_is_dead.recv().is_err() {
+            return;
+        }
+        for client in gate.incoming() {
+            if closing.load(Ordering::SeqCst) {
+                break;
+            }
+            relay(client.expect("accept a survivor claim"), &survivor);
+        }
     });
 
     let submission = Submission {
@@ -168,7 +202,7 @@ fn killing_one_worker_mid_sweep_retries_its_units_on_the_survivor() {
         workers: Some(2),
         ..Submission::default()
     };
-    let mut config = MeshConfig::new(vec![addr_a.clone(), victim_addr], TOKEN);
+    let mut config = MeshConfig::new(vec![gate_addr.clone(), victim_addr], TOKEN);
     // One unit per scenario: the finest carve, so the victim's death
     // is guaranteed to leave undone units behind for the survivor.
     config.units = Some(6);
@@ -184,6 +218,9 @@ fn killing_one_worker_mid_sweep_retries_its_units_on_the_survivor() {
     assert!(run.summary.retries >= 1, "its claimed unit(s) were requeued");
 
     proxy_thread.join().unwrap();
+    gate_closing.store(true, Ordering::SeqCst);
+    drop(TcpStream::connect(&gate_addr).expect("wake the gate to close it"));
+    gate_thread.join().unwrap();
     shutdown(&hidden_addr);
     hidden_thread.join().unwrap();
     assert_eq!(

@@ -8,8 +8,7 @@
 //! never a panic, and never unbounded allocation. Valid frames, and
 //! valid frames with trailing garbage, must keep parsing.
 
-// Test code panics on harness failures by design.
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "test code panics on harness failures by design")]
 
 use std::io::{BufReader, Cursor};
 

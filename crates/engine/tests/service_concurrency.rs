@@ -12,8 +12,7 @@
 //! 4. **Drain under load completes every admitted batch** — running
 //!    *and* queued — before the daemon exits.
 
-// Test code panics on harness failures by design.
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "test code panics on harness failures by design")]
 #![cfg(unix)]
 
 use std::io::{BufReader, BufWriter};

@@ -10,8 +10,7 @@
 //! * the canonical formatting round-trips through the parser into a
 //!   sweep with the identical expansion.
 
-// Test code panics on harness failures by design.
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "test code panics on harness failures by design")]
 
 use chipletqc_engine::scenario::{ExperimentKind, Scale, SystemSpec};
 use chipletqc_engine::sweep::Sweep;

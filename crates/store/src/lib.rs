@@ -736,7 +736,10 @@ impl Store {
     /// any entry is safe to delete at any time.
     pub fn gc(&self, max_bytes: u64) -> io::Result<GcReport> {
         self.flush();
-        // check:allow(clock-discipline) gc recency cutoff against file mtimes; never reaches entry bytes
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "gc recency cutoff against file mtimes; never reaches entry bytes"
+        )]
         let plan = plan_gc(self.scan()?, max_bytes, std::time::SystemTime::now());
         for path in &plan.reap_tmp {
             let _ = std::fs::remove_file(path);

@@ -52,11 +52,9 @@ use crate::{EntryKey, Store};
 
 /// Trials per canonical chunk of a ranged product.
 ///
-/// This constant is the *only* value allowed to reach a
-/// [`chunk_cover`] call site — the `chunk-size-discipline` check rule
-/// enforces it. Merge-on-read assumes every producer chunked
-/// identically; a site fed any other literal or derived size writes
-/// chunks that tear against the rest of the store.
+/// [`chunk_cover`] cuts at this constant and takes no size of its
+/// own, because merge-on-read assumes every producer chunked
+/// identically.
 pub const CHUNK_TRIALS: usize = 512;
 
 /// Entry kind: a whole characterized KGD chiplet bin.
@@ -69,18 +67,19 @@ pub const KIND_RAW_BIN: &str = "raw-bin";
 /// Entry kind: the survivor indices of one chunk (JSON payload).
 pub const KIND_TALLY: &str = "tally";
 
-/// The canonical full chunks covering `range`: aligned, `chunk`-sized
-/// pieces from `floor(start / chunk)` to `ceil(end / chunk)`,
-/// contiguous and in ascending order. An empty range yields no
-/// chunks.
-pub fn chunk_cover(range: TrialRange, chunk: usize) -> Vec<TrialRange> {
-    assert!(chunk > 0, "chunk size must be positive");
+/// The canonical full chunks covering `range`: aligned,
+/// [`CHUNK_TRIALS`]-sized pieces from `floor(start / CHUNK_TRIALS)` to
+/// `ceil(end / CHUNK_TRIALS)`, contiguous and in ascending order. An
+/// empty range yields no chunks.
+pub fn chunk_cover(range: TrialRange) -> Vec<TrialRange> {
     if range.is_empty() {
         return Vec::new();
     }
-    let first = range.start / chunk;
-    let last = range.end.div_ceil(chunk);
-    (first..last).map(|k| TrialRange { start: k * chunk, end: (k + 1) * chunk }).collect()
+    let first = range.start / CHUNK_TRIALS;
+    let last = range.end.div_ceil(CHUNK_TRIALS);
+    (first..last)
+        .map(|k| TrialRange { start: k * CHUNK_TRIALS, end: (k + 1) * CHUNK_TRIALS })
+        .collect()
 }
 
 fn piece_key(fab_key: &str, kind: &str, stream: &str, piece: TrialRange) -> EntryKey {
@@ -146,7 +145,10 @@ impl Store {
     /// `fabricate_collision_free_range` but served from canonical
     /// store chunks: disk when warm, simulated (and persisted behind
     /// the read) when cold, at most once per chunk per process.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the two store-key parts plus every input of the Monte Carlo call it caches"
+    )]
     pub fn fabricate_bin_cached(
         &self,
         fab_key: &str,
@@ -158,7 +160,7 @@ impl Store {
         seed: Seed,
     ) -> Vec<Frequencies> {
         let mut survivors = Vec::new();
-        for chunk in chunk_cover(range, CHUNK_TRIALS) {
+        for chunk in chunk_cover(range) {
             let payload = self.get_or_compute_once(
                 &piece_key(fab_key, KIND_RAW_BIN, stream, chunk),
                 Encoding::Binary,
@@ -195,7 +197,10 @@ impl Store {
     /// `simulate_yield_range` call but served from canonical store
     /// chunks; the clipped chunk counts sum exactly as
     /// [`YieldEstimate::merge`] over the sub-range pieces would.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the two store-key parts plus every input of the Monte Carlo call it caches"
+    )]
     pub fn yield_range_cached(
         &self,
         fab_key: &str,
@@ -207,7 +212,7 @@ impl Store {
         seed: Seed,
     ) -> YieldEstimate {
         let mut survivors = 0;
-        for chunk in chunk_cover(range, CHUNK_TRIALS) {
+        for chunk in chunk_cover(range) {
             let payload = self.get_or_compute_once(
                 &piece_key(fab_key, KIND_TALLY, stream, chunk),
                 Encoding::Json,
@@ -339,7 +344,7 @@ mod tests {
     fn chunk_cover_is_aligned_and_covers() {
         for (start, end) in [(0, 100), (0, 512), (0, 1300), (40, 1210), (511, 513), (7, 9)] {
             let range = TrialRange { start, end };
-            let chunks = chunk_cover(range, 512);
+            let chunks = chunk_cover(range);
             assert!(chunks.first().unwrap().start <= start);
             assert!(chunks.last().unwrap().end >= end);
             for (i, c) in chunks.iter().enumerate() {
@@ -350,8 +355,8 @@ mod tests {
                 }
             }
         }
-        assert!(chunk_cover(TrialRange { start: 5, end: 5 }, 512).is_empty());
-        assert_eq!(chunk_cover(TrialRange { start: 0, end: 1 }, 512).len(), 1);
+        assert!(chunk_cover(TrialRange { start: 5, end: 5 }).is_empty());
+        assert_eq!(chunk_cover(TrialRange { start: 0, end: 1 }).len(), 1);
     }
 
     #[test]

@@ -13,6 +13,16 @@
 //! can produce errors, never panics or unbounded allocation
 //! (`MAX_PAYLOAD`, `MAX_HEAD_LINE`, `MAX_HEADERS`).
 
+// Daemon path: a panic here takes down the warm hub and every queued
+// client. (`unwrap_used` comes from the workspace lints.)
+#![warn(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::io::{self, BufRead, Read};
 
 /// The protocol version line prefix; bump on breaking frame changes.

@@ -143,7 +143,7 @@ proptest! {
     #[test]
     fn chunk_cover_always_covers(start in 0usize..10_000, len in 1usize..10_000) {
         let range = TrialRange { start, end: start + len };
-        let chunks = chunk_cover(range, CHUNK_TRIALS);
+        let chunks = chunk_cover(range);
         prop_assert!(chunks.first().unwrap().start <= range.start);
         prop_assert!(chunks.last().unwrap().end >= range.end);
         prop_assert!(range.start - chunks.first().unwrap().start < CHUNK_TRIALS);

@@ -98,7 +98,7 @@ proptest! {
     fn link_discipline(m in 1usize..3, k in 2usize..4) {
         let device = McmSpec::new(ChipletSpec::new(2, m).unwrap(), k, k).build();
         let links = device.link_qubits();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for e in device.inter_chip_edges() {
             prop_assert_eq!(device.class(e.control), FrequencyClass::F2);
             prop_assert!(links.contains(&e.a) && links.contains(&e.b));

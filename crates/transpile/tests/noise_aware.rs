@@ -54,7 +54,7 @@ fn noise_aware_layout_avoids_expensive_links_on_mcms() {
     let circuit = Benchmark::Ghz.generate(30, Seed(2));
     let layout = noise_aware_layout(&device, &noise, circuit.num_qubits());
     // All 30 logical qubits on one chip.
-    let chips: std::collections::HashSet<u16> = (0..30u32)
+    let chips: std::collections::BTreeSet<u16> = (0..30u32)
         .map(|l| device.chip(layout.physical(chipletqc_circuit::qubit::Qubit(l))).0)
         .collect();
     assert_eq!(chips.len(), 1, "placement crossed chips: {chips:?}");
