@@ -705,21 +705,33 @@ mod tests {
 
     #[test]
     fn sharded_results_match_unsharded_results() {
-        // Three-system fig8 + trial-ranged output gain: every shard
-        // count must reproduce the shards = 1 data bit-for-bit.
-        let fig8 = Scenario {
+        // Three-system fig8/fig9/fig10, a fig8 whose filter leaves no
+        // systems, and a trial-ranged output gain: every shard count
+        // must reproduce the shards = 1 data bit-for-bit.
+        let three = Overrides {
+            batch: Some(100),
+            systems: Some(vec![
+                SystemSpec { chiplet_qubits: 10, rows: 2, cols: 2 },
+                SystemSpec { chiplet_qubits: 10, rows: 2, cols: 3 },
+                SystemSpec { chiplet_qubits: 10, rows: 3, cols: 3 },
+            ]),
+            ..Overrides::default()
+        };
+        let fig8 = Scenario { overrides: three.clone(), ..tiny(ExperimentKind::Fig8, "fig8") };
+        let fig9 = Scenario {
+            overrides: Overrides { link_ratios: Some(vec![1.0, 2.0]), ..three.clone() },
+            ..tiny(ExperimentKind::Fig9, "fig9")
+        };
+        let fig10 = Scenario { overrides: three, ..tiny(ExperimentKind::Fig10, "fig10") };
+        let empty = Scenario {
             overrides: Overrides {
                 batch: Some(100),
-                systems: Some(vec![
-                    SystemSpec { chiplet_qubits: 10, rows: 2, cols: 2 },
-                    SystemSpec { chiplet_qubits: 10, rows: 2, cols: 3 },
-                    SystemSpec { chiplet_qubits: 10, rows: 3, cols: 3 },
-                ]),
+                max_system_qubits: Some(1),
                 ..Overrides::default()
             },
-            ..tiny(ExperimentKind::Fig8, "fig8")
+            ..tiny(ExperimentKind::Fig8, "empty")
         };
-        let batch = vec![fig8, tiny(ExperimentKind::OutputGain, "gain")];
+        let batch = vec![fig8, fig9, fig10, empty, tiny(ExperimentKind::OutputGain, "gain")];
         let baseline = Scheduler::new(2).run(&batch, &CacheHub::new());
         for shards in [2, 3, 8] {
             let sharded = Scheduler::new(2).with_shards(shards).run(&batch, &CacheHub::new());

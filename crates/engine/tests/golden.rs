@@ -89,42 +89,57 @@ fn run_report_matches_the_checked_in_golden_at_1_2_and_8_workers() {
     }
 }
 
-/// The stripped one-worker report of the named quick paper scenarios,
-/// or `None` after writing it to `path` under `UPDATE_GOLDEN`.
-fn quick_report_or_update(only: &[&str], path: &str) -> Option<String> {
+/// The (workers, shards) points the quick paper fixtures are checked
+/// at: the serial run, and a sharded one that slices Fig. 8 and
+/// Fig. 10's system sets and the output gain's trial ranges.
+const QUICK_SHAPES: [(usize, usize); 2] = [(1, 1), (2, 3)];
+
+/// The stripped report of the named quick paper scenarios at
+/// `(workers, shards)`, or `None` after writing the serial report to
+/// `path` under `UPDATE_GOLDEN`.
+fn quick_report_or_update(
+    only: &[&str],
+    path: &str,
+    (workers, shards): (usize, usize),
+) -> Option<String> {
     let only: Vec<String> = only.iter().map(|s| s.to_string()).collect();
     let batch = resolve_batch(None, Scale::Quick, Some(&only), None).expect("batch resolves");
-    let report = stripped_report(&batch, 1, 1);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &report).expect("write fixture");
+        std::fs::write(path, stripped_report(&batch, 1, 1)).expect("write fixture");
         eprintln!("regenerated {path}; re-run without UPDATE_GOLDEN");
         return None;
     }
-    Some(report)
+    Some(stripped_report(&batch, workers, shards))
 }
 
 #[test]
 fn compile_report_matches_the_checked_in_golden() {
-    let Some(report) = quick_report_or_update(&["fig10", "table2"], COMPILE_PATH) else {
-        return;
-    };
-    assert_eq!(
-        report, COMPILE,
-        "quick Fig. 10 / Table II report diverged from tests/golden/compile_report.json \
-         (the compiler emitted different gates; if intentional, regenerate with UPDATE_GOLDEN=1)"
-    );
+    for shape in QUICK_SHAPES {
+        let Some(report) = quick_report_or_update(&["fig10", "table2"], COMPILE_PATH, shape)
+        else {
+            return;
+        };
+        assert_eq!(
+            report, COMPILE,
+            "quick Fig. 10 / Table II report at (workers, shards) = {shape:?} diverged from \
+             tests/golden/compile_report.json (the compiler emitted different gates; \
+             if intentional, regenerate with UPDATE_GOLDEN=1)"
+        );
+    }
 }
 
 #[test]
 fn yield_report_matches_the_checked_in_golden() {
     let only = ["fig4", "fig6", "fig8", "output_gain"];
-    let Some(report) = quick_report_or_update(&only, YIELD_PATH) else {
-        return;
-    };
-    assert_eq!(
-        report, YIELD,
-        "quick Fig. 4 / Fig. 6 / Fig. 8 / output-gain report diverged from \
-         tests/golden/yield_report.json (the Monte Carlo kept or dropped different devices; \
-         if intentional, regenerate with UPDATE_GOLDEN=1)"
-    );
+    for shape in QUICK_SHAPES {
+        let Some(report) = quick_report_or_update(&only, YIELD_PATH, shape) else {
+            return;
+        };
+        assert_eq!(
+            report, YIELD,
+            "quick Fig. 4 / Fig. 6 / Fig. 8 / output-gain report at (workers, shards) = \
+             {shape:?} diverged from tests/golden/yield_report.json (the Monte Carlo kept or \
+             dropped different devices; if intentional, regenerate with UPDATE_GOLDEN=1)"
+        );
+    }
 }

@@ -9,7 +9,9 @@
 //!    identical, counters included;
 //! 2. **Retry on survivors** — killing one worker mid-sweep still
 //!    completes the run with a correct report: the dead worker's units
-//!    are requeued and retried on the survivor.
+//!    are requeued and retried on the survivor;
+//! 3. **Clean failure** — a mesh whose every worker dies returns an
+//!    error naming the unfinished units, never a partial report.
 //!
 //! The CI `mesh-smoke` job replays the same story against real daemon
 //! processes; this test pins it in-process where failures bisect
@@ -230,4 +232,19 @@ fn killing_one_worker_mid_sweep_retries_its_units_on_the_survivor() {
     );
     shutdown(&addr_a);
     thread_a.join().unwrap();
+}
+
+#[test]
+fn a_mesh_whose_every_worker_dies_fails_cleanly() {
+    // A port the kernel assigned and the test released: every claim
+    // on it is refused, so the lone worker fails its three claims and
+    // is declared dead with every unit still undone.
+    let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().to_string();
+    let submission = Submission { sweep_text: Some(SWEEP.into()), ..Submission::default() };
+    let mut config = MeshConfig::new(vec![dead], TOKEN);
+    config.units = Some(3);
+    let Err(error) = run_mesh(&submission, &config) else {
+        panic!("a mesh with no live worker returned a report");
+    };
+    assert_eq!(error, "mesh run failed: 3 of 3 unit(s) unfinished after every worker died");
 }

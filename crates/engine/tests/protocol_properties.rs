@@ -47,6 +47,12 @@ fn valid_frames() -> Vec<Vec<u8>> {
         Request::Shutdown,
         Request::Cancel,
         Request::Status,
+        Request::WorkClaim(Submission {
+            sweep_text: Some("kind = fig8\ngrid = 10q2x2, 10q2x3\n".into()),
+            only: Some(vec!["fig8-10q2x3".into()]),
+            workers: Some(2),
+            ..Submission::default()
+        }),
     ];
     let responses = [
         Response::Report {
@@ -61,6 +67,7 @@ fn valid_frames() -> Vec<Vec<u8>> {
         Response::Busy { inflight: 4, queued: 16 },
         Response::Cancelled,
         Response::Status { json: "{\n  \"inflight\": 1,\n  \"queued\": 0\n}".into() },
+        Response::WorkResult { pieces: "chipletqc-pieces/1\ncount = 0\n".into() },
     ];
     let replies = [
         StoreReply::Found { encoding: Encoding::Json, payload: b"{}".to_vec() },
