@@ -521,19 +521,14 @@ pub fn run_mesh(submission: &Submission, config: &MeshConfig) -> Result<MeshRun,
     if let Some(message) = state.poison {
         return Err(format!("a worker rejected its unit: {message}"));
     }
-    if state.done != units.len() {
+    let Some(outcomes) = state.outcomes.into_iter().collect::<Option<Vec<WorkOutcome>>>()
+    else {
         return Err(format!(
             "mesh run failed: {} of {} unit(s) unfinished after every worker died",
             units.len() - state.done,
             units.len()
         ));
-    }
-    #[expect(
-        clippy::expect_used,
-        reason = "done == len means every slot was filled by a dispatcher"
-    )]
-    let outcomes: Vec<WorkOutcome> =
-        state.outcomes.into_iter().map(|slot| slot.expect("done implies filled")).collect();
+    };
 
     let mut timing = format!(
         "mesh: {} scenario(s) in {} unit(s) across {} worker(s)\n",

@@ -255,19 +255,14 @@ impl Scenario {
 
     /// The system set this scenario will evaluate, after materializing
     /// the scale's base configuration and applying the overrides —
-    /// `None` for kinds without a system set. This is what the
-    /// scheduler partitions for intra-scenario sharding.
+    /// `None` for kinds without a system set.
     pub fn resolved_systems(&self) -> Option<Vec<SystemSpec>> {
-        let mut systems: Vec<McmSpec> = match (self.kind, self.scale) {
-            (ExperimentKind::Fig8, Scale::Paper) => fig8::Fig8Config::paper().systems,
-            (ExperimentKind::Fig8, Scale::Quick) => fig8::Fig8Config::quick().systems,
-            (ExperimentKind::Fig9, Scale::Paper) => fig9::Fig9Config::paper().systems,
-            (ExperimentKind::Fig9, Scale::Quick) => fig9::Fig9Config::quick().systems,
-            (ExperimentKind::Fig10, Scale::Paper) => fig10::Fig10Config::paper().systems,
-            (ExperimentKind::Fig10, Scale::Quick) => fig10::Fig10Config::quick().systems,
+        let systems = match self.kind {
+            ExperimentKind::Fig8 => self.fig8_config().systems,
+            ExperimentKind::Fig9 => self.fig9_config().systems,
+            ExperimentKind::Fig10 => self.fig10_config().systems,
             _ => return None,
         };
-        self.overrides.apply_systems(&mut systems);
         Some(
             systems
                 .iter()
@@ -280,26 +275,53 @@ impl Scenario {
         )
     }
 
-    /// A copy of this scenario evaluating exactly `systems` (a shard of
-    /// [`Scenario::resolved_systems`]): running it produces the same
-    /// per-system values the full scenario produces for those systems,
-    /// because every product is a pure function of the lab
-    /// configuration, which sharding leaves untouched.
-    #[must_use]
-    pub fn with_systems(&self, systems: Vec<SystemSpec>) -> Scenario {
-        let mut shard = self.clone();
-        shard.overrides.systems = Some(systems);
-        shard
+    // The four configuration builders below are the one place each
+    // shardable kind's overrides are applied: `Scenario::run` and the
+    // scheduler's shard plans both read them, so a whole run and its
+    // shards cannot drift apart.
+
+    /// The materialized Fig. 8 configuration (the scale's base with
+    /// the overrides applied).
+    pub fn fig8_config(&self) -> fig8::Fig8Config {
+        let mut config = match self.scale {
+            Scale::Paper => fig8::Fig8Config::paper(),
+            Scale::Quick => fig8::Fig8Config::quick(),
+        };
+        config.lab = self.overrides.apply_lab(config.lab);
+        self.overrides.apply_systems(&mut config.systems);
+        config
     }
 
-    /// The materialized output-gain configuration (overrides applied)
-    /// — `None` for other kinds. Used by both execution and the
-    /// scheduler's trial-range shard planning, so shards and
-    /// whole-scenario runs cannot drift apart.
-    pub fn output_gain_config(&self) -> Option<output_gain::OutputGainConfig> {
-        if self.kind != ExperimentKind::OutputGain {
-            return None;
+    /// The materialized Fig. 9 configuration (the scale's base with
+    /// the overrides applied).
+    pub fn fig9_config(&self) -> fig9::Fig9Config {
+        let mut config = match self.scale {
+            Scale::Paper => fig9::Fig9Config::paper(),
+            Scale::Quick => fig9::Fig9Config::quick(),
+        };
+        config.lab = self.overrides.apply_lab(config.lab);
+        if let Some(ratios) = &self.overrides.link_ratios {
+            config.ratios = ratios.clone();
         }
+        self.overrides.apply_systems(&mut config.systems);
+        config
+    }
+
+    /// The materialized Fig. 10 configuration (the scale's base with
+    /// the overrides applied).
+    pub fn fig10_config(&self) -> fig10::Fig10Config {
+        let mut config = match self.scale {
+            Scale::Paper => fig10::Fig10Config::paper(),
+            Scale::Quick => fig10::Fig10Config::quick(),
+        };
+        config.lab = self.overrides.apply_lab(config.lab);
+        self.overrides.apply_systems(&mut config.systems);
+        config
+    }
+
+    /// The materialized output-gain configuration (the scale's base
+    /// with the overrides applied).
+    pub fn output_gain_config(&self) -> output_gain::OutputGainConfig {
         let mut config = match self.scale {
             Scale::Paper => output_gain::OutputGainConfig::paper(),
             Scale::Quick => output_gain::OutputGainConfig::quick(),
@@ -316,7 +338,7 @@ impl Scenario {
         if let Some(step) = self.overrides.detuning_step {
             config.fabrication = config.fabrication.with_plan(FrequencyPlan::with_step(step));
         }
-        Some(config)
+        config
     }
 
     /// Executes the scenario against `hub`.
@@ -380,34 +402,13 @@ impl Scenario {
                 ExperimentData::Fig7(fig7::run(&config))
             }
             ExperimentKind::Fig8 => {
-                let mut config = match self.scale {
-                    Scale::Paper => fig8::Fig8Config::paper(),
-                    Scale::Quick => fig8::Fig8Config::quick(),
-                };
-                config.lab = o.apply_lab(config.lab);
-                o.apply_systems(&mut config.systems);
-                ExperimentData::Fig8(fig8::run_in(&config, hub))
+                ExperimentData::Fig8(fig8::run_in(&self.fig8_config(), hub))
             }
             ExperimentKind::Fig9 => {
-                let mut config = match self.scale {
-                    Scale::Paper => fig9::Fig9Config::paper(),
-                    Scale::Quick => fig9::Fig9Config::quick(),
-                };
-                config.lab = o.apply_lab(config.lab);
-                if let Some(ratios) = &o.link_ratios {
-                    config.ratios = ratios.clone();
-                }
-                o.apply_systems(&mut config.systems);
-                ExperimentData::Fig9(fig9::run_in(&config, hub))
+                ExperimentData::Fig9(fig9::run_in(&self.fig9_config(), hub))
             }
             ExperimentKind::Fig10 => {
-                let mut config = match self.scale {
-                    Scale::Paper => fig10::Fig10Config::paper(),
-                    Scale::Quick => fig10::Fig10Config::quick(),
-                };
-                config.lab = o.apply_lab(config.lab);
-                o.apply_systems(&mut config.systems);
-                ExperimentData::Fig10(fig10::run_in(&config, hub))
+                ExperimentData::Fig10(fig10::run_in(&self.fig10_config(), hub))
             }
             ExperimentKind::Table2 => {
                 let mut config = match self.scale {
@@ -425,13 +426,10 @@ impl Scenario {
                 }
                 ExperimentData::Table2(table2::run(&config))
             }
-            ExperimentKind::OutputGain => {
-                let config = self.output_gain_config().expect("kind is OutputGain");
-                ExperimentData::OutputGain(output_gain::run_in(
-                    &config,
-                    hub.store().map(|s| s.as_ref()),
-                ))
-            }
+            ExperimentKind::OutputGain => ExperimentData::OutputGain(output_gain::run_in(
+                &self.output_gain_config(),
+                hub.store().map(|s| s.as_ref()),
+            )),
         }
     }
 }

@@ -1,18 +1,30 @@
 //! The scenario scheduler: a fixed worker pool, with intra-scenario
 //! sharding.
 //!
-//! Work units are *shard tasks*: at `shards = 1` (the default) each
-//! scenario is one task, exactly as in the original scheduler. At
-//! higher shard counts a scenario splits into several tasks the
-//! workers interleave freely with other scenarios' tasks:
+//! Every submitted scenario becomes one *plan*: a list of tasks plus
+//! a merge that folds the tasks' parts back into the scenario's
+//! [`ExperimentData`]. At `shards = 1` (the default) every plan is one
+//! task. At higher shard counts a scenario splits into several tasks
+//! the workers interleave freely with other scenarios' tasks:
 //!
-//! * **system shards** — Fig. 8/9/10 scenarios partition their
-//!   resolved system set into contiguous slices, each evaluated as an
-//!   ordinary (restricted) scenario;
-//! * **trial-range shards** — output-gain scenarios partition their
-//!   Monte Carlo batches into [`TrialRange`]s of batch-global trial
-//!   indices;
-//! * every other kind stays whole (a single task).
+//! * **system slices** — a Fig. 8/9/10 plan cuts its configuration's
+//!   `systems` into contiguous slices, runs the experiment on each, and
+//!   merges through `Fig8Data::merge`, `Fig9Data::merge` or
+//!   `Fig10Data::merge`;
+//! * **trial ranges** — an output-gain plan splits both Monte Carlo
+//!   batches into [`TrialRange`]s of batch-global trial indices and
+//!   merges through `output_gain::from_shards`;
+//! * every other kind is one task running [`Scenario::run`].
+//!
+//! A plan is built at submission from the scenario's own configuration
+//! builder (`Scenario::fig8_config` and its siblings), the same one
+//! `Scenario::run` reads. It has at least one task, even over an empty
+//! system set, and it keeps its parts in its own part type, so a part
+//! of the wrong kind cannot be filed. Planning runs on the submitting
+//! thread (a daemon's connection thread), outside every task's
+//! `catch_unwind`, so building a configuration must not panic on any
+//! scenario [`Sweep::validate`](crate::sweep::Sweep::validate)
+//! accepts.
 //!
 //! Execution runs on a [`WorkPool`]: a fixed set of worker threads
 //! serving any number of concurrent *batch roots*. Each submitted
@@ -36,8 +48,8 @@
 //! a Monte Carlo batch always derives from `seed.split(i)` regardless
 //! of which shard simulates it, shared-cache entries are pure
 //! functions of the cache key (initialized exactly once via per-entry
-//! `OnceLock`), and shard outputs are recombined by a deterministic
-//! merge in shard order (contiguous slices ⇒ the single-pass order).
+//! `OnceLock`), and a plan merges its parts in task order (contiguous
+//! slices ⇒ the single-pass order).
 //! A batch therefore produces bit-identical results for any
 //! `(workers, shards)` pair —
 //! [`RunReport`](crate::report::RunReport) serialization included.
@@ -62,7 +74,6 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 // Lock poisoning policy: batch tasks run under `catch_unwind` and
@@ -72,9 +83,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use chipletqc::experiments::output_gain::{self, OutputGainConfig, OutputGainShard};
-use chipletqc::experiments::{fig10, fig8, fig9};
+use chipletqc::experiments::{fig10, fig8, fig9, output_gain};
 use chipletqc::lab::CacheHub;
+use chipletqc_topology::mcm::McmSpec;
 use chipletqc_yield::monte_carlo::TrialRange;
 
 use crate::scenario::{ExperimentData, ExperimentKind, Scenario};
@@ -99,23 +110,6 @@ pub struct ScenarioResult {
 pub struct Scheduler {
     workers: usize,
     shards: usize,
-}
-
-/// One schedulable unit of work: a shard of a scenario.
-#[derive(Debug, Clone)]
-enum ShardTask {
-    /// Run the scenario as-is (whole, or restricted to a system
-    /// slice).
-    Run(Scenario),
-    /// Simulate a trial-range slice of an output-gain Monte Carlo.
-    OutputGainTrials { config: OutputGainConfig, mono: TrialRange, chiplet: TrialRange },
-}
-
-/// The output of one shard task.
-#[derive(Debug, Clone)]
-enum ShardOutput {
-    Data(ExperimentData),
-    OutputGainPartial(OutputGainShard),
 }
 
 impl Scheduler {
@@ -143,48 +137,64 @@ impl Scheduler {
         self.shards
     }
 
-    /// Splits one scenario into at most `self.shards` tasks. Slices
-    /// are contiguous and non-empty, so merging outputs in shard order
+    /// Plans one scenario as at most `self.shards` tasks (at least
+    /// one). Slices are contiguous, so merging parts in task order
     /// reproduces the single-pass order.
-    fn plan(&self, scenario: &Scenario) -> Vec<ShardTask> {
-        if self.shards <= 1 {
-            return vec![ShardTask::Run(scenario.clone())];
-        }
+    fn plan(&self, scenario: &Scenario) -> Box<dyn Plan> {
         match scenario.kind {
-            ExperimentKind::Fig8 | ExperimentKind::Fig9 | ExperimentKind::Fig10 => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "fig8/9/10 scenarios always carry systems; guarded by kind"
-                )]
-                let systems = scenario.resolved_systems().expect("lab kinds have systems");
-                if systems.len() <= 1 {
-                    return vec![ShardTask::Run(scenario.clone())];
-                }
-                let per = systems.len().div_ceil(self.shards.min(systems.len()));
-                systems
-                    .chunks(per)
-                    .map(|slice| ShardTask::Run(scenario.with_systems(slice.to_vec())))
-                    .collect()
+            ExperimentKind::Fig8 => {
+                let config = scenario.fig8_config();
+                let inputs = slices(&config.systems, self.shards, |systems| fig8::Fig8Config {
+                    systems,
+                    ..config.clone()
+                });
+                parts(inputs, fig8::run_in, |p| {
+                    Some(ExperimentData::Fig8(fig8::Fig8Data::merge(p)))
+                })
+            }
+            ExperimentKind::Fig9 => {
+                let config = scenario.fig9_config();
+                let inputs = slices(&config.systems, self.shards, |systems| fig9::Fig9Config {
+                    systems,
+                    ..config.clone()
+                });
+                parts(inputs, fig9::run_in, |p| {
+                    Some(ExperimentData::Fig9(fig9::Fig9Data::merge(p)))
+                })
+            }
+            ExperimentKind::Fig10 => {
+                let config = scenario.fig10_config();
+                let inputs = slices(&config.systems, self.shards, |systems| {
+                    fig10::Fig10Config { systems, ..config.clone() }
+                });
+                parts(inputs, fig10::run_in, |p| {
+                    Some(ExperimentData::Fig10(fig10::Fig10Data::merge(p)))
+                })
             }
             ExperimentKind::OutputGain => {
-                #[expect(clippy::expect_used, reason = "guarded by the OutputGain match arm")]
-                let config = scenario.output_gain_config().expect("kind is OutputGain");
+                let config = scenario.output_gain_config();
                 // Both batches must split into the same shard count.
                 let n = self.shards.min(config.batch.max(1)).min(config.chiplet_batch().max(1));
-                if n <= 1 {
-                    return vec![ShardTask::Run(scenario.clone())];
-                }
-                TrialRange::split(config.batch, n)
+                let inputs = TrialRange::split(config.batch, n)
                     .into_iter()
                     .zip(TrialRange::split(config.chiplet_batch(), n))
-                    .map(|(mono, chiplet)| ShardTask::OutputGainTrials {
-                        config,
-                        mono,
-                        chiplet,
-                    })
-                    .collect()
+                    .collect();
+                parts(
+                    inputs,
+                    move |&(mono, chiplet), hub: &CacheHub| {
+                        output_gain::run_shard_in(
+                            &config,
+                            mono,
+                            chiplet,
+                            hub.store().map(|s| s.as_ref()),
+                        )
+                    },
+                    move |p| {
+                        Some(ExperimentData::OutputGain(output_gain::from_shards(&config, p)))
+                    },
+                )
             }
-            _ => vec![ShardTask::Run(scenario.clone())],
+            _ => parts(vec![scenario.clone()], Scenario::run, |mut p| p.pop()),
         }
     }
 
@@ -217,73 +227,76 @@ impl Default for Scheduler {
     }
 }
 
-/// Recombines a scenario's shard outputs, in shard order, into the
-/// dataset a single-pass run produces — bit-identical, because slices
-/// are contiguous and every per-system / per-trial value is a pure
-/// function of the scenario configuration.
-fn merge_shards(scenario: &Scenario, outputs: Vec<ShardOutput>) -> ExperimentData {
-    // Unsharded scenarios pass their data through untouched.
-    if outputs.len() == 1 {
-        #[expect(
-            clippy::unreachable,
-            reason = "plan() emits exactly one ShardTask::Run for single-task plans"
-        )]
-        let Some(ShardOutput::Data(data)) = outputs.into_iter().next() else {
-            unreachable!("single-task plans always produce ShardOutput::Data");
-        };
-        return data;
+/// One input per contiguous slice of `systems`: at most `shards`
+/// slices of `len.div_ceil(shards.min(len))` systems, and one empty
+/// slice for an empty set, so its plan still runs as one task.
+fn slices<C>(systems: &[McmSpec], shards: usize, input: impl Fn(Vec<McmSpec>) -> C) -> Vec<C> {
+    if systems.is_empty() {
+        return vec![input(Vec::new())];
     }
-    match scenario.kind {
-        ExperimentKind::Fig8 => {
-            ExperimentData::Fig8(fig8::Fig8Data::merge(outputs.into_iter().map(|o| match o {
-                ShardOutput::Data(ExperimentData::Fig8(d)) => d,
-                #[expect(
-                    clippy::panic,
-                    reason = "shard outputs are typed by plan(); runs under the task catch_unwind"
-                )]
-                other => panic!("fig8 shard produced {other:?}"),
-            })))
-        }
-        ExperimentKind::Fig9 => {
-            ExperimentData::Fig9(fig9::Fig9Data::merge(outputs.into_iter().map(|o| match o {
-                ShardOutput::Data(ExperimentData::Fig9(d)) => d,
-                #[expect(
-                    clippy::panic,
-                    reason = "shard outputs are typed by plan(); runs under the task catch_unwind"
-                )]
-                other => panic!("fig9 shard produced {other:?}"),
-            })))
-        }
-        ExperimentKind::Fig10 => ExperimentData::Fig10(fig10::Fig10Data::merge(
-            outputs.into_iter().map(|o| match o {
-                ShardOutput::Data(ExperimentData::Fig10(d)) => d,
-                #[expect(
-                    clippy::panic,
-                    reason = "shard outputs are typed by plan(); runs under the task catch_unwind"
-                )]
-                other => panic!("fig10 shard produced {other:?}"),
-            }),
-        )),
-        ExperimentKind::OutputGain => {
-            #[expect(clippy::expect_used, reason = "guarded by the OutputGain match arm")]
-            let config = scenario.output_gain_config().expect("kind is OutputGain");
-            ExperimentData::OutputGain(output_gain::from_shards(
-                &config,
-                outputs.into_iter().map(|o| match o {
-                    ShardOutput::OutputGainPartial(shard) => shard,
-                    #[expect(
-                        clippy::panic,
-                        reason = "shard outputs are typed by plan(); runs under the task catch_unwind"
-                    )]
-                    other => panic!("output-gain shard produced {other:?}"),
-                }),
-            ))
-        }
-        #[expect(
-            clippy::panic,
-            reason = "every sharded kind is matched above; runs under the task catch_unwind"
-        )]
-        other => panic!("kind {other:?} cannot be sharded"),
+    let per = systems.len().div_ceil(shards.min(systems.len()));
+    systems.chunks(per).map(|slice| input(slice.to_vec())).collect()
+}
+
+/// One scenario's tasks and the merge of their parts, behind a
+/// part-type-erased interface so one batch can hold every kind.
+trait Plan: Send + Sync {
+    /// How many tasks the plan has (at least one).
+    fn tasks(&self) -> usize;
+    /// Runs task `task` and files its part.
+    fn run(&self, task: usize, hub: &CacheHub);
+    /// Merges the parts, in task order, into the scenario's data —
+    /// `None` if a part is missing (or was already merged).
+    fn merge(&self) -> Option<ExperimentData>;
+}
+
+/// A plan whose task `i` runs `run` on `inputs[i]` and whose parts
+/// `merge` folds into the scenario's data.
+struct Parts<T, P, R, M> {
+    inputs: Vec<T>,
+    run: R,
+    merge: M,
+    /// `slots[i]` holds task `i`'s part once it has run.
+    slots: Mutex<Vec<Option<P>>>,
+}
+
+/// A boxed plan with one task per input.
+fn parts<T, P, R, M>(inputs: Vec<T>, run: R, merge: M) -> Box<dyn Plan>
+where
+    T: Send + Sync + 'static,
+    P: Send + 'static,
+    R: Fn(&T, &CacheHub) -> P + Send + Sync + 'static,
+    M: Fn(Vec<P>) -> Option<ExperimentData> + Send + Sync + 'static,
+{
+    let slots = Mutex::new(inputs.iter().map(|_| None).collect());
+    Box::new(Parts { inputs, run, merge, slots })
+}
+
+impl<T, P, R, M> Plan for Parts<T, P, R, M>
+where
+    T: Send + Sync,
+    P: Send,
+    R: Fn(&T, &CacheHub) -> P + Send + Sync,
+    M: Fn(Vec<P>) -> Option<ExperimentData> + Send + Sync,
+{
+    fn tasks(&self) -> usize {
+        self.inputs.len()
+    }
+
+    fn run(&self, task: usize, hub: &CacheHub) {
+        let part = (self.run)(&self.inputs[task], hub);
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)[task] = Some(part);
+    }
+
+    fn merge(&self) -> Option<ExperimentData> {
+        let parts: Option<Vec<P>> = self
+            .slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter_mut()
+            .map(Option::take)
+            .collect();
+        (self.merge)(parts?)
     }
 }
 
@@ -329,13 +342,15 @@ struct PoolState {
     shutdown: bool,
 }
 
-/// One submitted batch: its flattened shard tasks plus everything
-/// needed to reassemble ordered results.
+/// One submitted batch: each scenario with its plan, and the
+/// flattened task list the workers pick from.
 struct BatchRoot {
-    tasks: Vec<ShardTask>,
-    jobs: Vec<Scenario>,
-    /// `spans[i]` is `jobs[i]`'s range in `tasks`.
-    spans: Vec<Range<usize>>,
+    /// Each scenario, as submitted, with its plan (which keeps the
+    /// parts).
+    jobs: Vec<(Scenario, Box<dyn Plan>)>,
+    /// Every task as `(job, task within that job's plan)`, in
+    /// submission order.
+    tasks: Vec<(usize, usize)>,
     hub: CacheHub,
     /// At most this many of the root's tasks run at once.
     cap: usize,
@@ -357,7 +372,8 @@ struct RootSched {
     finished: usize,
     /// Pending tasks dropped by cancellation or a sibling's panic.
     skipped: usize,
-    outputs: Vec<Option<(ShardOutput, Duration)>>,
+    /// Summed wall time of each job's finished tasks.
+    walls: Vec<Duration>,
     panic: Option<Box<dyn Any + Send>>,
 }
 
@@ -393,17 +409,13 @@ impl WorkPool {
         hub: &CacheHub,
         progress: Option<ProgressFn>,
     ) -> BatchHandle {
-        let jobs = scenarios.to_vec();
-
-        // Flatten shard plans; `spans[i]` is jobs[i]'s task range.
-        let mut tasks: Vec<ShardTask> = Vec::new();
-        let mut spans: Vec<Range<usize>> = Vec::with_capacity(jobs.len());
-        for job in &jobs {
-            let plan = scheduler.plan(job);
-            let start = tasks.len();
-            tasks.extend(plan);
-            spans.push(start..tasks.len());
-        }
+        let jobs: Vec<(Scenario, Box<dyn Plan>)> =
+            scenarios.iter().map(|s| (s.clone(), scheduler.plan(s))).collect();
+        let tasks: Vec<(usize, usize)> = jobs
+            .iter()
+            .enumerate()
+            .flat_map(|(job, (_, plan))| (0..plan.tasks()).map(move |task| (job, task)))
+            .collect();
 
         let total = tasks.len();
         let root = Arc::new(BatchRoot {
@@ -412,12 +424,11 @@ impl WorkPool {
                 running: 0,
                 finished: 0,
                 skipped: 0,
-                outputs: (0..total).map(|_| None).collect(),
+                walls: vec![Duration::ZERO; jobs.len()],
                 panic: None,
             }),
-            tasks,
             jobs,
-            spans,
+            tasks,
             hub: hub.clone(),
             cap: scheduler.workers(),
             cancelled: AtomicBool::new(false),
@@ -498,30 +509,21 @@ impl BatchHandle {
         if sched.skipped > 0 || self.root.cancelled.load(Ordering::SeqCst) {
             return Err(BatchAborted::Cancelled);
         }
-        let mut outputs = std::mem::take(&mut sched.outputs);
+        let walls = std::mem::take(&mut sched.walls);
         drop(sched);
-        Ok(self
-            .root
+        // Every task finished, so every part is filed; a missing one
+        // reads as a batch that did not complete.
+        self.root
             .jobs
             .iter()
-            .zip(&self.root.spans)
+            .zip(walls)
             .enumerate()
-            .map(|(index, (scenario, span))| {
-                let mut shard_outputs = Vec::with_capacity(span.len());
-                let mut wall = Duration::ZERO;
-                for slot in &mut outputs[span.clone()] {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "spans partition the outputs; each slot is taken exactly once"
-                    )]
-                    let (output, elapsed) = slot.take().expect("span taken once");
-                    shard_outputs.push(output);
-                    wall += elapsed;
-                }
-                let data = merge_shards(scenario, shard_outputs);
-                ScenarioResult { index, scenario: scenario.clone(), data, wall }
+            .map(|(index, ((scenario, plan), wall))| {
+                let data = plan.merge()?;
+                Some(ScenarioResult { index, scenario: scenario.clone(), data, wall })
             })
-            .collect())
+            .collect::<Option<Vec<ScenarioResult>>>()
+            .ok_or(BatchAborted::Cancelled)
     }
 }
 
@@ -571,20 +573,6 @@ fn pick(state: &mut PoolState) -> Option<(Arc<BatchRoot>, usize)> {
     None
 }
 
-fn run_task(task: &ShardTask, hub: &CacheHub) -> ShardOutput {
-    match task {
-        ShardTask::Run(scenario) => ShardOutput::Data(scenario.run(hub)),
-        ShardTask::OutputGainTrials { config, mono, chiplet } => {
-            ShardOutput::OutputGainPartial(output_gain::run_shard_in(
-                config,
-                *mono,
-                *chiplet,
-                hub.store().map(|s| s.as_ref()),
-            ))
-        }
-    }
-}
-
 fn worker_loop(shared: &PoolShared, worker: usize) {
     // The counter handle is resolved once per thread; the loop body
     // only touches atomics.
@@ -603,6 +591,7 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
             }
         };
         picks.inc();
+        let (job, task) = root.tasks[index];
         #[expect(
             clippy::disallowed_methods,
             reason = "task wall-time for stderr timing summaries; never reaches report bytes"
@@ -615,16 +604,15 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
             let _task = chipletqc_obs::span("scheduler.task")
                 .label("unit", index)
                 .label("worker", worker);
-            catch_unwind(AssertUnwindSafe(|| run_task(&root.tasks[index], &root.hub)))
+            catch_unwind(AssertUnwindSafe(|| root.jobs[job].1.run(task, &root.hub)))
         };
         let elapsed = started.elapsed();
         {
             let mut sched = root.sched.lock().unwrap_or_else(PoisonError::into_inner);
             sched.running -= 1;
             match outcome {
-                Ok(output) => {
-                    debug_assert!(sched.outputs[index].is_none(), "task executed twice");
-                    sched.outputs[index] = Some((output, elapsed));
+                Ok(()) => {
+                    sched.walls[job] += elapsed;
                     sched.finished += 1;
                 }
                 Err(payload) => {

@@ -78,15 +78,15 @@ pub struct Sweep {
     /// scenario (usually a single grid; `+`-joined groups evaluate
     /// several systems in one scenario).
     pub grids: Vec<Vec<SystemSpec>>,
-    /// `e_link/e_chip` axis.
+    /// `e_link/e_chip` axis (must be positive).
     pub link_ratios: Vec<f64>,
-    /// Fabrication-precision σ_f axis (GHz).
+    /// Fabrication-precision σ_f axis (GHz; must be non-negative).
     pub sigma_fs: Vec<f64>,
     /// Ideal-plan detuning-step axis (GHz; must be positive).
     pub detunings: Vec<f64>,
     /// Population comparison-mode axis.
     pub modes: Vec<ComparisonMode>,
-    /// Monte Carlo batch-size axis.
+    /// Monte Carlo batch-size axis (must be positive).
     pub batches: Vec<usize>,
     /// Root-seed axis.
     pub seeds: Vec<u64>,
@@ -168,13 +168,26 @@ impl Sweep {
                 return Err(format!("non-finite axis value {v}"));
             }
         }
+        // Each bound is an assertion a run would hit mid-batch
+        // (`FrequencyPlan::with_step`, `FabricationParams::new`,
+        // `LinkModel::with_ratio`, Fig. 8's `post_assembly_yield`).
         for step in &self.detunings {
-            // `FrequencyPlan::with_step` requires a positive step;
-            // catch it here with a line-level error instead of a
-            // panic mid-run.
             if *step <= 0.0 {
                 return Err(format!("detuning: step must be positive, got {step}"));
             }
+        }
+        for sigma in &self.sigma_fs {
+            if *sigma < 0.0 {
+                return Err(format!("sigma_f: precision must be non-negative, got {sigma}"));
+            }
+        }
+        for ratio in &self.link_ratios {
+            if *ratio <= 0.0 {
+                return Err(format!("link_ratio: ratio must be positive, got {ratio}"));
+            }
+        }
+        if self.batches.contains(&0) {
+            return Err("batch: size must be positive, got 0".into());
         }
         self.check_axes_apply()?;
         check_unique("grid", &self.grids, |g| fmt_grid_group(g))?;
@@ -703,6 +716,10 @@ mod tests {
             ("detuning = 0", "must be positive"),
             ("detuning = -0.06", "must be positive"),
             ("detuning = 0.05, 0.05", "duplicate value"),
+            ("sigma_f = -0.1", "sigma_f: precision must be non-negative"),
+            ("link_ratio = 0", "link_ratio: ratio must be positive"),
+            ("link_ratio = -2.5", "link_ratio: ratio must be positive"),
+            ("batch = 120, 0", "batch: size must be positive"),
             ("mode = maybe", "bad value"),
             ("mode = match, match", "duplicate value"),
         ] {
