@@ -1,31 +1,21 @@
-//! Pass 2 of the two-pass analyzer: the graph rules. Everything here
+//! Pass 2 of the two-pass analyzer: the graph rule. Everything here
 //! reads the [`SymbolIndex`] — no re-tokenization, no per-file
 //! heuristics.
 //!
-//! * **lock-order** — build the global lock-order graph over the
-//!   classed locks ([`crate::symbols::LOCK_CLASSES`]): an edge A → B
-//!   for every acquisition of class B while class A is held, and for
-//!   every call made while A is held into a function whose transitive
-//!   lock summary (a fixpoint over the workspace call graph) contains
-//!   B. Only *cycles* are findings — a consistent global order is
-//!   fine wherever it is taken, so classed pairs need nothing from
-//!   `nested-lock`. A lock held across a call into a function that
-//!   takes another lock is found even when the two acquisitions live
-//!   in different files.
-//! * **axis-exhaustiveness** — every `Vec` axis field of
-//!   `struct Sweep` must be referenced in every axis handler
-//!   (`expanded_len`, `validate`, `expand`, `to_text`, `parse`): a
-//!   new axis that expands but does not validate (or prints but does
-//!   not parse) fails `check`, not a 3 AM sweep.
+//! **lock-order** builds the global lock-order graph over the classed
+//! locks ([`crate::symbols::LOCK_CLASSES`]): an edge A → B for every
+//! acquisition of class B while class A is held, and for every call
+//! made while A is held into a function whose transitive lock summary
+//! (a fixpoint over the workspace call graph) contains B. Only
+//! *cycles* are findings — a consistent global order is fine wherever
+//! it is taken, so classed pairs need nothing from `nested-lock`. A
+//! lock held across a call into a function that takes another lock is
+//! found even when the two acquisitions live in different files.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::lexer::TokenKind;
-use crate::symbols::{SymbolIndex, SWEEP_FILE};
+use crate::symbols::SymbolIndex;
 use crate::{Finding, SourceFile};
-
-/// Functions that must each handle every sweep axis.
-const AXIS_HANDLERS: &[&str] = &["expanded_len", "validate", "expand", "to_text", "parse"];
 
 /// One contribution to a lock-order edge, anchored at the acquisition
 /// or call that adds it.
@@ -189,53 +179,4 @@ fn cycle_path(
     let mut names: Vec<&str> = vec![from];
     names.extend(back.iter().rev().copied());
     names.join(" -> ")
-}
-
-pub(crate) fn axis_exhaustiveness(
-    files: &[SourceFile],
-    index: &SymbolIndex,
-    out: &mut Vec<Finding>,
-) {
-    if index.axis_fields.is_empty() {
-        return;
-    }
-    let file = index.axis_fields[0].file;
-    let first_line = index.axis_fields[0].line;
-    let t = &index.lexed[file].tokens;
-    for handler in AXIS_HANDLERS {
-        let defs = index.fns_named(file, handler);
-        if defs.is_empty() {
-            out.push(Finding {
-                rule: "axis-exhaustiveness",
-                path: files[file].path.clone(),
-                line: first_line,
-                message: format!(
-                    "axis handler fn `{handler}` not found in {SWEEP_FILE} — every sweep \
-                     axis must be counted, validated, expanded, printed, and parsed"
-                ),
-            });
-            continue;
-        }
-        for axis in &index.axis_fields {
-            let mentioned = defs.iter().any(|&id| {
-                let def = &index.fns[id];
-                t[def.start..def.end.min(t.len())]
-                    .iter()
-                    .any(|tok| tok.kind == TokenKind::Ident && tok.text == axis.name)
-            });
-            if !mentioned {
-                out.push(Finding {
-                    rule: "axis-exhaustiveness",
-                    path: files[file].path.clone(),
-                    line: axis.line,
-                    message: format!(
-                        "sweep axis `{}` is not handled in `{handler}` — a `Vec` axis on \
-                         `Sweep` must appear in every axis handler ({})",
-                        axis.name,
-                        AXIS_HANDLERS.join(", ")
-                    ),
-                });
-            }
-        }
-    }
 }

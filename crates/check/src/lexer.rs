@@ -17,7 +17,8 @@
 //!   attribute — up to the close of the following braced item or
 //!   terminating `;` — are dropped.
 
-/// What a token is; rules mostly switch on `Ident` vs `Str`.
+/// What a token is; the symbol index mostly switches on `Ident` vs
+/// `Punct`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// An identifier or keyword (`fn`, `HashMap`, `lock`, …).

@@ -4,17 +4,15 @@
 //! The reproduction's contract — `RunReport` bytes identical at any
 //! worker count, shard count, transport, or mesh shape, served by a
 //! daemon that never dies — is enforced dynamically by tests that
-//! sample a few configurations. This crate enforces the
-//! *preconditions* statically, on every source file, every run.
+//! sample a few configurations. This crate enforces the one
+//! precondition no compiler or other tool here checks, a deadlock-free
+//! lock order, statically, on every source file, every run.
 //!
 //! Analysis is two-pass: pass 1 builds a whole-workspace
 //! [`symbols::SymbolIndex`] (fn definitions, classed lock sites,
-//! name-resolved call edges, sweep axes) from the lexer output; pass 2
-//! runs two local rules per file and two graph rules over the index:
+//! name-resolved call edges) from the lexer output; pass 2 runs two
+//! rules over the index:
 //!
-//! * **frame-registry** — every protocol frame literal appears in the
-//!   central registry ([`frames::FRAMES`]), which is itself statically
-//!   verified well-formed, discriminable, and pairwise prefix-free.
 //! * **nested-lock** — no lock acquired while another guard from the
 //!   same function body is live (unclassed guards; classed pairs
 //!   belong to `lock-order`).
@@ -22,18 +20,18 @@
 //!   lock classes must be acyclic, with lock summaries propagated
 //!   along call edges so a guard held across a call into a function
 //!   that locks elsewhere is found across files.
-//! * **axis-exhaustiveness** — every `Vec` axis of `struct Sweep` is
-//!   handled in every axis handler fn.
 //!
 //! Rules are deny-by-default with no escape hatch: a finding is fixed,
 //! or its locks are added to [`symbols::LOCK_CLASSES`]. Hash
 //! collections, clock reads and daemon-path panics are clippy's
 //! (`clippy.toml`, the workspace lints, and a `#![warn(…)]` header
 //! atop each daemon file), where an escape is an
-//! `#[expect(lint, reason = "…")]`. Run this checker as
+//! `#[expect(lint, reason = "…")]`. Wire frames and sweep axes are the
+//! compiler's: the protocol property test's frame corpus matches every
+//! frame variant with no `_` arm, and every `Sweep` handler
+//! destructures the whole struct. Run this checker as
 //! `chipletqc-engine check [--format text|json] [--root DIR]`.
 
-pub mod frames;
 mod graph;
 pub mod lexer;
 mod rules;

@@ -20,9 +20,7 @@
 //!   within the defining file only, free calls within the file then
 //!   the crate, and path calls through a `crate::`/`Self::`/crate-lib
 //!   or module-file qualifier. Unresolvable calls produce no edges
-//!   (under-approximation, never false cycles);
-//! * **sweep axis fields** — the `Vec` fields of `struct Sweep` in
-//!   `crates/engine/src/sweep.rs`, for the axis-exhaustiveness rule.
+//!   (under-approximation, never false cycles).
 
 use std::collections::BTreeMap;
 
@@ -52,9 +50,6 @@ pub const LOCK_CLASSES: &[(&str, &str, &str)] = &[
     ("crates/obs/src/lib.rs", "histograms", "obs-registry"),
     ("crates/obs/src/lib.rs", "trace_sink", "obs-trace"),
 ];
-
-/// The file whose `struct Sweep` `Vec` fields are the sweep axes.
-pub const SWEEP_FILE: &str = "crates/engine/src/sweep.rs";
 
 /// The class of a lock acquisition, by file and receiver identifier.
 pub fn lock_class(path: &str, receiver: &str) -> Option<&'static str> {
@@ -191,23 +186,12 @@ pub struct CallSite {
     pub caller: Option<usize>,
 }
 
-/// A `Vec` field of `struct Sweep` in [`SWEEP_FILE`].
-#[derive(Debug)]
-pub struct AxisField {
-    pub file: usize,
-    pub name: String,
-    pub line: usize,
-}
-
-/// The owned pass-1 output: lexed views (aligned with the input file
-/// slice) plus every extracted symbol, in deterministic file/token
-/// order.
+/// The owned pass-1 output: every extracted symbol, in deterministic
+/// file/token order.
 pub struct SymbolIndex {
-    pub lexed: Vec<Lexed>,
     pub fns: Vec<FnDef>,
     pub lock_sites: Vec<LockSite>,
     pub call_sites: Vec<CallSite>,
-    pub axis_fields: Vec<AxisField>,
 }
 
 impl SymbolIndex {
@@ -222,28 +206,14 @@ impl SymbolIndex {
         let resolver = Resolver::new(files, &fns);
         let mut lock_sites = Vec::new();
         let mut call_sites = Vec::new();
-        let mut axis_fields = Vec::new();
         for (fi, file) in files.iter().enumerate() {
             let lex = &lexed[fi];
             let mut sites = FileSites::default();
             scan_sites(fi, &file.path, &lex.tokens, &fns, &resolver, &mut sites);
             lock_sites.extend(sites.locks);
             call_sites.extend(sites.calls);
-            if file.path == SWEEP_FILE {
-                collect_axis_fields(fi, &lex.tokens, &mut axis_fields);
-            }
         }
-        SymbolIndex { lexed, fns, lock_sites, call_sites, axis_fields }
-    }
-
-    /// All fn ids in `file` named `name`.
-    pub fn fns_named(&self, file: usize, name: &str) -> Vec<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.file == file && d.name == name)
-            .map(|(id, _)| id)
-            .collect()
+        SymbolIndex { fns, lock_sites, call_sites }
     }
 }
 
@@ -691,55 +661,4 @@ pub(crate) fn let_binding_name(
         return None;
     }
     Some(name.text.clone())
-}
-
-/// The `Vec` fields of `struct Sweep`: scan the struct body at brace
-/// depth one for `name: Vec<…>` (with an optional `pub`).
-fn collect_axis_fields(fi: usize, t: &[Token], out: &mut Vec<AxisField>) {
-    let Some(start) = (0..t.len()).find(|&i| {
-        t[i].is_ident("struct") && t.get(i + 1).is_some_and(|n| n.is_ident("Sweep"))
-    }) else {
-        return;
-    };
-    let Some(open) = (start..t.len()).find(|&i| t[i].is_punct('{')) else { return };
-    let mut depth = 0i64;
-    let mut i = open;
-    while i < t.len() {
-        if t[i].is_punct('{') {
-            depth += 1;
-        } else if t[i].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if depth == 1
-            && t[i].kind == TokenKind::Ident
-            && t[i].text != "pub"
-            && t.get(i + 1).is_some_and(|c| c.is_punct(':'))
-            && t.get(i + 2).is_some_and(|v| v.is_ident("Vec"))
-        {
-            out.push(AxisField { file: fi, name: t[i].text.clone(), line: t[i].line });
-            // Skip to the end of the field (the `,` at depth 1).
-            let mut angle = i + 2;
-            let mut inner = 0i64;
-            while angle < t.len() {
-                if t[angle].is_punct('{') || t[angle].is_punct('(') || t[angle].is_punct('[') {
-                    inner += 1;
-                } else if t[angle].is_punct('}')
-                    || t[angle].is_punct(')')
-                    || t[angle].is_punct(']')
-                {
-                    inner -= 1;
-                    if inner < 0 {
-                        break;
-                    }
-                } else if inner == 0 && t[angle].is_punct(',') {
-                    break;
-                }
-                angle += 1;
-            }
-            i = angle;
-        }
-        i += 1;
-    }
 }

@@ -38,24 +38,6 @@ fn assert_pair(rule: &str, bad: &str, good: &str, pseudo_path: &str) {
 }
 
 #[test]
-fn frame_registry_fixtures() {
-    assert_pair(
-        "frame-registry",
-        "frame_registry_bad.rs",
-        "frame_registry_good.rs",
-        "crates/engine/src/protocol.rs",
-    );
-}
-
-#[test]
-fn frame_registry_is_scoped_to_frame_files() {
-    // Outside the two frame files a `{VERSION} …` string is just a
-    // string.
-    let report = run("frame_registry_bad.rs", "crates/engine/src/main.rs");
-    assert!(report.is_clean(), "{:?}", report.findings);
-}
-
-#[test]
 fn nested_lock_fixtures() {
     assert_pair(
         "nested-lock",
@@ -94,25 +76,4 @@ fn lock_order_cycle_across_call_edges_is_invisible_to_nested_lock() {
         .collect();
     assert!(cycles.len() >= 2, "expected both half-cycles, got {cycles:?}");
     assert!(cycles.iter().all(|m| m.contains("lock-order cycle")), "{cycles:?}");
-}
-
-#[test]
-fn axis_exhaustiveness_fixtures() {
-    assert_pair(
-        "axis-exhaustiveness",
-        "axis_exhaustiveness_bad.rs",
-        "axis_exhaustiveness_good.rs",
-        "crates/engine/src/sweep.rs",
-    );
-}
-
-#[test]
-fn axis_exhaustiveness_is_scoped_to_the_sweep_file() {
-    // `struct Sweep` anywhere else is just a struct.
-    let report = run("axis_exhaustiveness_bad.rs", "crates/engine/src/scenario.rs");
-    assert!(
-        !report.findings.iter().any(|f| f.rule == "axis-exhaustiveness"),
-        "{:?}",
-        report.findings
-    );
 }

@@ -155,13 +155,12 @@ OBSERVABILITY (see README \"Observability\"):
 
 STATIC ANALYSIS (see README \"Static analysis\"):
   check             run the workspace invariant checker over
-                    crates/*/src: frame-registry, nested-lock,
-                    lock-order, axis-exhaustiveness. Deny-by-default,
-                    with no escape — exits non-zero on any finding.
-                    (Hash collections, clock reads and daemon-path
-                    panics are `cargo clippy`'s.) --format json emits
-                    machine-readable findings; --root DIR overrides
-                    workspace-root discovery
+                    crates/*/src: nested-lock, lock-order.
+                    Deny-by-default, with no escape — exits non-zero
+                    on any finding. (Hash collections, clock reads and
+                    daemon-path panics are `cargo clippy`'s.) --format
+                    json emits machine-readable findings; --root DIR
+                    overrides workspace-root discovery
 ";
 
 #[derive(Debug)]

@@ -769,7 +769,7 @@ struct AdmissionState {
 /// What [`Admission::enter`] decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Entry {
-    /// An execution slot is held; pair with [`Admission::leave`].
+    /// An execution slot is taken; the caller holds it as a [`Slot`].
     Admitted,
     /// Waiting at `position` (1 = next in line) under `ticket`: the
     /// gate sends [`Event::Queued`] as the line moves and
@@ -828,7 +828,7 @@ impl Admission {
     }
 
     /// Releases an execution slot taken via [`Entry::Admitted`] or
-    /// [`Event::Admitted`].
+    /// [`Event::Admitted`]; only [`Slot`]'s drop calls it.
     fn leave(&self) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         self.release(&mut state);
@@ -866,6 +866,18 @@ impl Admission {
     fn load(&self) -> (usize, usize) {
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         (state.inflight, state.queue.len())
+    }
+}
+
+/// An execution slot held from admission until the reply. Dropping it
+/// hands the slot back, so a panic between the two — in plan building
+/// on the connection thread, say — cannot keep the slot for the
+/// daemon's life.
+struct Slot<'a>(&'a Admission);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.leave();
     }
 }
 
@@ -1374,7 +1386,7 @@ impl Shared {
             if interactive {
                 watch();
             }
-            if self.admit(conn, &inbox, &events, interactive, &mut watch) {
+            if let Some(slot) = self.admit(conn, &inbox, &events, interactive, &mut watch) {
                 let outcome = self.run_admitted(
                     conn,
                     &inbox,
@@ -1383,7 +1395,7 @@ impl Shared {
                     submission.reset,
                     interactive,
                 );
-                self.admission.leave();
+                drop(slot);
                 self.finish(conn, outcome, interactive);
             }
             conn.shutdown_read();
@@ -1392,11 +1404,10 @@ impl Shared {
 
     /// Takes the submission through the admission gate, blocking on
     /// `inbox` while it waits (`watch` starts the socket reader first).
-    /// Returns true once an execution slot is held (pair with
-    /// `admission.leave()`); false means the connection is already
-    /// answered or abandoned. `interactive` submissions are told their
-    /// queue position on entry and whenever it changes, and get
-    /// terminal acks; mesh claims wait silently.
+    /// Returns the execution slot once it is held; `None` means the
+    /// connection is already answered or abandoned. `interactive`
+    /// submissions are told their queue position on entry and whenever
+    /// it changes, and get terminal acks; mesh claims wait silently.
     fn admit(
         &self,
         conn: &Conn,
@@ -1404,17 +1415,17 @@ impl Shared {
         events: &mpsc::Sender<Event>,
         interactive: bool,
         watch: &mut dyn FnMut(),
-    ) -> bool {
+    ) -> Option<Slot<'_>> {
         let _wait = chipletqc_obs::span("service.admission_wait");
         let (ticket, position) = match self.admission.enter(events) {
-            Entry::Admitted => return true,
+            Entry::Admitted => return Some(Slot(&self.admission)),
             Entry::Busy { inflight, queued } => {
                 self.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 self.respond(
                     conn,
                     &Response::Busy { inflight: inflight as u64, queued: queued as u64 },
                 );
-                return false;
+                return None;
             }
             Entry::Queued { ticket, position } => (ticket, position),
         };
@@ -1422,7 +1433,7 @@ impl Shared {
         let mut event = Event::Queued(position);
         let client = loop {
             match event {
-                Event::Admitted => return true,
+                Event::Admitted => return Some(Slot(&self.admission)),
                 Event::Queued(position)
                     if interactive
                         && !self.send_progress(
@@ -1450,7 +1461,7 @@ impl Shared {
         if let Some(reply) = reply.filter(|_| interactive) {
             self.respond(conn, &reply);
         }
-        false
+        None
     }
 
     /// Runs an admitted batch on the shared pool. An interactive
@@ -1800,6 +1811,21 @@ mod tests {
     }
 
     #[test]
+    fn an_unwinding_batch_hands_back_its_admission_slot() {
+        let admission = Admission::new(1, 1);
+        let (events, _inbox) = mpsc::channel();
+        assert_eq!(admission.enter(&events), Entry::Admitted);
+        let slot = Slot(&admission);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _slot = slot;
+            panic!("a plan panicked on the connection thread");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(admission.load(), (0, 0));
+        assert_eq!(admission.enter(&events), Entry::Admitted);
+    }
+
+    #[test]
     fn submissions_run_and_shutdown_drains() {
         let socket = temp_socket("roundtrip");
         let service = Service::bind(ServiceConfig::new(&socket), None).unwrap();
@@ -1840,6 +1866,25 @@ mod tests {
             Submission { only: Some(vec!["not-a-scenario".into()]), ..Default::default() };
         let error = request(&socket, &Request::Submit(missing)).unwrap();
         assert!(matches!(error, Response::Error(ref m) if m.contains("unknown scenario")));
+        // Five 40-value axes: 102,400,000 scenarios, which expanding
+        // would ask 20 GB for. The daemon's own parse refuses them.
+        let forty = |first: u64| {
+            (first..first + 40).map(|v| v.to_string()).collect::<Vec<_>>().join(",")
+        };
+        let huge = Submission {
+            sweep_text: Some(format!(
+                "kind = fig8\nlink_ratio = {0}\nsigma_f = {0}\ndetuning = {0}\nbatch = {0}\n\
+                 seed = {1}\n",
+                forty(1),
+                forty(0)
+            )),
+            ..Default::default()
+        };
+        let error = request(&socket, &Request::Submit(huge)).unwrap();
+        assert!(
+            matches!(error, Response::Error(ref m) if m.contains("102400000 scenarios")),
+            "{error:?}"
+        );
 
         // A store request against a storeless daemon is an error
         // frame, not a dead daemon.
@@ -1859,7 +1904,7 @@ mod tests {
             ServiceSummary {
                 batches: 2,
                 work_units: 0,
-                rejected: 2,
+                rejected: 3,
                 scenarios: 2,
                 store_requests: 1,
                 dropped_replies: 0,

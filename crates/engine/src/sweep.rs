@@ -57,15 +57,23 @@ use chipletqc_topology::family::ChipletSpec;
 
 use crate::scenario::{ExperimentKind, Overrides, Scale, Scenario, SystemSpec};
 
+/// The most scenarios one sweep may expand to. [`Sweep::expand`]
+/// allocates the whole batch up front and every scenario becomes a
+/// scheduler task, so an unbounded product of axes is one small text
+/// that exhausts memory: five 40-value axes make 102,400,000
+/// scenarios, a 20 GB allocation whose failure aborts the process —
+/// a daemon too, since an allocation failure does not unwind. The
+/// largest sweep this repository runs has 432 scenarios.
+pub const MAX_SCENARIOS: usize = 10_000;
+
 /// A sweep: one experiment kind plus axes over the chiplet design
 /// space, expanding into the Cartesian-product scenario batch.
 ///
-/// Every `Vec` field below is an axis, and the `axis-exhaustiveness`
-/// check rule holds each one to the full handler contract: it must
-/// appear in [`Sweep::expanded_len`], [`Sweep::validate`],
-/// [`Sweep::expand`], [`Sweep::to_text`], and [`Sweep::parse`].
-/// Adding an axis without wiring all five fails `check`, not a
-/// production sweep.
+/// Every `Vec` field below is an axis. [`Sweep::expanded_len`],
+/// [`Sweep::validate`], [`Sweep::expand`] and [`Sweep::to_text`]
+/// destructure the whole struct and [`Sweep::parse`] builds it in one
+/// literal, so a field added here fails to compile until all five
+/// handle it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sweep {
     /// Scenario-name prefix (defaults to the kind's name).
@@ -111,43 +119,65 @@ impl Sweep {
     }
 
     /// The number of scenarios [`Sweep::expand`] produces: the product
-    /// of the non-empty axis lengths.
+    /// of the non-empty axis lengths, saturating at `usize::MAX`
+    /// instead of overflowing.
     pub fn expanded_len(&self) -> usize {
+        let Sweep {
+            name: _,
+            kind: _,
+            scale: _,
+            grids,
+            link_ratios,
+            sigma_fs,
+            detunings,
+            modes,
+            batches,
+            seeds,
+        } = self;
         [
-            self.grids.len(),
-            self.link_ratios.len(),
-            self.sigma_fs.len(),
-            self.detunings.len(),
-            self.modes.len(),
-            self.batches.len(),
-            self.seeds.len(),
+            grids.len(),
+            link_ratios.len(),
+            sigma_fs.len(),
+            detunings.len(),
+            modes.len(),
+            batches.len(),
+            seeds.len(),
         ]
         .into_iter()
         .filter(|&n| n > 0)
-        .product()
+        .fold(1, usize::saturating_mul)
     }
 
     /// Checks the invariants expansion relies on: a filesystem-safe
     /// name (scenario names become artifact file names), axis values
     /// unique within each axis (so names are unique), finite floats,
-    /// constructible grids without repeated systems, and — because a
-    /// silently ignored axis would expand into identically-valued
-    /// scenarios labeled as distinct design points — only axes the
-    /// chosen kind actually consumes.
+    /// constructible grids without repeated systems, at most
+    /// [`MAX_SCENARIOS`] scenarios, and — because a silently ignored
+    /// axis would expand into identically-valued scenarios labeled as
+    /// distinct design points — only axes the chosen kind actually
+    /// consumes.
     pub fn validate(&self) -> Result<(), String> {
-        if self.name.is_empty()
-            || self.name.starts_with(['.', '-'])
-            || !self
-                .name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.'))
+        let Sweep {
+            name,
+            kind,
+            scale: _,
+            grids,
+            link_ratios,
+            sigma_fs,
+            detunings,
+            modes,
+            batches,
+            seeds,
+        } = self;
+        if name.is_empty()
+            || name.starts_with(['.', '-'])
+            || !name.chars().all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.'))
         {
             return Err(format!(
-                "bad name `{}` (allowed: [A-Za-z0-9_.-], not starting with '.' or '-')",
-                self.name
+                "bad name `{name}` (allowed: [A-Za-z0-9_.-], not starting with '.' or '-')"
             ));
         }
-        for group in &self.grids {
+        for group in grids {
             if group.is_empty() {
                 return Err("grid: empty system group".into());
             }
@@ -163,7 +193,7 @@ impl Sweep {
             }
             check_unique("grid group", group, fmt_system)?;
         }
-        for v in self.link_ratios.iter().chain(&self.sigma_fs).chain(&self.detunings) {
+        for v in link_ratios.iter().chain(sigma_fs).chain(detunings) {
             if !v.is_finite() {
                 return Err(format!("non-finite axis value {v}"));
             }
@@ -171,74 +201,77 @@ impl Sweep {
         // Each bound is an assertion a run would hit mid-batch
         // (`FrequencyPlan::with_step`, `FabricationParams::new`,
         // `LinkModel::with_ratio`, Fig. 8's `post_assembly_yield`).
-        for step in &self.detunings {
+        for step in detunings {
             if *step <= 0.0 {
                 return Err(format!("detuning: step must be positive, got {step}"));
             }
         }
-        for sigma in &self.sigma_fs {
+        for sigma in sigma_fs {
             if *sigma < 0.0 {
                 return Err(format!("sigma_f: precision must be non-negative, got {sigma}"));
             }
         }
-        for ratio in &self.link_ratios {
+        for ratio in link_ratios {
             if *ratio <= 0.0 {
                 return Err(format!("link_ratio: ratio must be positive, got {ratio}"));
             }
         }
-        if self.batches.contains(&0) {
+        if batches.contains(&0) {
             return Err("batch: size must be positive, got 0".into());
         }
-        self.check_axes_apply()?;
-        check_unique("grid", &self.grids, |g| fmt_grid_group(g))?;
-        check_unique("link_ratio", &self.link_ratios, |v| fmt_f64(*v))?;
-        check_unique("sigma_f", &self.sigma_fs, |v| fmt_f64(*v))?;
-        check_unique("detuning", &self.detunings, |v| fmt_f64(*v))?;
-        check_unique("mode", &self.modes, |m| fmt_mode(*m).to_string())?;
-        check_unique("batch", &self.batches, usize::to_string)?;
-        check_unique("seed", &self.seeds, u64::to_string)?;
-        Ok(())
-    }
-
-    /// Rejects non-empty axes the kind's [`Scenario::run`] arm never
-    /// reads (the `seed` axis applies to every kind). Fig. 9 rejects
-    /// the scalar `link_ratio` because its panels sweep their own
-    /// ratio list.
-    fn check_axes_apply(&self) -> Result<(), String> {
+        let scenarios = self.expanded_len();
+        if scenarios > MAX_SCENARIOS {
+            return Err(format!(
+                "the axes expand to {scenarios} scenarios, past the \
+                 {MAX_SCENARIOS}-scenario bound"
+            ));
+        }
+        // Rejects non-empty axes the kind's `Scenario::run` arm never
+        // reads (the `seed` axis applies to every kind). Fig. 9
+        // rejects the scalar `link_ratio` because its panels sweep
+        // their own ratio list.
         use ExperimentKind as K;
-        let reject = |axis: &str, len: usize, applies: bool| -> Result<(), String> {
+        for (axis, len, applies) in [
+            ("grid", grids.len(), matches!(kind, K::Fig8 | K::Fig9 | K::Fig10 | K::Table2)),
+            ("link_ratio", link_ratios.len(), matches!(kind, K::Fig8 | K::Fig10)),
+            (
+                "sigma_f",
+                sigma_fs.len(),
+                matches!(kind, K::Fig6 | K::Fig8 | K::Fig9 | K::Fig10 | K::OutputGain),
+            ),
+            (
+                "detuning",
+                detunings.len(),
+                matches!(
+                    kind,
+                    K::Fig4 | K::Fig6 | K::Fig8 | K::Fig9 | K::Fig10 | K::OutputGain
+                ),
+            ),
+            ("mode", modes.len(), matches!(kind, K::Fig8 | K::Fig9 | K::Fig10)),
+            (
+                "batch",
+                batches.len(),
+                matches!(
+                    kind,
+                    K::Fig4 | K::Fig6 | K::Fig8 | K::Fig9 | K::Fig10 | K::OutputGain
+                ),
+            ),
+        ] {
             if len > 0 && !applies {
                 return Err(format!(
                     "{axis}: axis has no effect on kind {} (the expansion would repeat \
                      identical scenarios under distinct names)",
-                    self.kind.name()
+                    kind.name()
                 ));
             }
-            Ok(())
-        };
-        let k = self.kind;
-        reject(
-            "grid",
-            self.grids.len(),
-            matches!(k, K::Fig8 | K::Fig9 | K::Fig10 | K::Table2),
-        )?;
-        reject("link_ratio", self.link_ratios.len(), matches!(k, K::Fig8 | K::Fig10))?;
-        reject(
-            "sigma_f",
-            self.sigma_fs.len(),
-            matches!(k, K::Fig6 | K::Fig8 | K::Fig9 | K::Fig10 | K::OutputGain),
-        )?;
-        reject(
-            "detuning",
-            self.detunings.len(),
-            matches!(k, K::Fig4 | K::Fig6 | K::Fig8 | K::Fig9 | K::Fig10 | K::OutputGain),
-        )?;
-        reject("mode", self.modes.len(), matches!(k, K::Fig8 | K::Fig9 | K::Fig10))?;
-        reject(
-            "batch",
-            self.batches.len(),
-            matches!(k, K::Fig4 | K::Fig6 | K::Fig8 | K::Fig9 | K::Fig10 | K::OutputGain),
-        )?;
+        }
+        check_unique("grid", grids, |g| fmt_grid_group(g))?;
+        check_unique("link_ratio", link_ratios, |v| fmt_f64(*v))?;
+        check_unique("sigma_f", sigma_fs, |v| fmt_f64(*v))?;
+        check_unique("detuning", detunings, |v| fmt_f64(*v))?;
+        check_unique("mode", modes, |m| fmt_mode(*m).to_string())?;
+        check_unique("batch", batches, usize::to_string)?;
+        check_unique("seed", seeds, u64::to_string)?;
         Ok(())
     }
 
@@ -263,14 +296,26 @@ impl Sweep {
             }
         }
 
+        let Sweep {
+            name,
+            kind,
+            scale,
+            grids,
+            link_ratios,
+            sigma_fs,
+            detunings,
+            modes,
+            batches,
+            seeds,
+        } = self;
         let mut scenarios = Vec::with_capacity(self.expanded_len());
-        for grid in axis(&self.grids) {
-            for ratio in axis(&self.link_ratios) {
-                for sigma in axis(&self.sigma_fs) {
-                    for step in axis(&self.detunings) {
-                        for mode in axis(&self.modes) {
-                            for batch in axis(&self.batches) {
-                                for seed in axis(&self.seeds) {
+        for grid in axis(grids) {
+            for ratio in axis(link_ratios) {
+                for sigma in axis(sigma_fs) {
+                    for step in axis(detunings) {
+                        for mode in axis(modes) {
+                            for batch in axis(batches) {
+                                for seed in axis(seeds) {
                                     let mut parts: Vec<String> = Vec::new();
                                     if let Some(g) = &grid {
                                         parts.push(format!("g{}", fmt_grid_group(g)));
@@ -293,15 +338,14 @@ impl Sweep {
                                     if let Some(s) = seed {
                                         parts.push(format!("s{s}"));
                                     }
-                                    let name = if parts.is_empty() {
-                                        self.name.clone()
-                                    } else {
-                                        format!("{}/{}", self.name, parts.join("_"))
-                                    };
                                     scenarios.push(Scenario {
-                                        name,
-                                        kind: self.kind,
-                                        scale: self.scale,
+                                        name: if parts.is_empty() {
+                                            name.clone()
+                                        } else {
+                                            format!("{name}/{}", parts.join("_"))
+                                        },
+                                        kind: *kind,
+                                        scale: *scale,
                                         overrides: Overrides {
                                             batch,
                                             seed,
@@ -326,8 +370,16 @@ impl Sweep {
     /// Parses the line-oriented sweep format (see the module docs for
     /// the grammar) and [validates](Sweep::validate) the result.
     pub fn parse(text: &str) -> Result<Sweep, String> {
-        let mut sweep = Sweep::new(ExperimentKind::Fig8, Scale::Quick);
-        let mut named = false;
+        let mut name = None;
+        let mut kind = ExperimentKind::Fig8;
+        let mut scale = Scale::Quick;
+        let mut grids = Vec::new();
+        let mut link_ratios = Vec::new();
+        let mut sigma_fs = Vec::new();
+        let mut detunings = Vec::new();
+        let mut modes = Vec::new();
+        let mut batches = Vec::new();
+        let mut seeds = Vec::new();
         let mut seen_keys: Vec<String> = Vec::new();
         for (number, raw) in text.lines().enumerate() {
             let err = |message: String| format!("line {}: {message}", number + 1);
@@ -344,55 +396,51 @@ impl Sweep {
             }
             seen_keys.push(key.to_string());
             match key {
-                "name" => {
-                    // Charset is enforced by `validate` below.
-                    sweep.name = value.to_string();
-                    named = true;
-                }
+                // Charset is enforced by `validate` below.
+                "name" => name = Some(value.to_string()),
                 "kind" => {
-                    sweep.kind = ExperimentKind::parse(value)
+                    kind = ExperimentKind::parse(value)
                         .ok_or_else(|| err(format!("unknown kind `{value}`")))?;
-                    if !named {
-                        sweep.name = sweep.kind.name().to_string();
-                    }
                 }
                 "scale" => {
-                    sweep.scale = match value {
+                    scale = match value {
                         "quick" => Scale::Quick,
                         "paper" => Scale::Paper,
                         other => return Err(err(format!("unknown scale `{other}`"))),
                     };
                 }
                 "grid" => {
-                    sweep.grids = split_values(value)
+                    grids = split_values(value)
                         .map(parse_grid_group)
                         .collect::<Result<_, _>>()
                         .map_err(err)?;
                 }
-                "link_ratio" => {
-                    sweep.link_ratios = parse_axis(value, "link_ratio").map_err(err)?;
-                }
-                "sigma_f" => {
-                    sweep.sigma_fs = parse_axis(value, "sigma_f").map_err(err)?;
-                }
-                "detuning" => {
-                    sweep.detunings = parse_axis(value, "detuning").map_err(err)?;
-                }
+                "link_ratio" => link_ratios = parse_axis(value, "link_ratio").map_err(err)?,
+                "sigma_f" => sigma_fs = parse_axis(value, "sigma_f").map_err(err)?,
+                "detuning" => detunings = parse_axis(value, "detuning").map_err(err)?,
                 "mode" => {
-                    sweep.modes = split_values(value)
+                    modes = split_values(value)
                         .map(parse_mode)
                         .collect::<Result<_, _>>()
                         .map_err(err)?;
                 }
-                "batch" => {
-                    sweep.batches = parse_axis(value, "batch").map_err(err)?;
-                }
-                "seed" => {
-                    sweep.seeds = parse_axis(value, "seed").map_err(err)?;
-                }
+                "batch" => batches = parse_axis(value, "batch").map_err(err)?,
+                "seed" => seeds = parse_axis(value, "seed").map_err(err)?,
                 other => return Err(err(format!("unknown key `{other}`"))),
             }
         }
+        let sweep = Sweep {
+            name: name.unwrap_or_else(|| kind.name().to_string()),
+            kind,
+            scale,
+            grids,
+            link_ratios,
+            sigma_fs,
+            detunings,
+            modes,
+            batches,
+            seeds,
+        };
         sweep.validate()?;
         Ok(sweep)
     }
@@ -400,22 +448,34 @@ impl Sweep {
     /// Formats the sweep canonically: parsing the result yields a
     /// sweep with the identical [`Sweep::expand`] output.
     pub fn to_text(&self) -> String {
+        let Sweep {
+            name,
+            kind,
+            scale,
+            grids,
+            link_ratios,
+            sigma_fs,
+            detunings,
+            modes,
+            batches,
+            seeds,
+        } = self;
         let mut out = String::from("# chipletqc-engine sweep\n");
-        out.push_str(&format!("name = {}\n", self.name));
-        out.push_str(&format!("kind = {}\n", self.kind.name()));
-        out.push_str(&format!("scale = {}\n", self.scale.name()));
+        out.push_str(&format!("name = {name}\n"));
+        out.push_str(&format!("kind = {}\n", kind.name()));
+        out.push_str(&format!("scale = {}\n", scale.name()));
         let axis = |out: &mut String, key: &str, values: Vec<String>| {
             if !values.is_empty() {
                 out.push_str(&format!("{key} = {}\n", values.join(", ")));
             }
         };
-        axis(&mut out, "grid", self.grids.iter().map(|g| fmt_grid_group(g)).collect());
-        axis(&mut out, "link_ratio", self.link_ratios.iter().map(|v| fmt_f64(*v)).collect());
-        axis(&mut out, "sigma_f", self.sigma_fs.iter().map(|v| fmt_f64(*v)).collect());
-        axis(&mut out, "detuning", self.detunings.iter().map(|v| fmt_f64(*v)).collect());
-        axis(&mut out, "mode", self.modes.iter().map(|m| fmt_mode(*m).to_string()).collect());
-        axis(&mut out, "batch", self.batches.iter().map(usize::to_string).collect());
-        axis(&mut out, "seed", self.seeds.iter().map(u64::to_string).collect());
+        axis(&mut out, "grid", grids.iter().map(|g| fmt_grid_group(g)).collect());
+        axis(&mut out, "link_ratio", link_ratios.iter().map(|v| fmt_f64(*v)).collect());
+        axis(&mut out, "sigma_f", sigma_fs.iter().map(|v| fmt_f64(*v)).collect());
+        axis(&mut out, "detuning", detunings.iter().map(|v| fmt_f64(*v)).collect());
+        axis(&mut out, "mode", modes.iter().map(|m| fmt_mode(*m).to_string()).collect());
+        axis(&mut out, "batch", batches.iter().map(usize::to_string).collect());
+        axis(&mut out, "seed", seeds.iter().map(u64::to_string).collect());
         out
     }
 }
@@ -690,6 +750,49 @@ mod tests {
         .unwrap();
         assert_eq!(sweep.kind, ExperimentKind::Fig8);
         assert_eq!(sweep.batches, vec![100]);
+    }
+
+    #[test]
+    fn the_scenario_count_is_bounded() {
+        let values = |n: u64| (1..=n).map(|v| v.to_string()).collect::<Vec<_>>().join(",");
+        let at_bound =
+            Sweep::parse(&format!("link_ratio = {}\nseed = {}", values(100), values(100)))
+                .expect("100 x 100 scenarios sit at the bound");
+        assert_eq!(at_bound.expanded_len(), MAX_SCENARIOS);
+        let forty = values(40);
+        for (text, count) in [
+            (format!("link_ratio = {}\nseed = {}", values(200), values(100)), 20_000),
+            (
+                format!(
+                    "link_ratio = {forty}\nsigma_f = {forty}\ndetuning = {forty}\n\
+                     batch = {forty}\nseed = {forty}"
+                ),
+                102_400_000,
+            ),
+        ] {
+            let error = Sweep::parse(&text).expect_err("past the bound");
+            assert!(
+                error.contains(&format!("expand to {count} scenarios"))
+                    && error.contains(&format!("{MAX_SCENARIOS}-scenario bound")),
+                "{error}"
+            );
+        }
+        // Six 2,000-value axes overflow `usize`; the count saturates
+        // rather than wrapping to something under the bound.
+        let axis = || (1..=2000u32).map(f64::from).collect::<Vec<_>>();
+        let overflowing = Sweep {
+            grids: (1..=2000)
+                .map(|rows| vec![SystemSpec { chiplet_qubits: 10, rows, cols: 1 }])
+                .collect(),
+            link_ratios: axis(),
+            sigma_fs: axis(),
+            detunings: axis(),
+            batches: (1..=2000).collect(),
+            seeds: (1..=2000).collect(),
+            ..Sweep::new(ExperimentKind::Fig8, Scale::Quick)
+        };
+        assert_eq!(overflowing.expanded_len(), usize::MAX);
+        assert!(overflowing.validate().expect_err("past the bound").contains("bound"));
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! (`read_request`, `read_response`, the store peer codec, the `hello`
 //! handshake) must turn arbitrary garbage — truncations, bit flips,
 //! lying length headers, random bytes — into clean `io::Error`s:
-//! never a panic, and never unbounded allocation. Valid frames, and
-//! valid frames with trailing garbage, must keep parsing.
+//! never a panic, and never unbounded allocation. The corpus samples
+//! every frame variant, and each sample, alone or followed by trailing
+//! garbage, must read back as the value that wrote it.
 
 #![expect(clippy::unwrap_used, reason = "test code panics on harness failures by design")]
 
-use std::io::{BufReader, Cursor};
+use std::fmt::Debug;
+use std::io::{self, BufReader, Cursor};
 
 use chipletqc_engine::protocol::{
     read_request, read_response, write_request, write_response, Progress, Request, Response,
@@ -22,10 +24,11 @@ use chipletqc_store::remote::{read_store_reply, write_store_reply, StoreReply, S
 use chipletqc_store::EntryKey;
 use proptest::prelude::*;
 
-/// A corpus of valid frames to mutate, covering every verb in both
-/// directions.
-fn valid_frames() -> Vec<Vec<u8>> {
-    let requests = [
+/// Every request shape, sampled at least once. The `match` has no `_`
+/// arm, so a new `Request` or `StoreRequest` variant fails to compile
+/// here until it gets an arm — and a sample above it.
+fn requests() -> Vec<Request> {
+    let samples = vec![
         Request::Hello("a shared token".into()),
         Request::Submit(Submission::default()),
         Request::Submit(Submission {
@@ -54,7 +57,27 @@ fn valid_frames() -> Vec<Vec<u8>> {
             ..Submission::default()
         }),
     ];
-    let responses = [
+    for sample in &samples {
+        match sample {
+            Request::Hello(_)
+            | Request::Submit(_)
+            | Request::Store(
+                StoreRequest::Get(_) | StoreRequest::Put { .. } | StoreRequest::List,
+            )
+            | Request::WorkClaim(_)
+            | Request::Cancel
+            | Request::Status
+            | Request::Shutdown => {}
+        }
+    }
+    samples
+}
+
+/// Every response shape — the five `ok` shapes and both `progress`
+/// shapes among them — sampled at least once, held by a `match` with
+/// no `_` arm as in [`requests`].
+fn responses() -> Vec<Response> {
+    let samples = vec![
         Response::Report {
             batch: 3,
             timing: "2 scenario(s) on 4 worker(s)\n".into(),
@@ -69,30 +92,99 @@ fn valid_frames() -> Vec<Vec<u8>> {
         Response::Status { json: "{\n  \"inflight\": 1,\n  \"queued\": 0\n}".into() },
         Response::WorkResult { pieces: "chipletqc-pieces/1\ncount = 0\n".into() },
     ];
-    let replies = [
+    for sample in &samples {
+        match sample {
+            Response::Report { .. }
+            | Response::WorkResult { .. }
+            | Response::ShuttingDown
+            | Response::Progress(Progress::Queued { .. } | Progress::Tasks { .. })
+            | Response::Busy { .. }
+            | Response::Cancelled
+            | Response::Status { .. }
+            | Response::Error(_) => {}
+        }
+    }
+    samples
+}
+
+/// Every store peer reply shape, sampled at least once, held by a
+/// `match` with no `_` arm as in [`requests`].
+fn store_replies() -> Vec<StoreReply> {
+    let samples = vec![
         StoreReply::Found { encoding: Encoding::Json, payload: b"{}".to_vec() },
         StoreReply::Missing,
         StoreReply::Stored,
         StoreReply::Keys(vec![EntryKey::new("ck", "mono-pop", "20q")]),
         StoreReply::Error("no store attached".into()),
     ];
-    let mut frames = Vec::new();
-    for request in &requests {
-        let mut bytes = Vec::new();
-        write_request(&mut bytes, request).unwrap();
-        frames.push(bytes);
+    for sample in &samples {
+        match sample {
+            StoreReply::Found { .. }
+            | StoreReply::Missing
+            | StoreReply::Stored
+            | StoreReply::Keys(_)
+            | StoreReply::Error(_) => {}
+        }
     }
-    for response in &responses {
-        let mut bytes = Vec::new();
-        write_response(&mut bytes, response).unwrap();
-        frames.push(bytes);
-    }
-    for reply in &replies {
-        let mut bytes = Vec::new();
-        write_store_reply(&mut bytes, reply).unwrap();
-        frames.push(bytes);
-    }
+    samples
+}
+
+type Writer<T> = fn(&mut Vec<u8>, &T) -> io::Result<()>;
+type Reader<T> = fn(&mut BufReader<Cursor<Vec<u8>>>) -> io::Result<T>;
+
+fn encode<T>(write: Writer<T>, value: &T) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write(&mut bytes, value).unwrap();
+    bytes
+}
+
+fn decode<T>(read: Reader<T>, bytes: &[u8]) -> io::Result<T> {
+    read(&mut BufReader::new(Cursor::new(bytes.to_vec())))
+}
+
+/// The encoding of every sample, requests then responses then store
+/// replies.
+fn valid_frames() -> Vec<Vec<u8>> {
+    let mut frames: Vec<Vec<u8>> =
+        requests().iter().map(|r| encode(write_request, r)).collect();
+    frames.extend(responses().iter().map(|r| encode(write_response, r)));
+    frames.extend(store_replies().iter().map(|r| encode(write_store_reply, r)));
     frames
+}
+
+/// Writes each sample, appends `trailing`, and reads one frame back:
+/// it must be the sample itself. Same-verb shapes (the `ok` and
+/// `progress` frames) are told apart only by their headers, so this is
+/// where a writer that borrows another shape's head fails.
+fn assert_each_reads_back<T: PartialEq + Debug>(
+    samples: &[T],
+    write: Writer<T>,
+    read: Reader<T>,
+    trailing: &[u8],
+) {
+    for sample in samples {
+        let mut bytes = encode(write, sample);
+        bytes.extend_from_slice(trailing);
+        assert_eq!(&decode(read, &bytes).unwrap(), sample);
+    }
+}
+
+/// Cuts each sample's frame at `permille` of its length: the cut frame
+/// must never read back as the sample it was cut from (prefix-freedom
+/// of the framing).
+fn assert_cuts_never_misparse<T: PartialEq + Debug>(
+    samples: &[T],
+    write: Writer<T>,
+    read: Reader<T>,
+    permille: usize,
+) {
+    for sample in samples {
+        let frame = encode(write, sample);
+        let cut = permille * frame.len() / 1000;
+        if let Ok(parsed) = decode(read, &frame[..cut]) {
+            assert!(&parsed != sample, "cut at {cut} parsed as the full frame {sample:?}");
+        }
+    }
 }
 
 /// Feeds `bytes` to every reader; the only acceptable outcomes are a
@@ -124,6 +216,13 @@ fn no_valid_frame_is_a_prefix_of_another() {
     }
 }
 
+#[test]
+fn every_frame_reads_back_as_the_value_that_wrote_it() {
+    assert_each_reads_back(&requests(), write_request, read_request, &[]);
+    assert_each_reads_back(&responses(), write_response, read_response, &[]);
+    assert_each_reads_back(&store_replies(), write_store_reply, read_store_reply, &[]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -135,37 +234,30 @@ proptest! {
     }
 
     #[test]
-    fn truncated_valid_frames_never_panic_and_never_misparse(
-        frame_pick in 0usize..24,
-        cut_permille in 0usize..1000,
-    ) {
-        let frames = valid_frames();
-        let frame = &frames[frame_pick % frames.len()];
-        let cut = cut_permille * frame.len() / 1000;
-        feed_all_readers(&frame[..cut]);
-        // A truncated frame must never be accepted as the complete
-        // one it was cut from (prefix-freedom of the framing).
-        if cut < frame.len() {
-            let as_request = read_request(&mut BufReader::new(Cursor::new(&frame[..cut])));
-            let full_request = read_request(&mut BufReader::new(Cursor::new(&frame[..])));
-            if let (Ok(truncated), Ok(full)) = (as_request, full_request) {
-                prop_assert!(truncated != full, "cut at {} parsed as the full frame", cut);
-            }
+    fn truncated_valid_frames_never_panic_and_never_misparse(cut_permille in 0usize..1000) {
+        for frame in valid_frames() {
+            feed_all_readers(&frame[..cut_permille * frame.len() / 1000]);
         }
+        assert_cuts_never_misparse(&requests(), write_request, read_request, cut_permille);
+        assert_cuts_never_misparse(&responses(), write_response, read_response, cut_permille);
+        assert_cuts_never_misparse(
+            &store_replies(),
+            write_store_reply,
+            read_store_reply,
+            cut_permille,
+        );
     }
 
     #[test]
     fn flipped_bytes_never_panic_a_reader(
-        frame_pick in 0usize..24,
         flip_permille in 0usize..1000,
         xor in 1u8..=255u8,
     ) {
-        let frames = valid_frames();
-        let mut frame = frames[frame_pick % frames.len()].clone();
-        let at = flip_permille * frame.len() / 1000;
-        let at = at.min(frame.len() - 1);
-        frame[at] ^= xor;
-        feed_all_readers(&frame);
+        for mut frame in valid_frames() {
+            let at = flip_permille * frame.len() / 1000;
+            frame[at] ^= xor;
+            feed_all_readers(&frame);
+        }
     }
 
     #[test]
@@ -193,34 +285,13 @@ proptest! {
 
     #[test]
     fn valid_frames_survive_trailing_garbage(
-        frame_pick in 0usize..9,
         garbage in prop::collection::vec(0u8..=255u8, 0..=64),
     ) {
         // Frames are self-delimiting: whatever follows one must not
-        // affect its parse.
-        let requests = [
-            Request::Hello("tok".into()),
-            Request::Submit(Submission::default()),
-            Request::Submit(Submission {
-                sweep_text: Some("kind = fig8\n".into()),
-                ..Submission::default()
-            }),
-            Request::Store(StoreRequest::Get(EntryKey::new("ck", "tally", "s/0-512"))),
-            Request::Store(StoreRequest::List),
-            Request::Shutdown,
-            Request::Cancel,
-            Request::Status,
-            Request::Store(StoreRequest::Put {
-                key: EntryKey::new("ck", "raw-bin", "s/0-512"),
-                encoding: Encoding::Binary,
-                payload: b"p".to_vec(),
-            }),
-        ];
-        let request = &requests[frame_pick % requests.len()];
-        let mut bytes = Vec::new();
-        write_request(&mut bytes, request).unwrap();
-        bytes.extend_from_slice(&garbage);
-        let parsed = read_request(&mut BufReader::new(Cursor::new(&bytes))).unwrap();
-        prop_assert_eq!(&parsed, request);
+        // affect its parse. Clients read progress frames and the
+        // terminal frame back to back, so responses count too.
+        assert_each_reads_back(&requests(), write_request, read_request, &garbage);
+        assert_each_reads_back(&responses(), write_response, read_response, &garbage);
+        assert_each_reads_back(&store_replies(), write_store_reply, read_store_reply, &garbage);
     }
 }
