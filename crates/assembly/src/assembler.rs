@@ -14,18 +14,24 @@
 //! assembler therefore checks just the inter-chip couplings and the
 //! control/target triples they create, which keeps assembly linear in
 //! the number of links rather than the number of edges.
+//!
+//! Assembly runs in two halves. [`Assembler::place`] fixes every
+//! module's chip order; it never reads the link model, so one
+//! [`Placement`] serves every link ratio. [`Placement::modules`] then
+//! draws inter-chip link noise for as many of the modules as a caller
+//! reads. [`Assembler::assemble`] is the two halves over every module.
 
 use chipletqc_collision::criteria::{
     type1, type2, type3, type4, type5, type6, type7, CollisionParams,
 };
 use chipletqc_collision::frequencies::Frequencies;
 use chipletqc_math::rng::{shuffle, Seed};
-use chipletqc_math::stats::mean;
 use chipletqc_noise::assign::EdgeNoise;
 use chipletqc_noise::link::LinkModel;
 use chipletqc_topology::device::{Device, EdgeKind};
 use chipletqc_topology::mcm::McmSpec;
 use chipletqc_topology::qubit::QubitId;
+use rand::rngs::StdRng;
 
 use crate::bonding::BondParams;
 use crate::kgd::KgdBin;
@@ -104,14 +110,122 @@ impl AssemblyOutcome {
     ///
     /// Panics if `batch` is zero.
     pub fn post_assembly_yield(&self, batch: usize, bond: &BondParams) -> f64 {
-        assert!(batch > 0, "batch must be nonzero");
-        (self.chiplets_used() as f64 / batch as f64)
-            * bond.module_survival(self.link_qubits_per_mcm)
+        post_assembly_yield(self.chiplets_used(), self.link_qubits_per_mcm, batch, bond)
+    }
+}
+
+/// The one definition of post-assembly yield, `(used / batch) ·
+/// (s_l^25)^L`, behind both outcome and placement.
+fn post_assembly_yield(
+    used: usize,
+    link_qubits: usize,
+    batch: usize,
+    bond: &BondParams,
+) -> f64 {
+    assert!(batch > 0, "batch must be nonzero");
+    (used as f64 / batch as f64) * bond.module_survival(link_qubits)
+}
+
+/// The link-independent half of an assembly: every completed module's
+/// chip order, the placement counters, and the assembly stream exactly
+/// as placement left it.
+///
+/// Link noise is drawn after all placement, module by module, so a
+/// clone of the stored stream reproduces any prefix of
+/// [`Assembler::assemble`]'s modules. The fields stay private to keep
+/// the orders and the stream paired.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Placement {
+    orders: Vec<Vec<usize>>,
+    unplaced: usize,
+    timed_out_subsets: usize,
+    reshuffles: usize,
+    link_qubits_per_mcm: usize,
+    rng: StdRng,
+}
+
+impl Placement {
+    /// Completed modules.
+    pub fn len(&self) -> usize {
+        self.orders.len()
     }
 
-    /// Mean module `eavg` over all assembled modules.
-    pub fn mean_eavg(&self) -> f64 {
-        mean(&self.mcms.iter().map(|m| m.eavg).collect::<Vec<f64>>())
+    /// Whether no module was completed.
+    pub fn is_empty(&self) -> bool {
+        self.orders.is_empty()
+    }
+
+    /// Chiplets that could not be placed in any complete collision-free
+    /// module (tail remainder plus timed-out subsets).
+    pub fn unplaced(&self) -> usize {
+        self.unplaced
+    }
+
+    /// Subsets that exhausted the reshuffle budget.
+    pub fn timed_out_subsets(&self) -> usize {
+        self.timed_out_subsets
+    }
+
+    /// Total placement reshuffles performed.
+    pub fn reshuffles(&self) -> usize {
+        self.reshuffles
+    }
+
+    /// Linked qubits per module (the `L` of the bonding model).
+    pub fn link_qubits_per_mcm(&self) -> usize {
+        self.link_qubits_per_mcm
+    }
+
+    /// Chiplets consumed by completed modules.
+    pub fn chiplets_used(&self) -> usize {
+        self.orders.iter().map(Vec::len).sum()
+    }
+
+    /// Post-assembly yield (Fig. 8a), bit-equal to
+    /// [`AssemblyOutcome::post_assembly_yield`] of the full assembly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero.
+    pub fn post_assembly_yield(&self, batch: usize, bond: &BondParams) -> f64 {
+        post_assembly_yield(self.chiplets_used(), self.link_qubits_per_mcm, batch, bond)
+    }
+
+    /// The first `n` modules (all of them when `n` exceeds
+    /// [`Placement::len`]): frequencies and on-chip noise composed from
+    /// `bin`, link noise drawn from `link_model`.
+    ///
+    /// `spec` and `bin` must be the ones this placement was made from.
+    /// The draws come from a clone of the stored stream, so the result
+    /// equals the first `n` modules of [`Assembler::assemble`] with the
+    /// same inputs, whatever `n` and however often this is called.
+    pub fn modules(
+        &self,
+        spec: &McmSpec,
+        bin: &KgdBin,
+        link_model: &LinkModel,
+        n: usize,
+    ) -> Vec<AssembledMcm> {
+        let mcm_device = spec.build();
+        let chiplet_device = spec.chiplet().build();
+        let mut rng = self.rng.clone();
+        self.orders
+            .iter()
+            .take(n)
+            .map(|order| {
+                let freqs = compose_frequencies(&chiplet_device, bin, order);
+                let noise = compose_noise(
+                    &mcm_device,
+                    &chiplet_device,
+                    bin,
+                    order,
+                    link_model,
+                    &mut rng,
+                );
+                let eavg = noise.eavg();
+                AssembledMcm { freqs, noise, eavg, chip_order: order.clone() }
+            })
+            .collect()
     }
 }
 
@@ -128,7 +242,8 @@ impl Assembler {
     }
 
     /// Drains `bin` into as many complete collision-free `spec` modules
-    /// as possible.
+    /// as possible: [`Assembler::place`] followed by
+    /// [`Placement::modules`] over every module.
     ///
     /// Deterministic in `seed` (used for reshuffle order and link-noise
     /// sampling).
@@ -139,6 +254,22 @@ impl Assembler {
         link_model: &LinkModel,
         seed: Seed,
     ) -> AssemblyOutcome {
+        let placement = self.place(spec, bin, seed);
+        AssemblyOutcome {
+            mcms: placement.modules(spec, bin, link_model, placement.len()),
+            unplaced: placement.unplaced,
+            timed_out_subsets: placement.timed_out_subsets,
+            reshuffles: placement.reshuffles,
+            link_qubits_per_mcm: placement.link_qubits_per_mcm,
+        }
+    }
+
+    /// Places `bin`'s chiplets best-first into as many complete
+    /// collision-free `spec` modules as possible, reshuffling a subset's
+    /// placement up to the policy's budget. Draws no link noise.
+    ///
+    /// Deterministic in `seed` (used for reshuffle order).
+    pub fn place(&self, spec: &McmSpec, bin: &KgdBin, seed: Seed) -> Placement {
         let chips_needed = spec.num_chips();
         let mcm_device = spec.build();
         let chiplet_device = spec.chiplet().build();
@@ -149,9 +280,9 @@ impl Assembler {
         let mut timed_out_subsets = 0;
         let mut retry_pool: Vec<usize> = Vec::new();
 
-        let place = |subset: &mut Vec<usize>,
-                     rng: &mut rand::rngs::StdRng,
-                     reshuffles: &mut usize|
+        let place_subset = |subset: &mut Vec<usize>,
+                            rng: &mut StdRng,
+                            reshuffles: &mut usize|
          -> Option<Vec<usize>> {
             for attempt in 0..=self.params.max_reshuffles {
                 if attempt > 0 {
@@ -171,7 +302,7 @@ impl Assembler {
         while cursor + chips_needed <= bin.len() {
             let mut subset: Vec<usize> = (cursor..cursor + chips_needed).collect();
             cursor += chips_needed;
-            match place(&mut subset, &mut rng, &mut reshuffles) {
+            match place_subset(&mut subset, &mut rng, &mut reshuffles) {
                 Some(order) => mcms.push(order),
                 None => {
                     timed_out_subsets += 1;
@@ -191,7 +322,7 @@ impl Assembler {
             let mut subset: Vec<usize> =
                 retry_pool[retry_cursor..retry_cursor + chips_needed].to_vec();
             retry_cursor += chips_needed;
-            match place(&mut subset, &mut rng, &mut reshuffles) {
+            match place_subset(&mut subset, &mut rng, &mut reshuffles) {
                 Some(order) => mcms.push(order),
                 None => {
                     timed_out_subsets += 1;
@@ -201,31 +332,13 @@ impl Assembler {
         }
         unplaced.extend(retry_pool.drain(retry_cursor..));
 
-        // Materialize modules: compose frequencies and noise, sample
-        // link noise, compute eavg.
-        let assembled: Vec<AssembledMcm> = mcms
-            .into_iter()
-            .map(|order| {
-                let freqs = compose_frequencies(&chiplet_device, bin, &order);
-                let noise = compose_noise(
-                    &mcm_device,
-                    &chiplet_device,
-                    bin,
-                    &order,
-                    link_model,
-                    &mut rng,
-                );
-                let eavg = noise.eavg();
-                AssembledMcm { freqs, noise, eavg, chip_order: order }
-            })
-            .collect();
-
-        AssemblyOutcome {
-            mcms: assembled,
+        Placement {
+            orders: mcms,
             unplaced: unplaced.len(),
             timed_out_subsets,
             reshuffles,
             link_qubits_per_mcm: mcm_device.link_qubits().len(),
+            rng,
         }
     }
 }
@@ -255,7 +368,7 @@ fn compose_noise(
     bin: &KgdBin,
     order: &[usize],
     link_model: &LinkModel,
-    rng: &mut rand::rngs::StdRng,
+    rng: &mut StdRng,
 ) -> EdgeNoise {
     let qc = chiplet_device.num_qubits() as u32;
     let infidelities = mcm_device
@@ -317,6 +430,7 @@ fn cross_chip_collision_free(
 mod tests {
     use super::*;
     use chipletqc_collision::checker::is_collision_free;
+    use chipletqc_math::stats::mean;
     use chipletqc_noise::NoiseModel;
     use chipletqc_topology::family::ChipletSpec;
     use chipletqc_yield::fabrication::FabricationParams;

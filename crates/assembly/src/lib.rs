@@ -62,13 +62,15 @@ pub mod output_model;
 
 /// Commonly used assembly types.
 pub mod prelude {
-    pub use crate::assembler::{AssembledMcm, Assembler, AssemblyOutcome, AssemblyParams};
+    pub use crate::assembler::{
+        AssembledMcm, Assembler, AssemblyOutcome, AssemblyParams, Placement,
+    };
     pub use crate::bonding::BondParams;
     pub use crate::kgd::{CharacterizedChiplet, KgdBin};
     pub use crate::output_model::OutputModel;
 }
 
-pub use assembler::{AssembledMcm, Assembler, AssemblyOutcome, AssemblyParams};
+pub use assembler::{AssembledMcm, Assembler, AssemblyOutcome, AssemblyParams, Placement};
 pub use bonding::BondParams;
 pub use kgd::{CharacterizedChiplet, KgdBin};
 pub use output_model::OutputModel;

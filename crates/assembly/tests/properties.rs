@@ -9,6 +9,7 @@ use chipletqc_assembly::output_model::OutputModel;
 use chipletqc_collision::checker::is_collision_free;
 use chipletqc_collision::criteria::CollisionParams;
 use chipletqc_math::rng::Seed;
+use chipletqc_noise::link::{LinkModel, PAPER_CHIP_MEAN};
 use chipletqc_noise::NoiseModel;
 use chipletqc_topology::family::ChipletSpec;
 use chipletqc_topology::mcm::McmSpec;
@@ -38,7 +39,7 @@ proptest! {
         let outcome = Assembler::new(AssemblyParams::paper()).assemble(
             &spec,
             &bin,
-            &chipletqc_noise::link::LinkModel::paper(),
+            &LinkModel::paper(),
             Seed(seed + 3),
         );
         prop_assert_eq!(outcome.chiplets_used() + outcome.unplaced, bin.len());
@@ -53,6 +54,37 @@ proptest! {
         let device = spec.build();
         for mcm in outcome.mcms.iter().take(3) {
             prop_assert!(is_collision_free(&device, &mcm.freqs, &CollisionParams::paper()));
+        }
+    }
+
+    /// The two halves of assembly reproduce the whole: the first `n`
+    /// modules a placement draws are the full assembly's first `n`,
+    /// under either link model, and the placement carries the
+    /// outcome's counters and post-assembly yield.
+    #[test]
+    fn modules_are_a_prefix_of_the_assembly(k in 1usize..4, m in 1usize..4, seed in 0u64..20) {
+        let bin = make_bin(150, seed);
+        let spec = McmSpec::new(ChipletSpec::with_qubits(10).unwrap(), k, m);
+        let assembler = Assembler::new(AssemblyParams::paper());
+        let placement = assembler.place(&spec, &bin, Seed(seed + 3));
+        let len = placement.len();
+        let bond = BondParams::paper();
+        for link_model in [LinkModel::paper(), LinkModel::with_ratio(2.0, PAPER_CHIP_MEAN)] {
+            let outcome = assembler.assemble(&spec, &bin, &link_model, Seed(seed + 3));
+            prop_assert_eq!(len, outcome.mcms.len());
+            prop_assert_eq!(placement.unplaced(), outcome.unplaced);
+            prop_assert_eq!(placement.timed_out_subsets(), outcome.timed_out_subsets);
+            prop_assert_eq!(placement.reshuffles(), outcome.reshuffles);
+            prop_assert_eq!(placement.link_qubits_per_mcm(), outcome.link_qubits_per_mcm);
+            prop_assert_eq!(placement.chiplets_used(), outcome.chiplets_used());
+            prop_assert_eq!(
+                placement.post_assembly_yield(150, &bond).to_bits(),
+                outcome.post_assembly_yield(150, &bond).to_bits()
+            );
+            for n in [0, 1, len / 2, len, len + 3] {
+                let modules = placement.modules(&spec, &bin, &link_model, n);
+                prop_assert_eq!(&modules[..], &outcome.mcms[..n.min(len)]);
+            }
         }
     }
 

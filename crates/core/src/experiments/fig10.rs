@@ -258,8 +258,9 @@ pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
                 })
                 .collect()
         });
-        let outcome = lab.assemble(spec);
-        let selected = lab.selected_mcm_count(outcome.mcms.len(), mono_pop.estimate.survivors);
+        let selected =
+            lab.selected_mcm_count(lab.placement(spec).len(), mono_pop.estimate.survivors);
+        let mcms = lab.modules(spec, selected);
         let mcm_device = spec.build();
 
         let mcm_compiled = config.transpiler.transpile_many(&circuits, &mcm_device);
@@ -267,8 +268,7 @@ pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
             rows.iter_mut().zip(&mcm_compiled).zip(&*mono_esps)
         {
             let usage = edge_usage(&compiled.physical, &mcm_device);
-            let mcm_esp_log10 =
-                log10_mean_esp(outcome.mcms[..selected].iter().map(|m| &m.noise), &usage);
+            let mcm_esp_log10 = log10_mean_esp(mcms.iter().map(|m| &m.noise), &usage);
             let point_outcome = match (mcm_esp_log10, mono_esp_log10) {
                 (Some(m), Some(o)) => RatioOutcome::Finite(m - o),
                 (Some(_), None) => RatioOutcome::MonolithicImpossible,

@@ -221,12 +221,12 @@ pub fn run_in(config: &Fig8Config, hub: &CacheHub) -> Fig8Data {
         .systems
         .iter()
         .map(|spec| {
-            let outcome = lab.assemble(spec);
+            let placement = lab.placement(spec);
             let mono = lab.mono_population(spec.num_qubits());
             McmYieldPoint {
                 spec: *spec,
-                yield_fraction: outcome.post_assembly_yield(config.lab.batch, &bond),
-                yield_fraction_amplified: outcome
+                yield_fraction: placement.post_assembly_yield(config.lab.batch, &bond),
+                yield_fraction_amplified: placement
                     .post_assembly_yield(config.lab.batch, &bond_amplified),
                 mono_yield: mono.estimate.fraction(),
             }

@@ -3,11 +3,14 @@
 //! Every architecture comparison in the paper (Figs. 8–10) consumes the
 //! same intermediate products: a collision-free KGD-characterized
 //! chiplet bin per chiplet size, a collision-free noise-assigned
-//! monolithic population per system size, and a best-first MCM assembly
-//! per configuration. [`Lab`] computes these once per configuration and
-//! caches them, and [`Lab::with_link_ratio`] creates sibling labs that
-//! share the link-independent caches — the Fig. 9 ratio sweep reuses
-//! all fabrication work across its four panels.
+//! monolithic population per system size, and a best-first MCM
+//! placement per configuration. [`Lab`] computes these once per
+//! configuration and caches them, and [`Lab::with_link_ratio`] creates
+//! sibling labs that share them — the Fig. 9 ratio sweep reuses all
+//! fabrication and placement work across its four panels. Module link
+//! noise depends on the link ratio, so it is never cached: each
+//! comparison draws it ([`Lab::modules`]) only for the modules it
+//! averages, and drops them once the system is scored.
 //!
 //! ## Thread-safe sharing (the engine contract)
 //!
@@ -39,7 +42,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use chipletqc_assembly::assembler::{Assembler, AssemblyOutcome, AssemblyParams};
+use chipletqc_assembly::assembler::{
+    AssembledMcm, Assembler, AssemblyOutcome, AssemblyParams, Placement,
+};
 use chipletqc_assembly::kgd::KgdBin;
 use chipletqc_collision::criteria::CollisionParams;
 use chipletqc_collision::frequencies::Frequencies;
@@ -223,6 +228,8 @@ fn slot<K: Ord + Clone, T>(map: &Mutex<BTreeMap<K, Slot<T>>>, key: &K) -> Slot<T
 /// Link-independent caches shared between sibling labs (and, through a
 /// [`CacheHub`], between labs of concurrent scenarios).
 ///
+/// Placements are kept in memory only; the store never sees them.
+///
 /// When a persistent [`Store`] is attached (via
 /// [`CacheHub::with_store`]), it sits *under* these caches as a
 /// read-through/write-behind layer: each per-entry `OnceLock` init
@@ -234,9 +241,30 @@ fn slot<K: Ord + Clone, T>(map: &Mutex<BTreeMap<K, Slot<T>>>, key: &K) -> Slot<T
 struct SharedCaches {
     chiplet_bins: Mutex<BTreeMap<usize, Slot<KgdBin>>>,
     mono_pops: Mutex<BTreeMap<usize, Slot<MonoPopulation>>>,
+    placements: Mutex<BTreeMap<PlacementKey, Slot<Placement>>>,
     chiplet_fabrications: AtomicUsize,
     mono_fabrications: AtomicUsize,
     store: Option<Arc<Store>>,
+}
+
+/// What a placement reads beyond the cache key its [`SharedCaches`]
+/// already holds: the assembly policy and the module's shape.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct PlacementKey {
+    /// [`AssemblyParams`] formatted with `{:?}`, as
+    /// [`LabConfig::cache_key`] formats its models.
+    assembly: String,
+    /// Chiplet qubits, grid rows and grid columns.
+    shape: (usize, usize, usize),
+}
+
+impl PlacementKey {
+    fn new(assembly: &AssemblyParams, spec: &McmSpec) -> PlacementKey {
+        PlacementKey {
+            assembly: format!("{assembly:?}"),
+            shape: (spec.chiplet().num_qubits(), spec.grid_rows(), spec.grid_cols()),
+        }
+    }
 }
 
 impl SharedCaches {
@@ -418,7 +446,6 @@ pub struct Lab {
     config: LabConfig,
     noise: NoiseModel,
     shared: Arc<SharedCaches>,
-    assemblies: Mutex<BTreeMap<(usize, usize, usize), Slot<AssemblyOutcome>>>,
 }
 
 impl Lab {
@@ -439,21 +466,17 @@ impl Lab {
             None => NoiseModel::paper(calib_seed),
             Some(ratio) => NoiseModel::with_link_ratio(calib_seed, ratio),
         };
-        Lab { config, noise, shared, assemblies: Mutex::new(BTreeMap::new()) }
+        Lab { config, noise, shared }
     }
 
     /// A sibling lab with a different `e_link/e_chip` ratio, sharing
-    /// the fabrication and characterization caches (the Fig. 9 sweep).
+    /// the fabrication, characterization and placement caches (the
+    /// Fig. 9 sweep); only the link noise it draws differs.
     pub fn with_link_ratio(&self, ratio: f64) -> Lab {
         let config = LabConfig { link_ratio: Some(ratio), ..self.config };
         let noise =
             NoiseModel::with_link_ratio(self.config.seed.split_str("calibration"), ratio);
-        Lab {
-            config,
-            noise,
-            shared: Arc::clone(&self.shared),
-            assemblies: Mutex::new(BTreeMap::new()),
-        }
+        Lab { config, noise, shared: Arc::clone(&self.shared) }
     }
 
     /// The configuration.
@@ -584,25 +607,51 @@ impl Lab {
         }))
     }
 
-    /// The best-first assembly of `spec` from its chiplet bin (cached
-    /// per lab, since module link noise depends on the link ratio).
-    pub fn assemble(&self, spec: &McmSpec) -> Arc<AssemblyOutcome> {
-        let key = (spec.chiplet().num_qubits(), spec.grid_rows(), spec.grid_cols());
-        let cell = slot(&self.assemblies, &key);
+    /// The best-first placement of `spec` from its chiplet bin (cached;
+    /// computed at most once across all sharing labs, whatever their
+    /// link ratio).
+    pub fn placement(&self, spec: &McmSpec) -> Arc<Placement> {
+        let key = PlacementKey::new(&self.config.assembly, spec);
+        let cell = slot(&self.shared.placements, &key);
         Arc::clone(cell.get_or_init(|| {
             let bin = self.chiplet_bin(spec.chiplet());
-            Arc::new(
-                Assembler::new(self.config.assembly).assemble(
-                    spec,
-                    &bin,
-                    self.noise.link_model(),
-                    self.config
-                        .seed
-                        .split_str("assemble")
-                        .split((key.0 * 1_000_000 + key.1 * 1000 + key.2) as u64),
-                ),
-            )
+            Arc::new(Assembler::new(self.config.assembly).place(
+                spec,
+                &bin,
+                self.assembly_seed(spec),
+            ))
         }))
+    }
+
+    /// The first `n` modules of `spec`'s placement, with link noise
+    /// drawn from this lab's link model (not cached: equal to the first
+    /// `n` modules of [`Lab::assemble`]).
+    pub fn modules(&self, spec: &McmSpec, n: usize) -> Vec<AssembledMcm> {
+        let bin = self.chiplet_bin(spec.chiplet());
+        self.placement(spec).modules(spec, &bin, self.noise.link_model(), n)
+    }
+
+    /// The full best-first assembly of `spec` from its chiplet bin: a
+    /// fresh placement plus every module's link noise. Not cached; the
+    /// figures read [`Lab::placement`] and [`Lab::modules`] instead.
+    pub fn assemble(&self, spec: &McmSpec) -> Arc<AssemblyOutcome> {
+        let bin = self.chiplet_bin(spec.chiplet());
+        Arc::new(Assembler::new(self.config.assembly).assemble(
+            spec,
+            &bin,
+            self.noise.link_model(),
+            self.assembly_seed(spec),
+        ))
+    }
+
+    /// The assembly stream's seed for `spec`.
+    fn assembly_seed(&self, spec: &McmSpec) -> Seed {
+        let (chiplet, rows, cols) =
+            (spec.chiplet().num_qubits(), spec.grid_rows(), spec.grid_cols());
+        self.config
+            .seed
+            .split_str("assemble")
+            .split((chiplet * 1_000_000 + rows * 1000 + cols) as u64)
     }
 
     /// The number of modules selected for comparison under the
@@ -625,10 +674,10 @@ impl Lab {
     /// configuration.
     pub fn compare(&self, spec: &McmSpec) -> SystemComparison {
         let mono = self.mono_population(spec.num_qubits());
-        let outcome = self.assemble(spec);
-        let selected = self.selected_mcm_count(outcome.mcms.len(), mono.estimate.survivors);
+        let assembled = self.placement(spec).len();
+        let selected = self.selected_mcm_count(assembled, mono.estimate.survivors);
         let eavg_mcm = (selected > 0).then(|| {
-            mean(&outcome.mcms[..selected].iter().map(|m| m.eavg).collect::<Vec<f64>>())
+            mean(&self.modules(spec, selected).iter().map(|m| m.eavg).collect::<Vec<f64>>())
         });
         let eavg_mono = mono.mean_eavg();
         let eavg_ratio = match (eavg_mcm, eavg_mono) {
@@ -638,7 +687,7 @@ impl Lab {
         SystemComparison {
             spec: *spec,
             mono_yield: mono.estimate,
-            mcm_assembled: outcome.mcms.len(),
+            mcm_assembled: assembled,
             mcm_population: selected,
             mono_population: mono.estimate.survivors,
             eavg_mcm,
@@ -688,6 +737,7 @@ impl std::fmt::Display for SystemComparison {
 mod tests {
     use super::*;
     use chipletqc_noise::link::PAPER_CHIP_MEAN;
+    use chipletqc_topology::device::EdgeKind;
 
     fn quick_lab() -> Lab {
         Lab::new(LabConfig::quick())
@@ -704,13 +754,62 @@ mod tests {
         let q = lab.mono_population(40);
         assert!(Arc::ptr_eq(&p, &q));
         let spec = McmSpec::new(chiplet, 2, 2);
-        let x = lab.assemble(&spec);
-        let y = lab.assemble(&spec);
+        let x = lab.placement(&spec);
+        let y = lab.placement(&spec);
         assert!(Arc::ptr_eq(&x, &y));
+        // Full assemblies are not cached, but they are reproducible.
+        assert_eq!(lab.assemble(&spec), lab.assemble(&spec));
         assert_eq!(
             lab.fabrication_stats(),
             FabricationStats { chiplet_fabrications: 1, mono_fabrications: 1 }
         );
+    }
+
+    #[test]
+    fn placements_are_shared_across_link_ratios_not_assembly_policies() {
+        let hub = CacheHub::new();
+        let spec = McmSpec::new(ChipletSpec::with_qubits(10).unwrap(), 2, 2);
+        let gold = Lab::new_in(LabConfig::quick(), &hub);
+        let equal =
+            Lab::new_in(LabConfig { link_ratio: Some(1.0), ..LabConfig::quick() }, &hub);
+        let placement = gold.placement(&spec);
+        assert!(Arc::ptr_eq(&placement, &equal.placement(&spec)));
+        assert!(Arc::ptr_eq(&placement, &gold.with_link_ratio(2.0).placement(&spec)));
+
+        // One placement, two link models: the modules share chip order
+        // and on-chip noise, and only the link noise differs.
+        let n = placement.len();
+        assert!(n > 0);
+        let (a, b) = (gold.modules(&spec, n), equal.modules(&spec, n));
+        assert_eq!(a, gold.assemble(&spec).mcms);
+        assert_eq!(b, equal.assemble(&spec).mcms);
+        let device = spec.build();
+        for (ma, mb) in a.iter().zip(&b) {
+            assert_eq!(ma.chip_order, mb.chip_order);
+            assert_eq!(ma.freqs, mb.freqs);
+            for e in device.edges() {
+                let (ea, eb) = (ma.noise.infidelity(e.id), mb.noise.infidelity(e.id));
+                match e.kind {
+                    EdgeKind::OnChip => assert_eq!(ea.to_bits(), eb.to_bits()),
+                    EdgeKind::InterChip => assert_ne!(ea.to_bits(), eb.to_bits()),
+                }
+            }
+        }
+
+        // Placement reads the assembly policy, so a different reshuffle
+        // budget gets a placement of its own.
+        let strict = Lab::new_in(
+            LabConfig {
+                assembly: AssemblyParams { max_reshuffles: 0, ..AssemblyParams::paper() },
+                ..LabConfig::quick()
+            },
+            &hub,
+        );
+        let own = strict.placement(&spec);
+        assert!(!Arc::ptr_eq(&placement, &own));
+        assert_eq!(own.reshuffles(), 0);
+        assert!(placement.reshuffles() > 0, "the paper policy reshuffles at this size");
+        assert_eq!(hub.fabrication_stats().chiplet_fabrications, 1);
     }
 
     #[test]

@@ -52,8 +52,8 @@ fn main() {
         }
         let (k, m) = most_square_dims(chips);
         let spec = McmSpec::new(chiplet, k, m);
-        let outcome = lab.assemble(&spec);
-        let mcm_yield = outcome.post_assembly_yield(batch, &lab.config().assembly.bond);
+        let mcm_yield =
+            lab.placement(&spec).post_assembly_yield(batch, &lab.config().assembly.bond);
         let cmp = lab.compare(&spec);
         let gain =
             (mono.estimate.fraction() > 0.0).then(|| mcm_yield / mono.estimate.fraction());
