@@ -206,26 +206,8 @@ impl Placement {
         link_model: &LinkModel,
         n: usize,
     ) -> Vec<AssembledMcm> {
-        let mcm_device = spec.build();
-        let chiplet_device = spec.chiplet().build();
-        let mut rng = self.rng.clone();
-        self.orders
-            .iter()
-            .take(n)
-            .map(|order| {
-                let freqs = compose_frequencies(&chiplet_device, bin, order);
-                let noise = compose_noise(
-                    &mcm_device,
-                    &chiplet_device,
-                    bin,
-                    order,
-                    link_model,
-                    &mut rng,
-                );
-                let eavg = noise.eavg();
-                AssembledMcm { freqs, noise, eavg, chip_order: order.clone() }
-            })
-            .collect()
+        let orders = &self.orders[..n.min(self.orders.len())];
+        compose_modules(spec, bin, orders, link_model, &mut self.rng.clone())
     }
 }
 
@@ -242,8 +224,9 @@ impl Assembler {
     }
 
     /// Drains `bin` into as many complete collision-free `spec` modules
-    /// as possible: [`Assembler::place`] followed by
-    /// [`Placement::modules`] over every module.
+    /// as possible: [`Assembler::place`], then every module's link noise
+    /// drawn from the stream placement left (what
+    /// [`Placement::modules`] repeats for any prefix).
     ///
     /// Deterministic in `seed` (used for reshuffle order and link-noise
     /// sampling).
@@ -254,13 +237,20 @@ impl Assembler {
         link_model: &LinkModel,
         seed: Seed,
     ) -> AssemblyOutcome {
-        let placement = self.place(spec, bin, seed);
+        let Placement {
+            orders,
+            unplaced,
+            timed_out_subsets,
+            reshuffles,
+            link_qubits_per_mcm,
+            mut rng,
+        } = self.place(spec, bin, seed);
         AssemblyOutcome {
-            mcms: placement.modules(spec, bin, link_model, placement.len()),
-            unplaced: placement.unplaced,
-            timed_out_subsets: placement.timed_out_subsets,
-            reshuffles: placement.reshuffles,
-            link_qubits_per_mcm: placement.link_qubits_per_mcm,
+            mcms: compose_modules(spec, bin, &orders, link_model, &mut rng),
+            unplaced,
+            timed_out_subsets,
+            reshuffles,
+            link_qubits_per_mcm,
         }
     }
 
@@ -341,6 +331,30 @@ impl Assembler {
             rng,
         }
     }
+}
+
+/// Materializes placed modules in order: frequencies and on-chip noise
+/// composed from `bin`, then each module's link noise drawn from `rng`,
+/// one module after the other.
+fn compose_modules(
+    spec: &McmSpec,
+    bin: &KgdBin,
+    orders: &[Vec<usize>],
+    link_model: &LinkModel,
+    rng: &mut StdRng,
+) -> Vec<AssembledMcm> {
+    let mcm_device = spec.build();
+    let chiplet_device = spec.chiplet().build();
+    orders
+        .iter()
+        .map(|order| {
+            let freqs = compose_frequencies(&chiplet_device, bin, order);
+            let noise =
+                compose_noise(&mcm_device, &chiplet_device, bin, order, link_model, rng);
+            let eavg = noise.eavg();
+            AssembledMcm { freqs, noise, eavg, chip_order: order.clone() }
+        })
+        .collect()
 }
 
 /// Concatenates the chiplets' fabricated frequencies into the MCM's
