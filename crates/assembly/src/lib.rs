@@ -8,10 +8,12 @@
 //! 2. **KGD characterization** ([`kgd`]): assign every surviving chiplet
 //!    its measured per-edge CX infidelity and rank the bin by average
 //!    error, best first — the quantum analogue of speed binning;
-//! 3. **assembly** ([`assembler`]): stitch MCMs best-chiplet-first; if
+//! 3. **assembly** ([`assembler`]): place MCMs best-chiplet-first; if
 //!    an inter-chiplet frequency collision appears, reshuffle chip
 //!    placement (up to 100 reconfigurations) before setting the subset
-//!    aside; sample inter-chip link noise for every completed module;
+//!    aside. The [`Placement`] is link-independent; inter-chip link
+//!    noise is sampled afterwards, for as many completed modules as
+//!    a caller reads ([`Placement::modules`]);
 //! 4. **bonding** ([`bonding`]): C4 bump-bond success modeling
 //!    (`s_l = 99.999960642 %` per bump, 25 bumps per linked qubit) for
 //!    post-assembly yield, including the paper's 100× failure
