@@ -20,7 +20,8 @@
 //! *independently constructed* labs: every lab created through
 //! [`Lab::new_in`] with an equivalent cache-relevant configuration
 //! (batch, fabrication, collision thresholds, root seed) reuses the
-//! same fabrication and characterization products, and each product is
+//! same fabrication and characterization products, and the same
+//! placements under the same assembly policy; each product is
 //! computed exactly once even when scenarios race for it (per-entry
 //! [`OnceLock`] initialization). Cached values are pure functions of
 //! the configuration, never of thread timing, so results remain
