@@ -365,11 +365,8 @@ fn compose_frequencies(chiplet_device: &Device, bin: &KgdBin, order: &[usize]) -
     let mut alphas = Vec::with_capacity(order.len() * qc);
     for &idx in order {
         let chip = &bin.chiplets()[idx];
-        for q in 0..qc {
-            let qid = QubitId(q as u32);
-            freqs.push(chip.freqs.freq(qid));
-            alphas.push(chip.freqs.alpha(qid));
-        }
+        freqs.extend_from_slice(&chip.freqs.as_slice()[..qc]);
+        alphas.extend_from_slice(&chip.freqs.alphas()[..qc]);
     }
     Frequencies::new(freqs, alphas).expect("bin members are finite")
 }
