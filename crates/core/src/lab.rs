@@ -744,6 +744,23 @@ mod tests {
         Lab::new(LabConfig::quick())
     }
 
+    /// Every store entry is keyed by one of these strings, and they
+    /// print the model structs with `{:?}`: a change to a model
+    /// struct's `Debug` output (a field added, renamed or removed)
+    /// silently re-keys the whole store. This pin makes a re-key show
+    /// in the diff.
+    #[test]
+    fn store_keys_are_pinned() {
+        use crate::experiments::output_gain::OutputGainConfig;
+        let models = "fFabricationParams { plan: FrequencyPlan { f0: 5.0, step01: 0.06, \
+                      step12: 0.06, anharmonicity: -0.33 }, sigma_f: 0.014, sigma_alpha: 0.0 }\
+                      |cCollisionParams { t1: 0.017, t2: 0.004, t3: 0.03, t5: 0.017, \
+                      t6: 0.025, t7: 0.017, enforce_straddling: true }";
+        assert_eq!(LabConfig::paper().cache_key(), format!("b10000|s2022|{models}"));
+        assert_eq!(LabConfig::paper().trial_key(), format!("s2022|{models}"));
+        assert_eq!(OutputGainConfig::paper().trial_key(), format!("s57|{models}"));
+    }
+
     #[test]
     fn caches_return_identical_objects() {
         let lab = quick_lab();
