@@ -67,7 +67,7 @@ impl OutputGainConfig {
     /// named by the per-call `stream` label, the trial range by the
     /// store's canonical chunks.
     pub fn trial_key(&self) -> String {
-        format!("s{}|f{:?}|c{:?}", self.seed.0, self.fabrication, self.collision)
+        crate::lab::trial_key(self.seed, &self.fabrication, &self.collision)
     }
 }
 

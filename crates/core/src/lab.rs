@@ -138,10 +138,7 @@ impl LabConfig {
     /// keyed by `(cache_key, product, size)` can be reused safely
     /// (ROADMAP: cross-process result caching).
     pub fn cache_key(&self) -> String {
-        format!(
-            "b{}|s{}|f{:?}|c{:?}",
-            self.batch, self.seed.0, self.fabrication, self.collision
-        )
+        format!("b{}|{}", self.batch, self.trial_key())
     }
 
     /// The *batch-independent* part of [`LabConfig::cache_key`]: what
@@ -151,8 +148,19 @@ impl LabConfig {
     /// entries, so runs with different batch sizes still share every
     /// canonical chunk they have in common.
     pub fn trial_key(&self) -> String {
-        format!("s{}|f{:?}|c{:?}", self.seed.0, self.fabrication, self.collision)
+        trial_key(self.seed, &self.fabrication, &self.collision)
     }
+}
+
+/// The one format of every store key's model part: the root seed, then
+/// the fabrication model and the collision thresholds as their `Debug`
+/// output (pinned by `store_keys_are_pinned`).
+pub(crate) fn trial_key(
+    seed: Seed,
+    fabrication: &FabricationParams,
+    collision: &CollisionParams,
+) -> String {
+    format!("s{}|f{:?}|c{:?}", seed.0, fabrication, collision)
 }
 
 impl Default for LabConfig {
