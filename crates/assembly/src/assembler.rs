@@ -358,17 +358,17 @@ fn compose_modules(
 }
 
 /// Concatenates the chiplets' fabricated frequencies into the MCM's
-/// chip-major qubit order.
+/// chip-major qubit order. The module takes its chiplets' α: every
+/// chiplet of a bin is fabricated under one plan, and a stored bin is
+/// keyed by that plan, so they all share it.
 fn compose_frequencies(chiplet_device: &Device, bin: &KgdBin, order: &[usize]) -> Frequencies {
     let qc = chiplet_device.num_qubits();
     let mut freqs = Vec::with_capacity(order.len() * qc);
-    let mut alphas = Vec::with_capacity(order.len() * qc);
     for &idx in order {
-        let chip = &bin.chiplets()[idx];
-        freqs.extend_from_slice(&chip.freqs.as_slice()[..qc]);
-        alphas.extend_from_slice(&chip.freqs.alphas()[..qc]);
+        freqs.extend_from_slice(&bin.chiplets()[idx].freqs.as_slice()[..qc]);
     }
-    Frequencies::new(freqs, alphas).expect("bin members are finite")
+    let alpha = bin.chiplets()[order[0]].freqs.alpha(QubitId(0));
+    Frequencies::with_uniform_alpha(freqs, alpha).expect("bin members are finite")
 }
 
 /// Builds the module's edge noise: on-chip edges inherit the owning

@@ -11,8 +11,8 @@
 //!   drawn, qubit by qubit, and stops at the first collision;
 //! * [`is_collision_free`] is the full-assignment predicate: the same
 //!   verdict over an assignment that is already drawn, with an early
-//!   exit (the yield loop's `sigma_alpha != 0` path, the property tests'
-//!   oracle and the benchmark's `collision.check_us`);
+//!   exit (the property tests' oracle and the benchmark's
+//!   `collision.check_us`);
 //! * [`find_collisions`] lists every collision, for reports and the
 //!   per-type analysis.
 

@@ -1,33 +1,28 @@
 //! Fabricated frequency assignments.
 //!
 //! A [`Frequencies`] value is the *outcome of fabrication* for one
-//! device: the actual operating frequency `f_i` and anharmonicity `α_i`
-//! of every qubit. The yield crate produces these by sampling around a
-//! device's ideal plan; [`Frequencies::ideal`] produces the zero-variation
-//! reference assignment.
+//! device: the actual operating frequency `f_i` of every qubit, plus the
+//! anharmonicity α they all share (the paper fixes it at −0.330 GHz).
+//! The yield crate produces these by sampling around a device's ideal
+//! plan; [`Frequencies::ideal`] produces the zero-variation reference
+//! assignment.
 
 use chipletqc_math::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use chipletqc_topology::device::Device;
 use chipletqc_topology::plan::FrequencyPlan;
 use chipletqc_topology::qubit::QubitId;
 
-/// Per-qubit fabricated frequencies and anharmonicities (GHz).
+/// Per-qubit fabricated frequencies plus the one anharmonicity every
+/// qubit shares (GHz).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frequencies {
     freqs: Vec<f64>,
-    alphas: Vec<f64>,
+    alpha: f64,
 }
 
 /// Error constructing a [`Frequencies`] assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrequenciesError {
-    /// Frequency and anharmonicity vectors disagree in length.
-    LengthMismatch {
-        /// Number of frequencies supplied.
-        freqs: usize,
-        /// Number of anharmonicities supplied.
-        alphas: usize,
-    },
     /// A value was NaN or infinite.
     NonFinite,
 }
@@ -35,9 +30,6 @@ pub enum FrequenciesError {
 impl std::fmt::Display for FrequenciesError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrequenciesError::LengthMismatch { freqs, alphas } => {
-                write!(f, "{freqs} frequencies but {alphas} anharmonicities")
-            }
             FrequenciesError::NonFinite => write!(f, "frequencies must be finite"),
         }
     }
@@ -46,46 +38,27 @@ impl std::fmt::Display for FrequenciesError {
 impl std::error::Error for FrequenciesError {}
 
 impl Frequencies {
-    /// Creates an assignment from per-qubit frequencies and
-    /// anharmonicities.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the vectors differ in length or contain
-    /// non-finite values.
-    pub fn new(freqs: Vec<f64>, alphas: Vec<f64>) -> Result<Frequencies, FrequenciesError> {
-        if freqs.len() != alphas.len() {
-            return Err(FrequenciesError::LengthMismatch {
-                freqs: freqs.len(),
-                alphas: alphas.len(),
-            });
-        }
-        if freqs.iter().chain(alphas.iter()).any(|x| !x.is_finite()) {
-            return Err(FrequenciesError::NonFinite);
-        }
-        Ok(Frequencies { freqs, alphas })
-    }
-
     /// Creates an assignment with one shared anharmonicity (the paper
     /// fixes `α = −0.330 GHz` for all qubits).
     ///
     /// # Errors
     ///
-    /// Returns an error on non-finite inputs.
+    /// Returns an error if a frequency or `alpha` is not finite.
     pub fn with_uniform_alpha(
         freqs: Vec<f64>,
         alpha: f64,
     ) -> Result<Frequencies, FrequenciesError> {
-        let n = freqs.len();
-        Frequencies::new(freqs, vec![alpha; n])
+        if !alpha.is_finite() || freqs.iter().any(|x| !x.is_finite()) {
+            return Err(FrequenciesError::NonFinite);
+        }
+        Ok(Frequencies { freqs, alpha })
     }
 
     /// The ideal (zero fabrication variation) assignment of `device`
     /// under `plan`: every qubit sits exactly on its class frequency.
     pub fn ideal(device: &Device, plan: &FrequencyPlan) -> Frequencies {
         let freqs = device.qubits().map(|q| plan.ideal(device.class(q))).collect();
-        let n = device.num_qubits();
-        Frequencies { freqs, alphas: vec![plan.anharmonicity(); n] }
+        Frequencies { freqs, alpha: plan.anharmonicity() }
     }
 
     /// The fabricated frequency of `q` in GHz.
@@ -104,9 +77,10 @@ impl Frequencies {
         self.freqs[q.index()] = f;
     }
 
-    /// The anharmonicity of `q` in GHz (negative).
-    pub fn alpha(&self, q: QubitId) -> f64 {
-        self.alphas[q.index()]
+    /// The anharmonicity of `q` in GHz (negative): the one α every
+    /// qubit shares.
+    pub fn alpha(&self, _q: QubitId) -> f64 {
+        self.alpha
     }
 
     /// Number of qubits covered.
@@ -129,27 +103,23 @@ impl Frequencies {
     pub fn as_slice(&self) -> &[f64] {
         &self.freqs
     }
-
-    /// All anharmonicities as a slice (qubit-id order).
-    pub fn alphas(&self) -> &[f64] {
-        &self.alphas
-    }
 }
 
-/// Binary persistence for the result store: frequencies then
-/// anharmonicities, each as a length-prefixed `f64` slice. Decoding
-/// re-validates through [`Frequencies::new`], so a corrupted entry
-/// (length mismatch, non-finite bits) is an error, never a bad value.
+/// Binary persistence for the result store: the frequencies as a
+/// length-prefixed `f64` slice, then the shared anharmonicity. Decoding
+/// re-validates through [`Frequencies::with_uniform_alpha`], so a
+/// corrupted entry (non-finite bits) is an error, never a bad value.
 impl Codec for Frequencies {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_f64_slice(&self.freqs);
-        w.put_f64_slice(&self.alphas);
+        w.put_f64(self.alpha);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Frequencies, CodecError> {
         let freqs = r.get_f64_vec()?;
-        let alphas = r.get_f64_vec()?;
-        Frequencies::new(freqs, alphas).map_err(|e| CodecError::Invalid(e.to_string()))
+        let alpha = r.get_f64()?;
+        Frequencies::with_uniform_alpha(freqs, alpha)
+            .map_err(|e| CodecError::Invalid(e.to_string()))
     }
 }
 
@@ -158,14 +128,6 @@ mod tests {
     use super::*;
     use chipletqc_topology::family::ChipletSpec;
     use chipletqc_topology::qubit::FrequencyClass;
-
-    #[test]
-    fn rejects_mismatched_lengths() {
-        assert_eq!(
-            Frequencies::new(vec![5.0, 5.06], vec![-0.33]).unwrap_err(),
-            FrequenciesError::LengthMismatch { freqs: 2, alphas: 1 }
-        );
-    }
 
     #[test]
     fn rejects_non_finite() {
@@ -204,7 +166,7 @@ mod tests {
     fn accessors() {
         let freqs = Frequencies::with_uniform_alpha(vec![5.0, 5.06], -0.3).unwrap();
         assert_eq!(freqs.as_slice(), &[5.0, 5.06]);
-        assert_eq!(freqs.alphas(), &[-0.3, -0.3]);
+        assert_eq!(freqs.alpha(QubitId(1)), -0.3);
         assert!(!freqs.is_empty());
         assert!(Frequencies::with_uniform_alpha(vec![], -0.3).unwrap().is_empty());
     }
@@ -213,14 +175,16 @@ mod tests {
     fn codec_round_trips_and_rejects_corruption() {
         use chipletqc_math::codec::{decode_from_slice, encode_to_vec};
         let freqs =
-            Frequencies::new(vec![5.0, 5.061234567891234], vec![-0.33, -0.331]).unwrap();
+            Frequencies::with_uniform_alpha(vec![5.0, 5.061234567891234], -0.331).unwrap();
         let bytes = encode_to_vec(&freqs);
         assert_eq!(decode_from_slice::<Frequencies>(&bytes).unwrap(), freqs);
         // Truncation is an error.
         assert!(decode_from_slice::<Frequencies>(&bytes[..bytes.len() - 1]).is_err());
-        // A NaN bit pattern fails validation.
-        let mut bad = bytes.clone();
-        bad[8..16].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert!(decode_from_slice::<Frequencies>(&bad).is_err());
+        // A NaN bit pattern fails validation, in a frequency or in α.
+        for at in [8, bytes.len() - 8] {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+            assert!(decode_from_slice::<Frequencies>(&bad).is_err(), "NaN at byte {at}");
+        }
     }
 }

@@ -760,8 +760,8 @@ mod tests {
     #[test]
     fn store_keys_are_pinned() {
         use crate::experiments::output_gain::OutputGainConfig;
-        let models = "fFabricationParams { plan: FrequencyPlan { f0: 5.0, step01: 0.06, \
-                      step12: 0.06, anharmonicity: -0.33 }, sigma_f: 0.014, sigma_alpha: 0.0 }\
+        let models = "fFabricationParams { plan: FrequencyPlan { f0: 5.0, step: 0.06, \
+                      anharmonicity: -0.33 }, sigma_f: 0.014 }\
                       |cCollisionParams { t1: 0.017, t2: 0.004, t3: 0.03, t5: 0.017, \
                       t6: 0.025, t7: 0.017, enforce_straddling: true }";
         assert_eq!(LabConfig::paper().cache_key(), format!("b10000|s2022|{models}"));

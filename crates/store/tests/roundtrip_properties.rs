@@ -16,21 +16,15 @@ use chipletqc_store::products::{
 };
 use chipletqc_yield::monte_carlo::{TrialRange, YieldEstimate};
 
-/// Frequencies from raw per-qubit values (pinned finite by the ranges).
-fn frequencies(freqs: Vec<f64>, alphas: Vec<f64>) -> Frequencies {
-    let n = freqs.len().min(alphas.len());
-    Frequencies::new(freqs[..n].to_vec(), alphas[..n].to_vec()).expect("finite inputs")
-}
-
 proptest! {
     /// `Frequencies` round-trips bit-exactly (including values with no
     /// short decimal representation).
     #[test]
     fn frequencies_round_trip(
         freqs in prop::collection::vec(4.0f64..6.0, 0..40),
-        alphas in prop::collection::vec(-0.4f64..-0.2, 0..40),
+        alpha in -0.4f64..-0.2,
     ) {
-        let value = frequencies(freqs, alphas);
+        let value = Frequencies::with_uniform_alpha(freqs, alpha).expect("finite inputs");
         let bytes = encode_to_vec(&value);
         let decoded: Frequencies = decode_from_slice(&bytes).unwrap();
         prop_assert_eq!(decoded, value);

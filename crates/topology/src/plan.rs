@@ -8,11 +8,8 @@
 
 use crate::qubit::FrequencyClass;
 
-/// An ideal three-frequency plan plus anharmonicity, in GHz.
-///
-/// The paper assumes a *uniform* step between `F0`, `F1`, and `F2` and
-/// names unequal steps as future work; [`FrequencyPlan::with_steps`]
-/// implements that exploration (DESIGN.md §9).
+/// An ideal three-frequency plan plus anharmonicity, in GHz: `F0`, one
+/// uniform step between `F0`, `F1` and `F2`, and the shared α.
 ///
 /// # Example
 ///
@@ -28,8 +25,7 @@ use crate::qubit::FrequencyClass;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrequencyPlan {
     f0: f64,
-    step01: f64,
-    step12: f64,
+    step: f64,
     anharmonicity: f64,
 }
 
@@ -37,7 +33,7 @@ impl FrequencyPlan {
     /// The paper's operating point: `F0 = 5.0 GHz`, step `0.06 GHz`
     /// (the Fig. 4 optimum), `α = −0.330 GHz`.
     pub fn state_of_the_art() -> FrequencyPlan {
-        FrequencyPlan { f0: 5.0, step01: 0.06, step12: 0.06, anharmonicity: -0.330 }
+        FrequencyPlan { f0: 5.0, step: 0.06, anharmonicity: -0.330 }
     }
 
     /// A plan with a custom uniform step (GHz), keeping the paper's
@@ -48,37 +44,7 @@ impl FrequencyPlan {
     /// Panics unless `step` is finite and positive.
     pub fn with_step(step: f64) -> FrequencyPlan {
         assert!(step.is_finite() && step > 0.0, "step must be positive, got {step}");
-        FrequencyPlan { step01: step, step12: step, ..FrequencyPlan::state_of_the_art() }
-    }
-
-    /// A plan with *unequal* steps: `F1 = F0 + step01`,
-    /// `F2 = F1 + step12` (extension; the paper assumes equal steps
-    /// "as done in prior work" and calls varying them future work).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both steps are finite and positive.
-    pub fn with_steps(step01: f64, step12: f64) -> FrequencyPlan {
-        assert!(step01.is_finite() && step01 > 0.0, "step01 must be positive, got {step01}");
-        assert!(step12.is_finite() && step12 > 0.0, "step12 must be positive, got {step12}");
-        FrequencyPlan { step01, step12, ..FrequencyPlan::state_of_the_art() }
-    }
-
-    /// A fully custom plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `f0` and `anharmonicity` are finite, `step` is
-    /// finite and positive, and `anharmonicity` is negative (transmons
-    /// have negative anharmonicity; the collision criteria assume it).
-    pub fn custom(f0: f64, step: f64, anharmonicity: f64) -> FrequencyPlan {
-        assert!(f0.is_finite(), "f0 must be finite");
-        assert!(step.is_finite() && step > 0.0, "step must be positive, got {step}");
-        assert!(
-            anharmonicity.is_finite() && anharmonicity < 0.0,
-            "anharmonicity must be negative, got {anharmonicity}"
-        );
-        FrequencyPlan { f0, step01: step, step12: step, anharmonicity }
+        FrequencyPlan { step, ..FrequencyPlan::state_of_the_art() }
     }
 
     /// The base frequency `F0` in GHz.
@@ -87,29 +53,8 @@ impl FrequencyPlan {
     }
 
     /// The uniform step between ideal frequencies in GHz.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unequal-step plan; use [`FrequencyPlan::steps`]
-    /// there.
     pub fn step(&self) -> f64 {
-        assert!(
-            (self.step01 - self.step12).abs() < 1e-15,
-            "plan has unequal steps ({} and {}); use steps()",
-            self.step01,
-            self.step12
-        );
-        self.step01
-    }
-
-    /// Both steps `(F1 − F0, F2 − F1)` in GHz.
-    pub fn steps(&self) -> (f64, f64) {
-        (self.step01, self.step12)
-    }
-
-    /// Whether the two steps are equal (the paper's assumption).
-    pub fn is_uniform(&self) -> bool {
-        self.step01 == self.step12
+        self.step
     }
 
     /// The transmon anharmonicity α in GHz (negative).
@@ -117,12 +62,13 @@ impl FrequencyPlan {
         self.anharmonicity
     }
 
-    /// The ideal frequency of a class.
+    /// The ideal frequency of a class. `F2` adds the step twice rather
+    /// than `2.0 * step`, which need not round to the same `f64`.
     pub fn ideal(&self, class: FrequencyClass) -> f64 {
         match class.steps() {
             0 => self.f0,
-            1 => self.f0 + self.step01,
-            _ => self.f0 + self.step01 + self.step12,
+            1 => self.f0 + self.step,
+            _ => self.f0 + self.step + self.step,
         }
     }
 }
@@ -171,34 +117,6 @@ mod tests {
     #[should_panic(expected = "step must be positive")]
     fn rejects_zero_step() {
         FrequencyPlan::with_step(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "anharmonicity must be negative")]
-    fn rejects_positive_anharmonicity() {
-        FrequencyPlan::custom(5.0, 0.06, 0.3);
-    }
-
-    #[test]
-    fn unequal_steps_extension() {
-        let plan = FrequencyPlan::with_steps(0.05, 0.07);
-        assert!(!plan.is_uniform());
-        assert_eq!(plan.steps(), (0.05, 0.07));
-        assert!((plan.ideal(FrequencyClass::F1) - 5.05).abs() < 1e-12);
-        assert!((plan.ideal(FrequencyClass::F2) - 5.12).abs() < 1e-12);
-        assert!(FrequencyPlan::state_of_the_art().is_uniform());
-    }
-
-    #[test]
-    #[should_panic(expected = "unequal steps")]
-    fn step_accessor_rejects_unequal_plans() {
-        let _ = FrequencyPlan::with_steps(0.05, 0.07).step();
-    }
-
-    #[test]
-    #[should_panic(expected = "step12 must be positive")]
-    fn with_steps_rejects_nonpositive() {
-        let _ = FrequencyPlan::with_steps(0.05, 0.0);
     }
 
     #[test]

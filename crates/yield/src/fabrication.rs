@@ -20,16 +20,12 @@ use chipletqc_topology::device::Device;
 use chipletqc_topology::plan::FrequencyPlan;
 use chipletqc_topology::qubit::QubitId;
 
-/// Fabrication model: ideal plan + precision.
-///
-/// The optional `sigma_alpha` extends the paper's model with per-qubit
-/// anharmonicity variation (the paper fixes α = −0.330 GHz for every
-/// qubit; keep `sigma_alpha = 0.0` for faithful reproduction).
+/// Fabrication model: ideal plan + precision. Only frequencies vary;
+/// every qubit keeps the plan's anharmonicity, as in the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricationParams {
     plan: FrequencyPlan,
     sigma_f: f64,
-    sigma_alpha: f64,
 }
 
 impl FabricationParams {
@@ -61,7 +57,7 @@ impl FabricationParams {
             sigma_f.is_finite() && sigma_f >= 0.0,
             "sigma_f must be finite and >= 0, got {sigma_f}"
         );
-        FabricationParams { plan, sigma_f, sigma_alpha: 0.0 }
+        FabricationParams { plan, sigma_f }
     }
 
     /// Returns a copy with a different precision.
@@ -76,23 +72,6 @@ impl FabricationParams {
         FabricationParams { plan, ..*self }
     }
 
-    /// Returns a copy with per-qubit anharmonicity variation
-    /// (extension beyond the paper). The anharmonicities are drawn after
-    /// every frequency, so Monte Carlo trials under this model draw in
-    /// full instead of stopping at their first collision.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `sigma_alpha` is finite and non-negative.
-    #[must_use]
-    pub fn with_sigma_alpha(&self, sigma_alpha: f64) -> FabricationParams {
-        assert!(
-            sigma_alpha.is_finite() && sigma_alpha >= 0.0,
-            "sigma_alpha must be finite and >= 0, got {sigma_alpha}"
-        );
-        FabricationParams { sigma_alpha, ..*self }
-    }
-
     /// The ideal frequency plan.
     pub fn plan(&self) -> &FrequencyPlan {
         &self.plan
@@ -103,26 +82,12 @@ impl FabricationParams {
         self.sigma_f
     }
 
-    /// The anharmonicity spread (0 in the paper's model).
-    pub fn sigma_alpha(&self) -> f64 {
-        self.sigma_alpha
-    }
-
     /// Virtually fabricates one device: every qubit's frequency is drawn
-    /// from `N(F_class, σ_f)` in qubit order (and then every
-    /// anharmonicity from `N(α, σ_alpha)` if enabled).
+    /// from `N(F_class, σ_f)` in qubit order.
     pub fn sample<R: Rng + ?Sized>(&self, device: &Device, rng: &mut R) -> Frequencies {
         let freqs: Vec<f64> = device.qubits().map(|q| self.draw_freq(device, q, rng)).collect();
-        if self.sigma_alpha == 0.0 {
-            Frequencies::with_uniform_alpha(freqs, self.plan.anharmonicity())
-                .expect("sampled values are finite")
-        } else {
-            let alpha_noise = Normal::new(self.plan.anharmonicity(), self.sigma_alpha)
-                .expect("validated in constructor");
-            let alphas: Vec<f64> =
-                (0..device.num_qubits()).map(|_| alpha_noise.sample(rng)).collect();
-            Frequencies::new(freqs, alphas).expect("sampled values are finite")
-        }
+        Frequencies::with_uniform_alpha(freqs, self.plan.anharmonicity())
+            .expect("sampled values are finite")
     }
 
     /// Qubit `q`'s fabricated frequency, drawn from `N(F_class(q), σ_f)`:
@@ -196,18 +161,6 @@ mod tests {
         for q in device.qubits() {
             assert_eq!(freqs.freq(q), fab.plan().ideal(device.class(q)));
         }
-    }
-
-    #[test]
-    fn alpha_variation_extension() {
-        let device = ChipletSpec::with_qubits(10).unwrap().build();
-        let fab = FabricationParams::state_of_the_art().with_sigma_alpha(0.005);
-        let mut rng = Seed(2).rng();
-        let freqs = fab.sample(&device, &mut rng);
-        let alphas: Vec<f64> = device.qubits().map(|q| freqs.alpha(q)).collect();
-        // Not all identical once variation is on.
-        assert!(alphas.iter().any(|a| (a - alphas[0]).abs() > 1e-9));
-        assert!((mean(&alphas) + 0.330).abs() < 0.01);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   splitting a batch into [`TrialRange`] shards whose merged results
 //!   are bit-identical to a single full-batch run. Each trial is drawn
 //!   qubit by qubit and stops at its first collision, with exactly the
-//!   output of drawing every qubit first (the `sigma_alpha` extension
-//!   keeps full draws);
+//!   output of drawing every qubit first;
 //! * [`sweep`] — yield-vs-size curve generation for the Fig. 4 and
 //!   Fig. 8 reproductions;
 //! * [`analytic`] — an independence-approximation analytic estimator

@@ -25,17 +25,15 @@
 //! qubit is `q` ([`CheckSchedule`]) and stops at the first hit. Only a
 //! survivor draws every qubit. The output is exactly that of drawing
 //! every assignment in full ([`FabricationParams::sample`]) and keeping
-//! those that pass [`is_collision_free`]: trial `i`'s draws come from
-//! `seed.split(i)`, which no other trial reads, in the same order up to
-//! where the trial stops; nothing reads a colliding trial's remaining
-//! draws; and whether an assignment collides does not depend on the
-//! order of its checks. With `sigma_alpha != 0` (an extension beyond
-//! the paper) the anharmonicities are drawn after every frequency, so
-//! no check can run early and that path keeps full draws.
+//! those that pass [`chipletqc_collision::checker::is_collision_free`]:
+//! trial `i`'s draws come from `seed.split(i)`, which no other trial
+//! reads, in the same order up to where the trial stops; nothing reads
+//! a colliding trial's remaining draws; and whether an assignment
+//! collides does not depend on the order of its checks.
 
 use rand::rngs::StdRng;
 
-use chipletqc_collision::checker::{is_collision_free, CheckSchedule};
+use chipletqc_collision::checker::CheckSchedule;
 use chipletqc_collision::criteria::CollisionParams;
 use chipletqc_collision::frequencies::Frequencies;
 use chipletqc_math::codec::{ByteReader, ByteWriter, Codec, CodecError};
@@ -349,10 +347,6 @@ fn survivors_drawing<'a>(
     let mut scratch = Frequencies::ideal(device, fab.plan());
     (range.start..range.end).filter_map(move |i| {
         let mut rng = seed.split(i as u64).rng();
-        if fab.sigma_alpha() != 0.0 {
-            let freqs = fab.sample(device, &mut rng);
-            return is_collision_free(device, &freqs, params).then_some((i, freqs));
-        }
         let hit = schedule.fill_until_collision(&mut scratch, params, |q| draw(q, &mut rng));
         hit.is_none().then(|| (i, scratch.clone()))
     })
@@ -363,7 +357,7 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    use chipletqc_collision::checker::find_collisions;
+    use chipletqc_collision::checker::{find_collisions, is_collision_free};
     use chipletqc_topology::family::{ChipletSpec, MonolithicSpec};
 
     fn params() -> CollisionParams {

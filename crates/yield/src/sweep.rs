@@ -12,9 +12,6 @@ use chipletqc_topology::plan::FrequencyPlan;
 use crate::fabrication::FabricationParams;
 use crate::monte_carlo::{simulate_yield, YieldEstimate};
 
-// (asymmetric_step_sweep below is the DESIGN.md §9 unequal-step
-// extension — the paper's stated future work.)
-
 /// One yield-vs-qubits curve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct YieldCurve {
@@ -121,49 +118,6 @@ pub fn step_sigma_sweep(
     curves
 }
 
-/// Explores *unequal* frequency steps (`F1 − F0` vs. `F2 − F1`) — the
-/// paper's stated future work ("exploring the impact of varying the
-/// distance between ideal frequencies could be an area for future
-/// work"). Returns the collision-free yield of one device size for
-/// every `(step01, step12)` pair, row-major with `step01` outer.
-///
-/// The symmetric diagonal of the returned grid coincides with the
-/// corresponding points of [`step_sigma_sweep`].
-pub fn asymmetric_step_sweep(
-    steps01: &[f64],
-    steps12: &[f64],
-    qubits: usize,
-    fab_sigma: f64,
-    params: &CollisionParams,
-    batch: usize,
-    seed: Seed,
-) -> Vec<Vec<YieldEstimate>> {
-    let device = MonolithicSpec::with_qubits(qubits)
-        .unwrap_or_else(|e| panic!("size {qubits}: {e}"))
-        .build();
-    steps01
-        .iter()
-        .enumerate()
-        .map(|(i, &s01)| {
-            steps12
-                .iter()
-                .enumerate()
-                .map(|(j, &s12)| {
-                    let plan = FrequencyPlan::with_steps(s01, s12);
-                    let fab = FabricationParams::new(plan, fab_sigma);
-                    simulate_yield(
-                        &device,
-                        &fab,
-                        params,
-                        batch,
-                        seed.split((i * 1000 + j) as u64),
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// The area under a yield curve (trapezoidal, in qubit·yield units) —
 /// a scalar summary used to rank detuning steps; the paper's optimum
 /// step maximizes it.
@@ -249,54 +203,6 @@ mod tests {
         assert!(curves[0].label.contains("sigma=0.0140"));
         assert!(curves[3].label.contains("step=0.06"));
         assert!(curves[3].label.contains("sigma=0.0060"));
-    }
-
-    #[test]
-    fn asymmetric_sweep_diagonal_matches_symmetric() {
-        let steps = [0.05, 0.06];
-        let grid = asymmetric_step_sweep(
-            &steps,
-            &steps,
-            60,
-            0.014,
-            &CollisionParams::paper(),
-            150,
-            Seed(6),
-        );
-        assert_eq!(grid.len(), 2);
-        assert_eq!(grid[0].len(), 2);
-        // Diagonal plans equal the uniform plans (same frequencies), so
-        // the sampled devices only differ by seed stream; the yields
-        // must sit in the same statistical regime as a symmetric run.
-        for (i, &s) in steps.iter().enumerate() {
-            let fab = FabricationParams::new(FrequencyPlan::with_step(s), 0.014);
-            let device = MonolithicSpec::with_qubits(60).unwrap().build();
-            let symmetric =
-                simulate_yield(&device, &fab, &CollisionParams::paper(), 150, Seed(99));
-            let diff = (grid[i][i].fraction() - symmetric.fraction()).abs();
-            assert!(diff < 0.2, "step {s}: diagonal {} vs symmetric {}", grid[i][i], symmetric);
-        }
-    }
-
-    #[test]
-    fn extreme_asymmetry_hurts_yield() {
-        // A tiny step01 forces F0/F1 near-null collisions no matter how
-        // good step12 is.
-        let grid = asymmetric_step_sweep(
-            &[0.01, 0.06],
-            &[0.06],
-            40,
-            0.014,
-            &CollisionParams::paper(),
-            200,
-            Seed(7),
-        );
-        assert!(
-            grid[0][0].fraction() < grid[1][0].fraction(),
-            "near-null step01 should collapse yield: {} vs {}",
-            grid[0][0],
-            grid[1][0]
-        );
     }
 
     #[test]

@@ -60,13 +60,11 @@ proptest! {
         (kind, rows, m) in (0usize..3, 1usize..4, 1usize..4),
         step in 0.04f64..0.08,
         sigma_f in prop_oneof![Just(0.0), Just(0.1323), Just(0.014), 0.0f64..0.03],
-        sigma_alpha in prop_oneof![Just(0.0), Just(0.005)],
         params in collision_params(),
         (seed, start, len) in (0u64..1_000_000, 0usize..5000, 0usize..120),
     ) {
         let device = small_device(kind, rows, m);
-        let fab = FabricationParams::new(FrequencyPlan::with_step(step), sigma_f)
-            .with_sigma_alpha(sigma_alpha);
+        let fab = FabricationParams::new(FrequencyPlan::with_step(step), sigma_f);
         let (range, seed) = (TrialRange { start, end: start + len }, Seed(seed));
         let reference = full_draw_survivors(&device, &fab, &params, range, seed);
         let indices: Vec<usize> = reference.iter().map(|(i, _)| *i).collect();
