@@ -66,6 +66,13 @@ use crate::scenario::{ExperimentKind, Overrides, Scale, Scenario, SystemSpec};
 /// largest sweep this repository runs has 432 scenarios.
 pub const MAX_SCENARIOS: usize = 10_000;
 
+/// The largest Monte Carlo batch a sweep may ask for. With a store
+/// attached, fabrication allocates one range per 512-trial chunk up
+/// front, so `batch = 100000000000000` asked for 3.1 TB and aborted
+/// the process, a daemon too. The paper's largest batch is 10,000, and
+/// the largest this repository runs is 800,000.
+pub const MAX_BATCH: usize = 1_000_000;
+
 /// A sweep: one experiment kind plus axes over the chiplet design
 /// space, expanding into the Cartesian-product scenario batch.
 ///
@@ -151,11 +158,11 @@ impl Sweep {
     /// Checks the invariants expansion relies on: a filesystem-safe
     /// name (scenario names become artifact file names), axis values
     /// unique within each axis (so names are unique), finite floats,
-    /// constructible grids without repeated systems, at most
-    /// [`MAX_SCENARIOS`] scenarios, and — because a silently ignored
-    /// axis would expand into identically-valued scenarios labeled as
-    /// distinct design points — only axes the chosen kind actually
-    /// consumes.
+    /// constructible grids without repeated systems, batches of at most
+    /// [`MAX_BATCH`] trials, at most [`MAX_SCENARIOS`] scenarios, and —
+    /// because a silently ignored axis would expand into
+    /// identically-valued scenarios labeled as distinct design points —
+    /// only axes the chosen kind actually consumes.
     pub fn validate(&self) -> Result<(), String> {
         let Sweep {
             name,
@@ -218,6 +225,9 @@ impl Sweep {
         }
         if batches.contains(&0) {
             return Err("batch: size must be positive, got 0".into());
+        }
+        if let Some(batch) = batches.iter().find(|b| **b > MAX_BATCH) {
+            return Err(format!("batch: size must be at most {MAX_BATCH}, got {batch}"));
         }
         let scenarios = self.expanded_len();
         if scenarios > MAX_SCENARIOS {
@@ -823,6 +833,7 @@ mod tests {
             ("link_ratio = 0", "link_ratio: ratio must be positive"),
             ("link_ratio = -2.5", "link_ratio: ratio must be positive"),
             ("batch = 120, 0", "batch: size must be positive"),
+            ("batch = 100000000000000", "batch: size must be at most 1000000"),
             ("mode = maybe", "bad value"),
             ("mode = match, match", "duplicate value"),
         ] {
