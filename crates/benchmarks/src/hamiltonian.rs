@@ -32,12 +32,6 @@ impl TfimParams {
     pub fn paper() -> TfimParams {
         TfimParams { coupling: 1.0, field: 1.0, dt: 0.1, steps: 1 }
     }
-
-    /// The same Hamiltonian with `steps` Trotter steps.
-    #[must_use]
-    pub fn with_steps(&self, steps: usize) -> TfimParams {
-        TfimParams { steps, ..*self }
-    }
 }
 
 impl Default for TfimParams {
@@ -93,7 +87,7 @@ mod tests {
     #[test]
     fn steps_scale_counts() {
         let c1 = tfim_circuit(16, &TfimParams::paper());
-        let c4 = tfim_circuit(16, &TfimParams::paper().with_steps(4));
+        let c4 = tfim_circuit(16, &TfimParams { steps: 4, ..TfimParams::paper() });
         assert_eq!(c4.count_2q(), 4 * c1.count_2q());
     }
 
@@ -107,7 +101,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one Trotter step")]
     fn rejects_zero_steps() {
-        tfim_circuit(4, &TfimParams::paper().with_steps(0));
+        tfim_circuit(4, &TfimParams { steps: 0, ..TfimParams::paper() });
     }
 
     #[test]

@@ -101,38 +101,6 @@ pub fn enforce_cr_direction(circuit: &Circuit, device: &Device) -> Circuit {
     out
 }
 
-/// Merges adjacent RZ rotations on the same qubit and drops RZ(≈0)
-/// gates — an optional cleanup pass (extension; kept separate so the
-/// Table II bookkeeping stays faithful by default).
-pub fn merge_rz(circuit: &Circuit) -> Circuit {
-    let mut out = Circuit::named(circuit.num_qubits(), circuit.name().to_string());
-    // Pending RZ angle per qubit, flushed when any other gate touches
-    // the qubit.
-    let mut pending: Vec<f64> = vec![0.0; circuit.num_qubits()];
-    let flush = |out: &mut Circuit, pending: &mut [f64], q: Qubit| {
-        let theta = pending[q.index()];
-        if theta.abs() > 1e-12 {
-            out.rz(q, theta);
-        }
-        pending[q.index()] = 0.0;
-    };
-    for gate in circuit.gates() {
-        match *gate {
-            Gate::Rz { q, theta } => pending[q.index()] += theta,
-            _ => {
-                for q in gate.qubits().iter() {
-                    flush(&mut out, &mut pending, q);
-                }
-                out.push(*gate);
-            }
-        }
-    }
-    for q in 0..circuit.num_qubits() as u32 {
-        flush(&mut out, &mut pending, Qubit(q));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,37 +190,5 @@ mod tests {
         // Qubits 0 and 9 are not adjacent on the 10q chiplet.
         c.cx(Qubit(0), Qubit(9));
         let _ = enforce_cr_direction(&c, &device);
-    }
-
-    #[test]
-    fn merge_rz_combines_and_drops() {
-        let mut c = Circuit::new(2);
-        c.rz(Qubit(0), 0.5)
-            .rz(Qubit(0), 0.25)
-            .sx(Qubit(0))
-            .rz(Qubit(1), 0.3)
-            .rz(Qubit(1), -0.3)
-            .cx(Qubit(0), Qubit(1));
-        let merged = merge_rz(&c);
-        // q0: one rz(0.75) then sx; q1: rz cancels to zero and vanishes.
-        let rz: Vec<f64> = merged
-            .gates()
-            .iter()
-            .filter_map(|g| match g {
-                Gate::Rz { theta, .. } => Some(*theta),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(rz.len(), 1);
-        assert!((rz[0] - 0.75).abs() < 1e-12);
-        assert_eq!(merged.count_2q(), 1);
-    }
-
-    #[test]
-    fn merge_rz_flushes_trailing() {
-        let mut c = Circuit::new(1);
-        c.rz(Qubit(0), 0.4);
-        let merged = merge_rz(&c);
-        assert_eq!(merged.count_1q(), 1);
     }
 }

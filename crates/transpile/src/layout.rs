@@ -103,100 +103,6 @@ impl LayoutStrategy {
     }
 }
 
-/// Noise-aware placement (extension; DESIGN.md §9): like the snake
-/// walk, but weighted by measured per-edge CX infidelity so the placed
-/// region grows along the device's *best* couplings. The paper's
-/// future-work section motivates exactly this kind of error-aware
-/// mapping for modular systems ("intelligent compilation routines that
-/// consider links").
-///
-/// # Panics
-///
-/// Panics if the noise table does not cover the device or the circuit
-/// is wider than the device.
-pub fn noise_aware_layout(
-    device: &Device,
-    noise: &chipletqc_noise::assign::EdgeNoise,
-    logical_qubits: usize,
-) -> Layout {
-    assert_eq!(
-        noise.len(),
-        device.edges().len(),
-        "noise table does not cover device {}",
-        device.name()
-    );
-    assert!(
-        logical_qubits <= device.num_qubits(),
-        "{logical_qubits} logical qubits exceed device {}",
-        device.name()
-    );
-    let graph = device.graph();
-    let n = graph.num_qubits();
-
-    // Phase 1 — region selection: grow a connected region of the
-    // required size along the device's best couplings (Prim-style,
-    // seeded at the single best edge).
-    let mut in_region = vec![false; n];
-    let mut region: Vec<QubitId> = Vec::with_capacity(logical_qubits);
-    let best_edge = device
-        .edges()
-        .iter()
-        .min_by(|a, b| noise.infidelity(a.id).total_cmp(&noise.infidelity(b.id)))
-        .expect("devices have at least one edge");
-    for q in [best_edge.a, best_edge.b] {
-        if region.len() < logical_qubits {
-            in_region[q.index()] = true;
-            region.push(q);
-        }
-    }
-    while region.len() < logical_qubits {
-        let extend = region
-            .iter()
-            .flat_map(|q| graph.neighbors(*q))
-            .filter(|(nb, _)| !in_region[nb.index()])
-            .min_by(|(_, e1), (_, e2)| noise.infidelity(*e1).total_cmp(&noise.infidelity(*e2)))
-            .map(|(nb, _)| *nb)
-            .or_else(|| (0..n).find(|i| !in_region[*i]).map(|i| QubitId(i as u32)));
-        let next = extend.expect("some qubit remains");
-        in_region[next.index()] = true;
-        region.push(next);
-    }
-
-    // Phase 2 — intra-region ordering: a snake walk over the induced
-    // subgraph so program-adjacent logical qubits stay device-adjacent
-    // (region selection alone would scatter them and feed the router
-    // extra SWAPs). Prefer the best-fidelity next hop.
-    let mut placed = vec![false; n];
-    let mut order: Vec<QubitId> = Vec::with_capacity(logical_qubits);
-    // Start from a region boundary qubit (fewest in-region neighbors).
-    let start = *region
-        .iter()
-        .min_by_key(|q| {
-            graph.neighbors(**q).iter().filter(|(nb, _)| in_region[nb.index()]).count()
-        })
-        .expect("region is nonempty");
-    placed[start.index()] = true;
-    order.push(start);
-    while order.len() < logical_qubits {
-        let last = *order.last().expect("nonempty");
-        let next = graph
-            .neighbors(last)
-            .iter()
-            .filter(|(nb, _)| in_region[nb.index()] && !placed[nb.index()])
-            .min_by(|(_, e1), (_, e2)| noise.infidelity(*e1).total_cmp(&noise.infidelity(*e2)))
-            .map(|(nb, _)| *nb)
-            .or_else(|| {
-                // Dead end: jump to the unplaced region qubit closest
-                // to the already-placed walk.
-                region.iter().copied().find(|q| !placed[q.index()])
-            })
-            .expect("region covers the request");
-        placed[next.index()] = true;
-        order.push(next);
-    }
-    Layout::from_mapping(order, device.num_qubits())
-}
-
 /// Greedy depth-first order preferring low-degree-first expansion,
 /// seeded at a minimum-degree qubit (a lattice corner), covering all
 /// components.
@@ -296,64 +202,6 @@ mod tests {
         // Swap back via the ancilla.
         layout.swap_physical(QubitId(5), QubitId(0));
         assert_eq!(layout.physical(Qubit(0)), QubitId(0));
-    }
-
-    #[test]
-    fn noise_aware_layout_prefers_good_edges() {
-        use chipletqc_noise::assign::EdgeNoise;
-        let device = ChipletSpec::with_qubits(20).unwrap().build();
-        // Make one edge spectacular and everything else mediocre.
-        let mut infid = vec![0.05; device.edges().len()];
-        infid[7] = 0.001;
-        let noise = EdgeNoise::from_infidelities(infid);
-        // A small circuit: the selected region must be seeded at (and
-        // therefore contain) the golden edge.
-        let layout = noise_aware_layout(&device, &noise, 6);
-        let e = &device.edges()[7];
-        let placed: Vec<QubitId> = (0..6u32).map(|l| layout.physical(Qubit(l))).collect();
-        assert!(placed.contains(&e.a) && placed.contains(&e.b));
-        // Injective placement.
-        let mut seen = [false; 20];
-        for p in placed {
-            assert!(!seen[p.index()]);
-            seen[p.index()] = true;
-        }
-        // Full-width placement still covers every qubit exactly once.
-        let full = noise_aware_layout(&device, &noise, 20);
-        let mut seen = [false; 20];
-        for l in 0..20u32 {
-            let p = full.physical(Qubit(l));
-            assert!(!seen[p.index()]);
-            seen[p.index()] = true;
-        }
-    }
-
-    #[test]
-    fn noise_aware_layout_avoids_bad_region_for_small_circuits() {
-        use chipletqc_noise::assign::EdgeNoise;
-        let device = ChipletSpec::with_qubits(40).unwrap().build();
-        // Poison the edges incident to the first dense row.
-        let infid: Vec<f64> = device
-            .edges()
-            .iter()
-            .map(|e| if e.a.0 < 8 || e.b.0 < 8 { 0.2 } else { 0.01 })
-            .collect();
-        let noise = EdgeNoise::from_infidelities(infid);
-        let layout = noise_aware_layout(&device, &noise, 16);
-        // A 16-qubit circuit should be placed entirely outside the
-        // poisoned row.
-        for l in 0..16u32 {
-            assert!(layout.physical(Qubit(l)).0 >= 8, "logical {l} landed in the bad region");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not cover device")]
-    fn noise_aware_layout_rejects_mismatched_noise() {
-        use chipletqc_noise::assign::EdgeNoise;
-        let device = ChipletSpec::with_qubits(20).unwrap().build();
-        let noise = EdgeNoise::from_infidelities(vec![0.01]);
-        let _ = noise_aware_layout(&device, &noise, 4);
     }
 
     #[test]

@@ -77,22 +77,6 @@ impl Transpiler {
             .collect()
     }
 
-    /// Like [`Transpiler::transpile`] but with a caller-provided
-    /// initial layout — e.g. the noise-aware placement of
-    /// [`crate::layout::noise_aware_layout`] (extension).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout covers fewer qubits than the circuit.
-    pub fn transpile_with_layout(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        layout: Layout,
-    ) -> TranspiledCircuit {
-        self.compile(circuit, device, &device.graph().distance_matrix(), layout)
-    }
-
     /// Routes from `layout` over the distance table `dist`, then lowers
     /// to the basis.
     fn compile(

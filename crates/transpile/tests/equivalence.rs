@@ -16,7 +16,7 @@ use chipletqc_sim::state::State;
 use chipletqc_topology::device::Device;
 use chipletqc_topology::family::ChipletSpec;
 use chipletqc_topology::mcm::McmSpec;
-use chipletqc_transpile::decompose::{merge_rz, to_basis};
+use chipletqc_transpile::decompose::to_basis;
 use chipletqc_transpile::pipeline::{TranspiledCircuit, Transpiler};
 
 /// Simulates a transpiled circuit and permutes the result back into
@@ -118,21 +118,6 @@ fn basis_decomposition_preserves_every_gate_type() {
     let basis = to_basis(&c);
     assert!(basis.gates().iter().all(Gate::is_basis));
     assert!(State::run(&c).approx_eq_global_phase(&State::run(&basis), 1e-8));
-}
-
-#[test]
-fn merge_rz_preserves_semantics() {
-    let mut c = Circuit::new(2);
-    c.rz(Qubit(0), 0.3)
-        .rz(Qubit(0), 0.5)
-        .h(Qubit(1))
-        .cx(Qubit(0), Qubit(1))
-        .rz(Qubit(1), -0.8)
-        .rz(Qubit(1), 0.8)
-        .rz(Qubit(0), 1.1);
-    let merged = merge_rz(&to_basis(&c));
-    assert!(State::run(&to_basis(&c)).approx_eq_global_phase(&State::run(&merged), 1e-8));
-    assert!(merged.count_1q() < to_basis(&c).count_1q());
 }
 
 #[test]
