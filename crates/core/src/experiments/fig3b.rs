@@ -1,9 +1,10 @@
 //! Fig. 3(b): CX-infidelity box plots for three IBM processor
 //! generations over 15 calibration cycles.
 //!
-//! Built on the synthetic fleet calibration (substitution; DESIGN.md
-//! §5): the reproduced claim is the *trend* — median CX infidelity and
-//! its spread grow with device size.
+//! Built on the synthetic fleet calibration (the paper's IBM calibration
+//! data does not ship with this reproduction): the reproduced claim is
+//! the *trend* — median CX infidelity and its spread grow with device
+//! size.
 
 use chipletqc_math::rng::Seed;
 use chipletqc_noise::fleet::{synthesize_fleet, FleetParams, MachineCalibration};

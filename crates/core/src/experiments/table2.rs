@@ -4,8 +4,9 @@
 //! and 90-qubit chiplets: for every benchmark, single-qubit gates,
 //! two-qubit gates, and the two-qubit critical path after compilation.
 //! Absolute counts depend on compiler specifics; the reproduction
-//! targets the structural identities (see DESIGN.md §7) and growth
-//! shape.
+//! targets the structural identities the basis lowering fixes (BV's
+//! `2q = (n − 1) + 3·swaps`, pinned by `bv_matches_structural_identity`)
+//! and growth shape.
 
 use chipletqc_benchmarks::suite::Benchmark;
 use chipletqc_circuit::circuit::{Circuit, GateCounts};

@@ -27,7 +27,7 @@
 //! the configuration, never of thread timing, so results remain
 //! bit-identical regardless of worker count.
 //!
-//! ## Population semantics (DESIGN.md §6)
+//! ## Population semantics
 //!
 //! The paper compares "the devices in the collision-free monolithic
 //! yield to the MCMs resulting from the chiplets in the scaled,

@@ -88,7 +88,7 @@ impl Normal {
     /// The cumulative distribution function `P(X <= x)`.
     ///
     /// Used by the analytic yield estimator to cross-check the Monte
-    /// Carlo simulation (DESIGN.md §9).
+    /// Carlo simulation.
     pub fn cdf(&self, x: f64) -> f64 {
         if self.std_dev == 0.0 {
             return if x < self.mean { 0.0 } else { 1.0 };

@@ -1,5 +1,6 @@
-//! Synthetic fleet calibration for the Fig. 3(b) reproduction
-//! (substitution; DESIGN.md §5).
+//! Synthetic fleet calibration for the Fig. 3(b) reproduction (a
+//! stand-in for the paper's IBM calibration data, which does not ship
+//! with this reproduction).
 //!
 //! The paper gathers 15 days of CX-infidelity calibration from three IBM
 //! machines (Auckland-27, Brooklyn-65, Washington-127) and observes that

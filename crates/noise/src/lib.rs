@@ -5,10 +5,9 @@
 //! qubit-qubit detuning, Fig. 7) and the Gold et al. flip-chip link
 //! measurements (inter-chip two-qubit fidelity). Neither dataset ships
 //! with this reproduction, so this crate *synthesizes* statistically
-//! equivalent data (DESIGN.md §5 documents the substitution) and then
-//! consumes it exactly the way the paper consumes the real data: binned
-//! at 0.1 GHz detuning intervals, with per-edge infidelity assigned by
-//! sampling from the matching bin.
+//! equivalent data and then consumes it exactly the way the paper
+//! consumes the real data: binned at 0.1 GHz detuning intervals, with
+//! per-edge infidelity assigned by sampling from the matching bin.
 //!
 //! * [`response`] — the physics-motivated detuning→error-amplification
 //!   response used by the synthetic calibration generator (peaks at the

@@ -1,4 +1,6 @@
-//! Synthetic IBM-Washington calibration data (substitution; DESIGN.md §5).
+//! Synthetic IBM-Washington calibration data (a stand-in for the
+//! machine's real calibration data, which does not ship with this
+//! reproduction).
 //!
 //! The paper gathers 15 calibration cycles of CX infidelity and qubit
 //! frequencies from the real 127-qubit Eagle machine and correlates

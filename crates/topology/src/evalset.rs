@@ -90,7 +90,8 @@ mod tests {
 
     #[test]
     fn per_chiplet_counts_match_derivation() {
-        // 49+24+11+7+4+3+2+1+1 = 102 (DESIGN.md §3).
+        // 49+24+11+7+4+3+2+1+1 = 102: chip counts 2..=500/q_c, one
+        // most-square grid per count (the module docs).
         let systems = paper_mcms();
         let count = |q: usize| systems.iter().filter(|s| s.chiplet().num_qubits() == q).count();
         assert_eq!(count(10), 49);

@@ -1,6 +1,6 @@
 //! The heavy-hex chiplet family `Q = 5·D·m`.
 //!
-//! Reconstructed from the paper's chiplet descriptions (see DESIGN.md §3):
+//! Reconstructed from the paper's chiplet descriptions:
 //! a chiplet has `D` dense rows of `4m` qubit sites — `4m − 1` pattern
 //! columns plus one F2 *right link qubit* — `D − 1` sparse connector rows
 //! between them, and one row of F2 *bottom link connectors*, for

@@ -1,4 +1,5 @@
-//! Analytic yield estimation (extension; DESIGN.md §9).
+//! Analytic yield estimation (an extension beyond the paper, kept as a
+//! closed-form cross-check of the Monte Carlo).
 //!
 //! Approximates the collision-free probability of a device in closed
 //! form: each Table I check is a window over a Gaussian combination of

@@ -20,7 +20,7 @@
 //! * [`sweep`] — yield-vs-size curve generation for the Fig. 4 and
 //!   Fig. 8 reproductions;
 //! * [`analytic`] — an independence-approximation analytic estimator
-//!   that cross-checks the Monte Carlo (extension; DESIGN.md §9).
+//!   that cross-checks the Monte Carlo (an extension beyond the paper).
 //!
 //! # Example
 //!
