@@ -68,9 +68,10 @@ pub const MAX_SCENARIOS: usize = 10_000;
 
 /// The largest Monte Carlo batch a sweep may ask for. With a store
 /// attached, fabrication allocates one range per 512-trial chunk up
-/// front, so `batch = 100000000000000` asked for 3.1 TB and aborted
-/// the process, a daemon too. The paper's largest batch is 10,000, and
-/// the largest this repository runs is 800,000.
+/// front, so an unbounded batch is one small text that aborts the
+/// process, a daemon too: `batch = 100000000000000` asks for 3.1 TB,
+/// and an allocation failure does not unwind. The paper's largest
+/// batch is 10,000, and the largest this repository runs is 800,000.
 pub const MAX_BATCH: usize = 1_000_000;
 
 /// A sweep: one experiment kind plus axes over the chiplet design

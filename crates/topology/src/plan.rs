@@ -62,8 +62,9 @@ impl FrequencyPlan {
         self.anharmonicity
     }
 
-    /// The ideal frequency of a class. `F2` adds the step twice rather
-    /// than `2.0 * step`, which need not round to the same `f64`.
+    /// The ideal frequency of a class. `F2` adds the step twice:
+    /// `f0 + 2.0 * step` rounds once instead of twice, so it can land
+    /// one ulp away and move every pinned digest.
     pub fn ideal(&self, class: FrequencyClass) -> f64 {
         match class.steps() {
             0 => self.f0,
