@@ -135,6 +135,32 @@ fn cold_warm_and_off_reports_agree_modulo_counters_at_every_schedule() {
 }
 
 #[test]
+fn a_cold_sliced_fig8_batch_writes_each_entry_once() {
+    let dir = temp_dir("once");
+    let hub = CacheHub::new()
+        .with_store(Store::open(&dir, CacheMode::ReadWrite).expect("open store"));
+    // One scenario of three systems, so three slices on two workers
+    // race for the shared 10-qubit chiplet bin.
+    let scenarios = Sweep::parse(
+        "name = once\n\
+         kind = fig8\n\
+         scale = quick\n\
+         grid = 10q2x2+10q2x3+10q3x3\n\
+         batch = 120\n\
+         seed = 7\n",
+    )
+    .expect("sweep parses")
+    .expand();
+    Scheduler::new(2).with_shards(3).run(&scenarios, &hub);
+    hub.flush_store();
+    let disk = hub.store().expect("store attached").disk_stats().expect("scan store");
+    let kinds: Vec<&str> = disk.kinds.iter().map(|(kind, _, _)| kind.as_str()).collect();
+    assert_eq!(kinds, ["kgd-bin", "mono-pop", "raw-bin"]);
+    assert_eq!(hub.store_stats().writes, disk.entries, "an entry was written twice: {disk:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn read_mode_serves_hits_but_never_writes_and_off_matches() {
     let dir = temp_dir("modes");
     let cold_hub = CacheHub::new()
