@@ -11,20 +11,13 @@
 //!
 //! These are the footprints behind the Table II tallies (BV's
 //! `1q = 2n·3` from its two Hadamard layers, TFIM's `5n + (n−1)`).
-//!
-//! The optional *direction enforcement* pass rewrites every CX whose
-//! control is not the device edge's CR control (`F2`) qubit using the
-//! four-Hadamard identity; the paper treats direction reversal as free
-//! at the pulse level, so enforcement defaults **off** and exists for
-//! the ablation study.
+//! A CX keeps its direction: the paper treats reversing a CR drive as
+//! free at the pulse level.
 
 use std::f64::consts::{FRAC_PI_2, PI};
 
 use chipletqc_circuit::circuit::Circuit;
 use chipletqc_circuit::gate::Gate;
-use chipletqc_circuit::qubit::Qubit;
-use chipletqc_topology::device::Device;
-use chipletqc_topology::qubit::QubitId;
 
 /// Lowers every gate to the physical basis. The input may reference
 /// either logical or physical qubits; indices pass through unchanged.
@@ -63,48 +56,10 @@ fn lower(out: &mut Circuit, gate: &Gate) {
     }
 }
 
-/// Rewrites CX gates whose control is not the CR control of the
-/// underlying device edge: `CX(t, c) = (H⊗H) · CX(c, t) · (H⊗H)`, with
-/// the Hadamards pre-lowered to the basis.
-///
-/// Expects a circuit over *physical* qubit indices whose two-qubit
-/// gates already respect connectivity (i.e. routing output after
-/// [`to_basis`]).
-///
-/// # Panics
-///
-/// Panics if a two-qubit gate does not correspond to a device edge.
-pub fn enforce_cr_direction(circuit: &Circuit, device: &Device) -> Circuit {
-    let mut out = Circuit::named(circuit.num_qubits(), circuit.name().to_string());
-    let h = |out: &mut Circuit, q: Qubit| {
-        out.rz(q, FRAC_PI_2).sx(q).rz(q, FRAC_PI_2);
-    };
-    for gate in circuit.gates() {
-        match *gate {
-            Gate::Cx { control, target } => {
-                let edge = device
-                    .edge_between(QubitId(control.0), QubitId(target.0))
-                    .unwrap_or_else(|| panic!("cx {control},{target} is not a device edge"));
-                if edge.control == QubitId(control.0) {
-                    out.push(*gate);
-                } else {
-                    h(&mut out, control);
-                    h(&mut out, target);
-                    out.cx(target, control);
-                    h(&mut out, control);
-                    h(&mut out, target);
-                }
-            }
-            _ => out.push(*gate),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chipletqc_topology::family::ChipletSpec;
+    use chipletqc_circuit::qubit::Qubit;
 
     #[test]
     fn h_costs_three_rx_five_ry_four() {
@@ -156,39 +111,5 @@ mod tests {
         let basis = to_basis(&c);
         assert_eq!(basis.count_1q(), 191);
         assert_eq!(basis.count_2q(), 62);
-    }
-
-    #[test]
-    fn direction_enforcement_fixes_reversed_cx() {
-        let device = ChipletSpec::with_qubits(10).unwrap().build();
-        let e = &device.edges()[0];
-        let (c_phys, t_phys) = (e.control, e.target());
-        // A CX driven from the target side: must be rewrapped.
-        let mut c = Circuit::new(device.num_qubits());
-        c.cx(Qubit(t_phys.0), Qubit(c_phys.0));
-        let fixed = enforce_cr_direction(&c, &device);
-        assert_eq!(fixed.count_2q(), 1);
-        assert_eq!(fixed.count_1q(), 12); // 4 H x 3 basis gates
-        match fixed.gates().iter().find(|g| g.is_two_qubit()).unwrap() {
-            Gate::Cx { control, target } => {
-                assert_eq!(control.0, c_phys.0);
-                assert_eq!(target.0, t_phys.0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // A correctly-directed CX passes through untouched.
-        let mut ok = Circuit::new(device.num_qubits());
-        ok.cx(Qubit(c_phys.0), Qubit(t_phys.0));
-        assert_eq!(enforce_cr_direction(&ok, &device).len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a device edge")]
-    fn direction_enforcement_rejects_unrouted() {
-        let device = ChipletSpec::with_qubits(10).unwrap().build();
-        let mut c = Circuit::new(device.num_qubits());
-        // Qubits 0 and 9 are not adjacent on the 10q chiplet.
-        c.cx(Qubit(0), Qubit(9));
-        let _ = enforce_cr_direction(&c, &device);
     }
 }

@@ -60,11 +60,6 @@ impl Layout {
         }
         self.to_logical.swap(a.index(), b.index());
     }
-
-    /// The logical→physical table.
-    pub fn as_table(&self) -> &[QubitId] {
-        &self.to_physical
-    }
 }
 
 /// Initial-placement strategies.

@@ -11,9 +11,8 @@
 //!   qubit-mapping reference), with an event-driven drain that visits
 //!   only gates able to run, in the order a full rescan would;
 //! * [`decompose`] — lowering to the IBM-style physical basis
-//!   {RZ, SX, X, CX}, with optional CR-direction enforcement
-//!   (reversing a CX costs four HH wrappers; the paper treats reversal
-//!   as free, so enforcement defaults off);
+//!   {RZ, SX, X, CX} (a CX keeps its direction; the paper treats
+//!   reversal as free);
 //! * [`esp`] — the fidelity-product figure of merit over all two-qubit
 //!   gates, computed in log space;
 //! * [`pipeline`] — the end-to-end [`pipeline::Transpiler`];

@@ -1,7 +1,7 @@
 //! The end-to-end transpiler.
 //!
-//! Layout → SABRE routing → basis decomposition (→ optional CR
-//! direction enforcement). The output carries everything the
+//! Layout → SABRE routing → basis decomposition. The output carries
+//! everything the
 //! evaluation needs: Table II gate tallies and ESP scoring against a
 //! device noise assignment.
 
@@ -11,7 +11,7 @@ use chipletqc_noise::assign::EdgeNoise;
 use chipletqc_topology::device::Device;
 use chipletqc_topology::qubit::QubitId;
 
-use crate::decompose::{enforce_cr_direction, to_basis};
+use crate::decompose::to_basis;
 use crate::esp::esp_log;
 use crate::layout::{Layout, LayoutStrategy};
 use crate::routing::{route, RoutingParams};
@@ -23,21 +23,13 @@ pub struct Transpiler {
     pub layout: LayoutStrategy,
     /// SABRE parameters.
     pub routing: RoutingParams,
-    /// Whether to rewrite CX gates against the device's CR control
-    /// orientation (ablation option; the paper counts direction
-    /// reversal as free).
-    pub enforce_direction: bool,
 }
 
 impl Transpiler {
-    /// The configuration used for the paper reproductions: snake layout,
-    /// SABRE routing, no direction enforcement.
+    /// The configuration used for the paper reproductions: snake layout
+    /// and SABRE routing.
     pub fn paper() -> Transpiler {
-        Transpiler {
-            layout: LayoutStrategy::SnakeOrder,
-            routing: RoutingParams::sabre(),
-            enforce_direction: false,
-        }
+        Transpiler { layout: LayoutStrategy::SnakeOrder, routing: RoutingParams::sabre() }
     }
 
     /// Maps, routes, and lowers `circuit` onto `device`: the
@@ -93,12 +85,8 @@ impl Transpiler {
             circuit.num_qubits()
         );
         let routed = route(circuit, device, dist, &layout, &self.routing);
-        let mut physical = to_basis(&routed.circuit);
-        if self.enforce_direction {
-            physical = enforce_cr_direction(&physical, device);
-        }
         TranspiledCircuit {
-            physical,
+            physical: to_basis(&routed.circuit),
             swaps: routed.swaps,
             initial_layout: layout,
             final_layout: routed.final_layout,
@@ -202,25 +190,6 @@ mod tests {
         assert_eq!(counts.two_qubit, 31 + 3 * out.swaps);
         assert!(counts.two_qubit_critical <= counts.two_qubit);
         assert!(counts.two_qubit_critical >= 31);
-    }
-
-    #[test]
-    fn direction_enforcement_adds_1q_only() {
-        let device = ChipletSpec::with_qubits(20).unwrap().build();
-        let circuit = Benchmark::Ghz.for_device_qubits(20, Seed(1));
-        let free = Transpiler::paper().transpile(&circuit, &device);
-        let strict = Transpiler { enforce_direction: true, ..Transpiler::paper() }
-            .transpile(&circuit, &device);
-        assert_eq!(free.physical.count_2q(), strict.physical.count_2q());
-        assert!(strict.physical.count_1q() >= free.physical.count_1q());
-        assert!(strict.respects_connectivity(&device));
-        // Every CX now drives from the device's CR control.
-        for g in strict.physical.gates() {
-            if let chipletqc_circuit::gate::Gate::Cx { control, target } = g {
-                let e = device.edge_between(QubitId(control.0), QubitId(target.0)).unwrap();
-                assert_eq!(e.control, QubitId(control.0));
-            }
-        }
     }
 
     #[test]

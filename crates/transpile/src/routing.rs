@@ -711,7 +711,7 @@ mod tests {
                 reference_route(&circuit, &device, &layout, &params)
             );
 
-            let t = Transpiler { layout: layout_strategy, routing: params, enforce_direction: false };
+            let t = Transpiler { layout: layout_strategy, routing: params };
             let circuits = [circuit, other];
             let one_by_one: Vec<_> = circuits.iter().map(|c| t.transpile(c, &device)).collect();
             prop_assert_eq!(t.transpile_many(&circuits, &device), one_by_one);

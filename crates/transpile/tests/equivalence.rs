@@ -95,15 +95,6 @@ fn equivalence_holds_on_a_two_chip_mcm() {
 }
 
 #[test]
-fn equivalence_with_direction_enforcement() {
-    let device = ChipletSpec::with_qubits(10).unwrap().build();
-    let t = Transpiler { enforce_direction: true, ..Transpiler::paper() };
-    let circuit = Benchmark::Ghz.generate(8, Seed(5));
-    let out = t.transpile(&circuit, &device);
-    assert_equivalent(&circuit, &device, &out);
-}
-
-#[test]
 fn basis_decomposition_preserves_every_gate_type() {
     let mut c = Circuit::new(3);
     c.h(Qubit(0))
