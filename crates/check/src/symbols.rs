@@ -42,7 +42,6 @@ pub const LOCK_CLASSES: &[(&str, &str, &str)] = &[
     ("crates/store/src/remote.rs", "conn", "peer-conn"),
     ("crates/store/src/remote.rs", "circuit", "peer-circuit"),
     ("crates/store/src/lib.rs", "writers", "store-writers"),
-    ("crates/store/src/lib.rs", "ranged_memo", "store-memo"),
     ("crates/core/src/lab.rs", "inner", "hub-inner"),
     ("crates/core/src/lab.rs", "map", "hub-slot"),
     ("crates/obs/src/lib.rs", "counters", "obs-registry"),

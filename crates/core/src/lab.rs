@@ -135,8 +135,7 @@ impl LabConfig {
     /// key: shards of one scenario — or repeated engine invocations —
     /// that agree on this string are guaranteed to agree on every
     /// chiplet bin and monolithic population, so persisted products
-    /// keyed by `(cache_key, product, size)` can be reused safely
-    /// (ROADMAP: cross-process result caching).
+    /// keyed by `(cache_key, product, size)` can be reused safely.
     pub fn cache_key(&self) -> String {
         format!("b{}|{}", self.batch, self.trial_key())
     }
@@ -147,20 +146,13 @@ impl LabConfig {
     /// trials surround it). This keys the store's chunked raw-bin
     /// entries, so runs with different batch sizes still share every
     /// canonical chunk they have in common.
+    ///
+    /// Every store key's model part has this one format: the root
+    /// seed, then the fabrication model and the collision thresholds as
+    /// their `Debug` output (pinned by `store_keys_are_pinned`).
     pub fn trial_key(&self) -> String {
-        trial_key(self.seed, &self.fabrication, &self.collision)
+        format!("s{}|f{:?}|c{:?}", self.seed.0, self.fabrication, self.collision)
     }
-}
-
-/// The one format of every store key's model part: the root seed, then
-/// the fabrication model and the collision thresholds as their `Debug`
-/// output (pinned by `store_keys_are_pinned`).
-pub(crate) fn trial_key(
-    seed: Seed,
-    fabrication: &FabricationParams,
-    collision: &CollisionParams,
-) -> String {
-    format!("s{}|f{:?}|c{:?}", seed.0, fabrication, collision)
 }
 
 impl Default for LabConfig {
@@ -432,10 +424,9 @@ impl CacheHub {
         });
     }
 
-    /// Drops every idle warm in-memory product — the shared
-    /// fabrication/characterization caches ([`CacheHub::trim`] to
-    /// zero) and the attached store's in-process memo — while keeping
-    /// the store attachment and the cumulative fabrication counters.
+    /// Drops every idle warm in-memory product ([`CacheHub::trim`] to
+    /// zero; the hub is the only in-process cache) while keeping the
+    /// store attachment and the cumulative fabrication counters.
     ///
     /// This is the long-lived service's `reset` valve: the hub behaves
     /// as freshly constructed (plus any persistent store), so the next
@@ -443,9 +434,6 @@ impl CacheHub {
     /// not while a scheduler is running.
     pub fn clear(&self) {
         self.trim(0);
-        if let Some(store) = &self.store {
-            store.clear_memo();
-        }
     }
 }
 
@@ -759,14 +747,12 @@ mod tests {
     /// in the diff.
     #[test]
     fn store_keys_are_pinned() {
-        use crate::experiments::output_gain::OutputGainConfig;
         let models = "fFabricationParams { plan: FrequencyPlan { f0: 5.0, step: 0.06, \
                       anharmonicity: -0.33 }, sigma_f: 0.014 }\
                       |cCollisionParams { t1: 0.017, t2: 0.004, t3: 0.03, t5: 0.017, \
                       t6: 0.025, t7: 0.017, enforce_straddling: true }";
         assert_eq!(LabConfig::paper().cache_key(), format!("b10000|s2022|{models}"));
         assert_eq!(LabConfig::paper().trial_key(), format!("s2022|{models}"));
-        assert_eq!(OutputGainConfig::paper().trial_key(), format!("s57|{models}"));
     }
 
     #[test]

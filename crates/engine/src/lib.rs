@@ -18,9 +18,9 @@
 //!   thread the next task round-robin across batches, sharing
 //!   fabrication/characterization work through a
 //!   [`CacheHub`](chipletqc::lab::CacheHub); with
-//!   [`with_shards`](scheduler::Scheduler::with_shards) it splits
-//!   single scenarios into system-slice and Monte Carlo trial-range
-//!   shard tasks that interleave across the worker pool;
+//!   [`with_shards`](scheduler::Scheduler::with_shards) it splits a
+//!   Fig. 8/9/10 scenario into system-slice tasks that interleave
+//!   across the worker pool;
 //! * [`report`] — a [`RunReport`](report::RunReport) serializes the
 //!   batch deterministically: bit-identical JSON at any worker *and
 //!   shard* count;

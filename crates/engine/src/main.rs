@@ -67,9 +67,9 @@ USAGE:
 OPTIONS:
   --workers N       the batch's thread count: N pool threads, and no
                     others (default: hardware threads)
-  --shards N        split each Fig. 8/9/10 or output-gain scenario into
-                    up to N tasks so one scenario can use more than one
-                    of those threads (default: 1; never changes results)
+  --shards N        split each Fig. 8/9/10 scenario's systems into up
+                    to N tasks so one scenario can use more than one of
+                    those threads (default: 1; never changes results)
   --quick           reduced-scale configurations (default: paper scale)
   --sweep FILE      expand a sweep description file into the batch
                     (replaces the paper suite; see README \"Sweeps\")

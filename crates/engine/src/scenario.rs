@@ -275,7 +275,7 @@ impl Scenario {
         )
     }
 
-    // The four configuration builders below are the one place each
+    // The three configuration builders below are the one place each
     // shardable kind's overrides are applied: `Scenario::run` and the
     // scheduler's shard plans both read them, so a whole run and its
     // shards cannot drift apart.
@@ -316,28 +316,6 @@ impl Scenario {
         };
         config.lab = self.overrides.apply_lab(config.lab);
         self.overrides.apply_systems(&mut config.systems);
-        config
-    }
-
-    /// The materialized output-gain configuration (the scale's base
-    /// with the overrides applied).
-    pub fn output_gain_config(&self) -> output_gain::OutputGainConfig {
-        let mut config = match self.scale {
-            Scale::Paper => output_gain::OutputGainConfig::paper(),
-            Scale::Quick => output_gain::OutputGainConfig::quick(),
-        };
-        if let Some(batch) = self.overrides.batch {
-            config.batch = batch;
-        }
-        if let Some(seed) = self.overrides.seed {
-            config.seed = Seed(seed);
-        }
-        if let Some(sigma) = self.overrides.sigma_f {
-            config.fabrication = config.fabrication.with_sigma_f(sigma);
-        }
-        if let Some(step) = self.overrides.detuning_step {
-            config.fabrication = config.fabrication.with_plan(FrequencyPlan::with_step(step));
-        }
         config
     }
 
@@ -426,10 +404,26 @@ impl Scenario {
                 }
                 ExperimentData::Table2(table2::run(&config))
             }
-            ExperimentKind::OutputGain => ExperimentData::OutputGain(output_gain::run_in(
-                &self.output_gain_config(),
-                hub.store().map(|s| s.as_ref()),
-            )),
+            ExperimentKind::OutputGain => {
+                let mut config = match self.scale {
+                    Scale::Paper => output_gain::OutputGainConfig::paper(),
+                    Scale::Quick => output_gain::OutputGainConfig::quick(),
+                };
+                if let Some(batch) = o.batch {
+                    config.batch = batch;
+                }
+                if let Some(seed) = o.seed {
+                    config.seed = Seed(seed);
+                }
+                if let Some(sigma) = o.sigma_f {
+                    config.fabrication = config.fabrication.with_sigma_f(sigma);
+                }
+                if let Some(step) = o.detuning_step {
+                    config.fabrication =
+                        config.fabrication.with_plan(FrequencyPlan::with_step(step));
+                }
+                ExperimentData::OutputGain(output_gain::run(&config))
+            }
         }
     }
 }

@@ -11,9 +11,6 @@
 //!   `systems` into contiguous slices, runs the experiment on each, and
 //!   merges through `Fig8Data::merge`, `Fig9Data::merge` or
 //!   `Fig10Data::merge`;
-//! * **trial ranges** — an output-gain plan splits both Monte Carlo
-//!   batches into [`TrialRange`]s of batch-global trial indices and
-//!   merges through `output_gain::from_shards`;
 //! * every other kind is one task running [`Scenario::run`].
 //!
 //! A plan is built at submission from the scenario's own configuration
@@ -44,12 +41,10 @@
 //!
 //! The schedule — worker count *and* shard count — decides only *where
 //! and when* work runs, never *what it computes*: every scenario
-//! derives its random streams from its own configuration, trial `i` of
-//! a Monte Carlo batch always derives from `seed.split(i)` regardless
-//! of which shard simulates it, shared-cache entries are pure
-//! functions of the cache key (initialized exactly once via per-entry
-//! `OnceLock`), and a plan merges its parts in task order (contiguous
-//! slices ⇒ the single-pass order).
+//! derives its random streams from its own configuration, shared-cache
+//! entries are pure functions of the cache key (initialized exactly
+//! once via per-entry `OnceLock`), and a plan merges its parts in task
+//! order (contiguous slices ⇒ the single-pass order).
 //! A batch therefore produces bit-identical results for any
 //! `(workers, shards)` pair —
 //! [`RunReport`](crate::report::RunReport) serialization included.
@@ -59,8 +54,8 @@
 //! The pool's threads are the only compute threads: a task's Monte
 //! Carlo runs sequentially on the pool thread that picked it. A
 //! batch's `workers` setting is therefore its whole thread count, and
-//! `shards` is how one Fig. 8/9/10 or output-gain scenario spreads
-//! over more than one of those threads.
+//! `shards` is how one Fig. 8/9/10 scenario spreads over more than one
+//! of those threads.
 
 // Daemon path: a panic here takes down the warm hub and every queued
 // client. (`unwrap_used` comes from the workspace lints.)
@@ -83,10 +78,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use chipletqc::experiments::{fig10, fig8, fig9, output_gain};
+use chipletqc::experiments::{fig10, fig8, fig9};
 use chipletqc::lab::CacheHub;
 use chipletqc_topology::mcm::McmSpec;
-use chipletqc_yield::monte_carlo::TrialRange;
 
 use crate::scenario::{ExperimentData, ExperimentKind, Scenario};
 
@@ -170,29 +164,6 @@ impl Scheduler {
                 parts(inputs, fig10::run_in, |p| {
                     Some(ExperimentData::Fig10(fig10::Fig10Data::merge(p)))
                 })
-            }
-            ExperimentKind::OutputGain => {
-                let config = scenario.output_gain_config();
-                // Both batches must split into the same shard count.
-                let n = self.shards.min(config.batch.max(1)).min(config.chiplet_batch().max(1));
-                let inputs = TrialRange::split(config.batch, n)
-                    .into_iter()
-                    .zip(TrialRange::split(config.chiplet_batch(), n))
-                    .collect();
-                parts(
-                    inputs,
-                    move |&(mono, chiplet), hub: &CacheHub| {
-                        output_gain::run_shard_in(
-                            &config,
-                            mono,
-                            chiplet,
-                            hub.store().map(|s| s.as_ref()),
-                        )
-                    },
-                    move |p| {
-                        Some(ExperimentData::OutputGain(output_gain::from_shards(&config, p)))
-                    },
-                )
             }
             _ => parts(vec![scenario.clone()], Scenario::run, |mut p| p.pop()),
         }
@@ -694,8 +665,8 @@ mod tests {
     #[test]
     fn sharded_results_match_unsharded_results() {
         // Three-system fig8/fig9/fig10, a fig8 whose filter leaves no
-        // systems, and a trial-ranged output gain: every shard count
-        // must reproduce the shards = 1 data bit-for-bit.
+        // systems, and an output gain (always one task): every shard
+        // count must reproduce the shards = 1 data bit-for-bit.
         let three = Overrides {
             batch: Some(100),
             systems: Some(vec![

@@ -91,7 +91,7 @@ fn run_report_matches_the_checked_in_golden_at_1_2_and_8_workers() {
 
 /// The (workers, shards) points the quick paper fixtures are checked
 /// at: the serial run, and a sharded one that slices Fig. 8 and
-/// Fig. 10's system sets and the output gain's trial ranges.
+/// Fig. 10's system sets.
 const QUICK_SHAPES: [(usize, usize); 2] = [(1, 1), (2, 3)];
 
 /// The stripped report of the named quick paper scenarios at

@@ -2,9 +2,9 @@
 //!
 //! 1. **Warm peers make cold hosts free** — a cold daemon whose store
 //!    points at a warm peer (`--store-peer`) completes a sweep with
-//!    **zero fabrication campaigns**: every KGD bin, mono population,
-//!    and Monte Carlo chunk arrives over the wire, and the cold host's
-//!    own store is warm afterwards (read-through populate);
+//!    **zero fabrication campaigns**: every KGD bin and mono
+//!    population arrives over the wire, and the cold host's own store
+//!    is warm afterwards (read-through populate);
 //! 2. **Transport invisibility** — the same batch submitted over the
 //!    Unix socket and over authenticated TCP answers with
 //!    byte-identical `RunReport` JSON (and, between two warm
@@ -32,9 +32,9 @@ use chipletqc_store::{CacheMode, EntryKey, Store};
 
 const TOKEN: &str = "remote-mode-test-token";
 
-/// Covers every persisted-product path: fig8 exercises KGD bins and
-/// mono populations, output_gain exercises raw-bin/tally Monte Carlo
-/// chunks.
+/// fig8 exercises every persisted product (KGD bins and mono
+/// populations over raw-bin chunks); output_gain persists nothing, so
+/// its reports must match with no store traffic at all.
 const FIG8_SWEEP: &str = "name = rm\n\
                           kind = fig8\n\
                           scale = quick\n\
@@ -103,7 +103,7 @@ fn a_cold_daemon_with_a_warm_store_peer_fabricates_nothing() {
     let baseline_fig8 = submit(&warm_tcp, FIG8_SWEEP);
     let baseline_og = submit(&warm_tcp, OG_SWEEP);
     assert!(counter(&baseline_fig8, "chiplet_campaigns") > 0, "cold submission fabricates");
-    assert!(counter(&baseline_og, "writes") > 0, "cold submission persists its chunks");
+    assert!(counter(&baseline_fig8, "writes") > 0, "cold submission persists its products");
 
     // Transport invisibility: the same (now warm) batch over Unix and
     // over TCP answers with identical report bytes (modulo the
@@ -145,7 +145,9 @@ fn a_cold_daemon_with_a_warm_store_peer_fabricates_nothing() {
         let report = submit(&cold_unix, sweep);
         assert_eq!(counter(&report, "chiplet_campaigns"), 0, "cold host fabricated chiplets");
         assert_eq!(counter(&report, "mono_campaigns"), 0, "cold host fabricated monoliths");
-        assert!(counter(&report, "hits") > 0, "products must arrive through the store");
+        if sweep == FIG8_SWEEP {
+            assert!(counter(&report, "hits") > 0, "products must arrive through the store");
+        }
         assert_eq!(
             strip_counter_objects(&report),
             strip_counter_objects(baseline),

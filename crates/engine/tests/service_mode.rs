@@ -29,10 +29,10 @@ use chipletqc_engine::suite::resolve_batch;
 use chipletqc_engine::sweep::Sweep;
 use chipletqc_store::{CacheMode, Store};
 
-/// A small two-scenario sweep covering both persisted-product paths
-/// (lab products via fig8, tally chunks via nothing here — kept small
-/// so the test stays fast; the CI `service-smoke` job replays the full
-/// checked-in example sweep against a real daemon process).
+/// A small two-scenario fig8 sweep covering every persisted product
+/// (kept small so the test stays fast; the CI `service-smoke` job
+/// replays the full checked-in example sweep against a real daemon
+/// process).
 const SWEEP: &str = "name = svc\n\
                      kind = fig8\n\
                      scale = quick\n\

@@ -7,20 +7,20 @@
 //! 2. **Warm runs skip fabrication entirely** — the second run over a
 //!    shared cache directory executes zero fabrication campaigns;
 //! 3. both hold at every tested `(workers, shards)` pair, and across
-//!    *different* shard counts against the same directory (the
-//!    merge-on-read interop).
+//!    *different* shard counts against the same directory;
+//! 4. the store holds only the lab's products, each written once.
 
 use chipletqc::lab::CacheHub;
 use chipletqc_engine::report::{strip_counter_objects, RunReport};
 use chipletqc_engine::scenario::{ExperimentKind, Overrides, Scale, Scenario, SystemSpec};
 use chipletqc_engine::scheduler::Scheduler;
 use chipletqc_engine::sweep::Sweep;
-use chipletqc_store::{CacheMode, Store};
+use chipletqc_store::{CacheMode, Store, StoreStats};
 
-/// Two fig8 scenarios (one a two-system group) plus a trial-ranged
-/// output-gain scenario: every persisted product kind — KGD bins,
-/// monolithic populations, raw-bin chunks, tally chunks — is on the
-/// path.
+/// Two fig8 scenarios (one a two-system group) put every persisted
+/// product kind — KGD bins, monolithic populations, raw-bin chunks —
+/// on the path; an output-gain scenario rides along and persists
+/// nothing.
 fn batch() -> Vec<Scenario> {
     let mut scenarios = Sweep::parse(
         "name = sd\n\
@@ -132,6 +132,25 @@ fn cold_warm_and_off_reports_agree_modulo_counters_at_every_schedule() {
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn an_output_gain_batch_leaves_the_store_empty() {
+    let dir = temp_dir("gain");
+    let hub = CacheHub::new()
+        .with_store(Store::open(&dir, CacheMode::ReadWrite).expect("open store"));
+    let gain = Scenario {
+        name: "gain".into(),
+        kind: ExperimentKind::OutputGain,
+        scale: Scale::Quick,
+        overrides: Overrides::default(),
+    };
+    Scheduler::new(2).with_shards(3).run(&[gain], &hub);
+    hub.flush_store();
+    assert_eq!(hub.store_stats(), StoreStats::default());
+    let disk = hub.store().expect("store attached").disk_stats().expect("scan store");
+    assert_eq!(disk.entries, 0, "{disk:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

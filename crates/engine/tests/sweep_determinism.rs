@@ -33,9 +33,9 @@ fn small_sweep() -> Sweep {
     .expect("sweep parses")
 }
 
-/// The sweep's batch plus a trial-range-sharded output-gain scenario
-/// and a multi-system Fig. 9 scenario, so the matrix exercises every
-/// shard mechanism in one report.
+/// The sweep's batch plus an output-gain scenario (one task at any
+/// shard count) and a multi-system Fig. 9 scenario, so the matrix
+/// exercises every plan kind in one report.
 fn batch() -> Vec<Scenario> {
     let mut scenarios = small_sweep().expand();
     scenarios.push(Scenario {

@@ -3,7 +3,7 @@
 //! A [`Backend`] answers get/put/list for envelope-sealed payloads
 //! addressed by [`EntryKey`]. The [`Store`](crate::Store) layer above
 //! owns *policy* — cache modes, session counters, write-behind
-//! threads, the in-process chunk memo, read-through tiering — and
+//! threads, read-through tiering — and
 //! delegates the bytes to backends:
 //!
 //! * [`DirBackend`] — the original on-disk store: one envelope file

@@ -2,9 +2,8 @@
 //!
 //! Every store entry is one file: a fixed header followed by the
 //! payload. The header carries a magic number, a format version, the
-//! payload encoding ([`Encoding::Binary`] for the product codec,
-//! [`Encoding::Json`] for small human-inspectable records), the
-//! entry's full logical key (so a hash collision or a stale file can
+//! payload encoding ([`Encoding::Binary`] for the product codec, or
+//! [`Encoding::Json`]), the entry's full logical key (so a hash collision or a stale file can
 //! never serve the wrong product), and an FNV-1a checksum of the
 //! payload. [`open`] validates all of it; any failure is reported as
 //! an [`EnvelopeError`], which the store layer above translates into a
@@ -42,7 +41,9 @@ pub const FORMAT_VERSION: u32 = 1;
 pub enum Encoding {
     /// The `chipletqc_math::codec` binary product codec.
     Binary,
-    /// UTF-8 JSON (small tally records; inspectable with any editor).
+    /// UTF-8 JSON. No product writes it; it stays because the store
+    /// peer protocol carries an entry's encoding on the wire and
+    /// `chipletbench` passes encodings through `Store::put`.
     Json,
 }
 

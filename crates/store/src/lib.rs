@@ -5,9 +5,9 @@
 //! products instead of recomputing them.
 //!
 //! Every figure in the paper reconsumes the same intermediates —
-//! collision-free KGD chiplet bins, monolithic survivor populations,
-//! Monte Carlo yield tallies. Within one process the `chipletqc`
-//! `CacheHub` deduplicates them; this crate extends that guarantee
+//! collision-free KGD chiplet bins and monolithic survivor
+//! populations. Within one process the `chipletqc` `CacheHub`
+//! deduplicates them; this crate extends that guarantee
 //! *across processes*: products are keyed by
 //! `LabConfig::cache_key()`-style strings that pin everything
 //! determining their bytes, so any run that agrees on the key is
@@ -28,8 +28,8 @@
 //!   [`TrialRange`] chunk, with batch-global trial indices; keyed by a
 //!   *batch-independent* fabrication key, so runs with different batch
 //!   sizes still share every chunk they have in common.
-//! * `tally` — the survivor count of one canonical chunk (JSON
-//!   payload), same batch-independent keying.
+//!
+//! Every product payload is binary ([`Encoding::Binary`]).
 //!
 //! Entries are addressed on disk by a hash of the logical key
 //! (`objects/<2-hex>/<32-hex>.cqs`); the envelope stores the full key,
@@ -37,14 +37,13 @@
 //!
 //! ## Merge-on-read
 //!
-//! Ranged products (`raw-bin`, `tally`) are persisted per canonical
-//! chunk ([`products::CHUNK_TRIALS`] trials, aligned). A read for any
+//! Raw bins are persisted per canonical chunk
+//! ([`products::CHUNK_TRIALS`] trials, aligned). A read for any
 //! [`TrialRange`] decomposes into chunk pieces, serves the pieces it
-//! finds, simulates only the holes (as contiguous super-ranges), and
-//! recombines — [`YieldEstimate::merge`] for tallies, range-ordered
-//! concatenation for bins. Differently-sharded (and even
-//! differently-batched) runs therefore interoperate: trial `i` depends
-//! only on `(seed, i)`, never on who simulated it.
+//! finds, simulates each missing chunk on its own, and concatenates
+//! the clipped pieces in range order. Differently-batched runs
+//! therefore interoperate: trial `i` depends only on `(seed, i)`,
+//! never on who simulated it.
 //!
 //! ## Backends and tiers
 //!
@@ -69,7 +68,6 @@
 //! or all of it is always safe.
 //!
 //! [`TrialRange`]: chipletqc_yield::monte_carlo::TrialRange
-//! [`YieldEstimate::merge`]: chipletqc_yield::monte_carlo::YieldEstimate::merge
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -158,7 +156,7 @@ pub struct EntryKey {
     /// The configuration key pinning everything that determines the
     /// product's bytes (a `LabConfig::cache_key()`-style string).
     pub cache_key: String,
-    /// The product kind (`kgd-bin`, `mono-pop`, `raw-bin`, `tally`).
+    /// The product kind (`kgd-bin`, `mono-pop`, `raw-bin`).
     pub kind: String,
     /// The product coordinate within the configuration (size, stream,
     /// trial range).
@@ -287,11 +285,6 @@ pub struct GcReport {
     pub removed_bytes: u64,
 }
 
-/// One memoized payload slot: initialized at most once per process
-/// even under concurrent requests, exactly like the lab caches'
-/// per-entry `OnceLock`s.
-type MemoSlot = std::sync::Arc<std::sync::OnceLock<std::sync::Arc<Vec<u8>>>>;
-
 /// A persistent, content-addressed result store: cache policy layered
 /// over one or two [`Backend`]s.
 ///
@@ -317,15 +310,6 @@ pub struct Store {
     writes: AtomicU64,
     invalid: AtomicU64,
     writers: Mutex<Vec<JoinHandle<()>>>,
-    /// In-process dedupe for chunked ranged products: concurrent
-    /// requests for the same canonical chunk (e.g. trial-range shards
-    /// of one scenario racing on different workers) resolve to one
-    /// disk read or one computation. Keyed by the entry's logical key.
-    /// Retains each touched chunk's encoded payload for the store's
-    /// lifetime — the same retention policy as the in-process lab
-    /// caches; a long-lived service process should bound both
-    /// (ROADMAP: service mode).
-    ranged_memo: Mutex<BTreeMap<String, MemoSlot>>,
 }
 
 impl Store {
@@ -341,7 +325,6 @@ impl Store {
             writes: AtomicU64::new(0),
             invalid: AtomicU64::new(0),
             writers: Mutex::new(Vec::new()),
-            ranged_memo: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -524,41 +507,6 @@ impl Store {
         }
     }
 
-    /// The validated payload under `key`, computed (and persisted)
-    /// exactly once per process even under concurrent callers — the
-    /// once-per-entry primitive behind the chunked ranged products.
-    ///
-    /// The first caller for a key consults the disk (counting one hit
-    /// or miss); on a miss — or a payload `validate` rejects — it runs
-    /// `compute` and persists the result behind the read. Every later
-    /// caller (and every concurrent one, which blocks on the first) is
-    /// served from memory with no further disk traffic, so session
-    /// counters are a pure function of the distinct keys consulted,
-    /// never of worker or shard scheduling.
-    pub fn get_or_compute_once(
-        &self,
-        key: &EntryKey,
-        encoding: Encoding,
-        validate: impl Fn(&[u8]) -> bool,
-        compute: impl FnOnce() -> Vec<u8>,
-    ) -> std::sync::Arc<Vec<u8>> {
-        let slot = {
-            let mut memo = self.ranged_memo.lock().expect("memo poisoned");
-            std::sync::Arc::clone(memo.entry(key.logical()).or_default())
-        };
-        std::sync::Arc::clone(slot.get_or_init(|| {
-            if let Some(payload) = self.get(key) {
-                if validate(&payload) {
-                    return std::sync::Arc::new(payload);
-                }
-                self.count_invalid_payload();
-            }
-            let payload = compute();
-            self.put(key, encoding, payload.clone());
-            std::sync::Arc::new(payload)
-        }))
-    }
-
     /// Joins every outstanding background write. Call before reading
     /// another process's view of the directory (or before exiting, if
     /// the drop order is not obvious).
@@ -578,15 +526,6 @@ impl Store {
             writes: self.writes.load(Ordering::Relaxed),
             invalid: self.invalid.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drops the in-process memo of chunked ranged payloads (which
-    /// otherwise retains every touched chunk for the store's
-    /// lifetime). Entries on disk are untouched; the next request for
-    /// a chunk re-reads or recomputes it. A long-lived service calls
-    /// this between batches to bound memory.
-    pub fn clear_memo(&self) {
-        self.ranged_memo.lock().expect("memo poisoned").clear();
     }
 
     /// Serves a peer daemon's `store-get`: the *local* tier only (a
@@ -1215,7 +1154,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_since_and_memo_clearing_support_long_lived_services() {
+    fn stats_since_supports_long_lived_services() {
         let root = temp_root("service");
         let store = Store::open(&root, CacheMode::ReadWrite).unwrap();
         store.put(&key("a"), Encoding::Binary, b"v".to_vec());
@@ -1227,35 +1166,6 @@ mod tests {
             StoreStats { hits: 1, misses: 0, writes: 0, invalid: 0 }
         );
         assert_eq!(StoreStats::default().since(store.stats()), StoreStats::default());
-
-        // The ranged memo serves repeats without disk reads; clearing
-        // it forces the next request back through `get` (another hit).
-        let payload = store.get_or_compute_once(
-            &key("m"),
-            Encoding::Binary,
-            |_| true,
-            || b"chunk".to_vec(),
-        );
-        assert_eq!(*payload, b"chunk".to_vec());
-        store.flush();
-        let before = store.stats();
-        let again = store.get_or_compute_once(
-            &key("m"),
-            Encoding::Binary,
-            |_| true,
-            || panic!("memoized chunk must not recompute"),
-        );
-        assert_eq!(*again, b"chunk".to_vec());
-        assert_eq!(store.stats().since(before), StoreStats::default());
-        store.clear_memo();
-        let reread = store.get_or_compute_once(
-            &key("m"),
-            Encoding::Binary,
-            |_| true,
-            || panic!("persisted chunk must re-read, not recompute"),
-        );
-        assert_eq!(*reread, b"chunk".to_vec());
-        assert_eq!(store.stats().since(before).hits, 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -1,32 +1,28 @@
-//! Typed product access: whole KGD bins, chunked raw fabrication
-//! bins, and chunked Monte Carlo tallies, with merge-on-read.
+//! Typed product access: whole KGD bins and chunked raw fabrication
+//! bins, with merge-on-read.
 //!
 //! ## Canonical chunking
 //!
-//! Ranged products are persisted per *canonical chunk*: the trial axis
-//! is cut at multiples of [`CHUNK_TRIALS`], and every stored piece is
-//! one full aligned chunk. Trial `i` depends only on `(seed, i)` —
-//! never on the requesting run's batch size or shard split — so a
-//! chunk is well-defined even past the end of any particular batch,
-//! and [`chunk_cover`] may round a requested [`TrialRange`] *outward*
-//! to chunk boundaries. Reads clip chunk contents back to the exact
-//! request by survivor index.
+//! Raw bins are persisted per *canonical chunk*: the trial axis is cut
+//! at multiples of [`CHUNK_TRIALS`], and every stored piece is one full
+//! aligned chunk. Trial `i` depends only on `(seed, i)` — never on the
+//! requesting run's batch size — so a chunk is well-defined even past
+//! the end of any particular batch, and [`chunk_cover`] may round a
+//! requested [`TrialRange`] *outward* to chunk boundaries. Reads clip
+//! chunk contents back to the exact request by survivor index.
 //!
-//! The payoff is total interoperability: any two runs over the same
-//! fabrication key share the same chunk entries regardless of how
-//! they shard, size, or slice their batches. The cost is bounded
-//! over-computation on a cold read (at most one chunk of extra trials
-//! at each end of the range), amortized away the first time any
-//! overlapping request recurs.
+//! The payoff is interoperability: any two runs over the same
+//! fabrication key share the same chunk entries however they size or
+//! slice their batches. The cost is bounded over-computation on a cold
+//! read (at most one chunk of extra trials at each end of the range),
+//! amortized away the first time any overlapping request recurs.
 //!
-//! On a read, each covering chunk resolves through
-//! [`Store::get_or_compute_once`]: served from disk when warm,
-//! simulated and persisted behind the read when cold, and — within one
-//! process — computed at most once even when concurrent shard tasks
-//! race for it. The clipped pieces recombine by range-ordered
-//! concatenation (bins) or survivor-count summation (tallies, equal to
-//! [`YieldEstimate::merge`] over the clipped pieces), bit-identical to
-//! a single uncached run.
+//! On a read, each covering chunk is served from the store when warm,
+//! or simulated on its own and persisted behind the read when cold.
+//! The clipped pieces recombine by range-ordered concatenation,
+//! bit-identical to a single uncached run. Nothing here dedupes
+//! concurrent requests: the lab's compute-once slots request each
+//! configuration's bins once.
 //!
 //! ## Keying
 //!
@@ -42,15 +38,12 @@ use chipletqc_math::codec::{decode_from_slice, encode_to_vec};
 use chipletqc_math::rng::Seed;
 use chipletqc_topology::device::Device;
 use chipletqc_yield::fabrication::FabricationParams;
-use chipletqc_yield::monte_carlo::{
-    collision_free_trial_indices, fabricate_collision_free_indexed_range, TrialRange,
-    YieldEstimate,
-};
+use chipletqc_yield::monte_carlo::{fabricate_collision_free_indexed_range, TrialRange};
 
 use crate::envelope::Encoding;
 use crate::{EntryKey, Store};
 
-/// Trials per canonical chunk of a ranged product.
+/// Trials per canonical raw-bin chunk.
 ///
 /// [`chunk_cover`] cuts at this constant and takes no size of its
 /// own, because merge-on-read assumes every producer chunked
@@ -64,8 +57,6 @@ pub const KIND_KGD_BIN: &str = "kgd-bin";
 pub const KIND_MONO_POP: &str = "mono-pop";
 /// Entry kind: the indexed collision-free survivors of one chunk.
 pub const KIND_RAW_BIN: &str = "raw-bin";
-/// Entry kind: the survivor indices of one chunk (JSON payload).
-pub const KIND_TALLY: &str = "tally";
 
 /// The canonical full chunks covering `range`: aligned,
 /// [`CHUNK_TRIALS`]-sized pieces from `floor(start / CHUNK_TRIALS)` to
@@ -82,20 +73,19 @@ pub fn chunk_cover(range: TrialRange) -> Vec<TrialRange> {
         .collect()
 }
 
-fn piece_key(fab_key: &str, kind: &str, stream: &str, piece: TrialRange) -> EntryKey {
-    EntryKey::new(fab_key, kind, format!("{stream}/{}-{}", piece.start, piece.end))
+fn piece_key(fab_key: &str, stream: &str, piece: TrialRange) -> EntryKey {
+    EntryKey::new(fab_key, KIND_RAW_BIN, format!("{stream}/{}-{}", piece.start, piece.end))
 }
 
 /// One indexed survivor `(batch-global trial index, frequencies)` —
 /// the raw-bin chunk payload element.
 type IndexedSurvivor = (usize, Frequencies);
 
-/// Validates that `indices` could be a chunk's survivor set: strictly
-/// ascending, inside the chunk's range.
-fn valid_chunk_indices(indices: &[usize], chunk: TrialRange) -> bool {
-    indices.iter().all(|i| chunk.start <= *i && *i < chunk.end)
-        && indices.windows(2).all(|w| w[0] < w[1])
-        && indices.len() <= chunk.len()
+/// Validates that `piece` could be a chunk's survivors: indices
+/// strictly ascending, inside the chunk's range.
+fn valid_chunk(piece: &[IndexedSurvivor], chunk: TrialRange) -> bool {
+    piece.iter().all(|(i, _)| chunk.start <= *i && *i < chunk.end)
+        && piece.windows(2).all(|w| w[0].0 < w[1].0)
 }
 
 impl Store {
@@ -144,7 +134,7 @@ impl Store {
     /// The collision-free survivors of `range`, identical to
     /// `fabricate_collision_free_range` but served from canonical
     /// store chunks: disk when warm, simulated (and persisted behind
-    /// the read) when cold, at most once per chunk per process.
+    /// the read) when cold.
     #[expect(
         clippy::too_many_arguments,
         reason = "the two store-key parts plus every input of the Monte Carlo call it caches"
@@ -161,26 +151,13 @@ impl Store {
     ) -> Vec<Frequencies> {
         let mut survivors = Vec::new();
         for chunk in chunk_cover(range) {
-            let payload = self.get_or_compute_once(
-                &piece_key(fab_key, KIND_RAW_BIN, stream, chunk),
-                Encoding::Binary,
-                |payload| {
-                    matches!(
-                        decode_from_slice::<Vec<IndexedSurvivor>>(payload),
-                        Ok(piece) if valid_chunk_indices(
-                            &piece.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-                            chunk,
-                        )
-                    )
-                },
-                || {
-                    encode_to_vec(&fabricate_collision_free_indexed_range(
-                        device, fab, params, chunk, seed,
-                    ))
-                },
-            );
-            let piece: Vec<IndexedSurvivor> =
-                decode_from_slice(&payload).expect("memoized chunk decodes");
+            let key = piece_key(fab_key, stream, chunk);
+            let piece = self.stored_chunk(&key, chunk).unwrap_or_else(|| {
+                let piece =
+                    fabricate_collision_free_indexed_range(device, fab, params, chunk, seed);
+                self.put(&key, Encoding::Binary, encode_to_vec(&piece));
+                piece
+            });
             // Clip to the request; chunks are visited in range order,
             // so this concatenation reassembles the single-pass bin.
             survivors.extend(
@@ -193,134 +170,16 @@ impl Store {
         survivors
     }
 
-    /// The yield tally of `range`, identical to a direct
-    /// `simulate_yield_range` call but served from canonical store
-    /// chunks; the clipped chunk counts sum exactly as
-    /// [`YieldEstimate::merge`] over the sub-range pieces would.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the two store-key parts plus every input of the Monte Carlo call it caches"
-    )]
-    pub fn yield_range_cached(
-        &self,
-        fab_key: &str,
-        stream: &str,
-        device: &Device,
-        fab: &FabricationParams,
-        params: &CollisionParams,
-        range: TrialRange,
-        seed: Seed,
-    ) -> YieldEstimate {
-        let mut survivors = 0;
-        for chunk in chunk_cover(range) {
-            let payload = self.get_or_compute_once(
-                &piece_key(fab_key, KIND_TALLY, stream, chunk),
-                Encoding::Json,
-                |payload| {
-                    matches!(
-                        tally_chunk_from_json(payload),
-                        Some((stored, indices))
-                            if stored == chunk && valid_chunk_indices(&indices, chunk)
-                    )
-                },
-                || {
-                    let indices =
-                        collision_free_trial_indices(device, fab, params, chunk, seed);
-                    tally_chunk_to_json(chunk, &indices)
-                },
-            );
-            let (_, indices) = tally_chunk_from_json(&payload).expect("memoized chunk parses");
-            survivors +=
-                indices.into_iter().filter(|i| range.start <= *i && *i < range.end).count();
-        }
-        YieldEstimate { survivors, batch: range.len() }
-    }
-}
-
-/// Renders a tally chunk as its JSON payload:
-/// `{"start":S,"end":E,"survivors":[i,...]}`.
-pub fn tally_chunk_to_json(chunk: TrialRange, indices: &[usize]) -> Vec<u8> {
-    let list = indices.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
-    format!(r#"{{"start":{},"end":{},"survivors":[{list}]}}"#, chunk.start, chunk.end)
-        .into_bytes()
-}
-
-/// Parses a tally chunk JSON payload. Strict about shape; `None` on
-/// anything unexpected.
-pub fn tally_chunk_from_json(bytes: &[u8]) -> Option<(TrialRange, Vec<usize>)> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let mut rest = text.trim().strip_prefix('{')?;
-    let mut start: Option<usize> = None;
-    let mut end: Option<usize> = None;
-    let mut survivors: Option<Vec<usize>> = None;
-    loop {
-        rest = rest.trim_start();
-        let (field, tail) = rest.split_once(':')?;
-        let tail = tail.trim_start();
-        let (field, consumed) = (field.trim(), tail);
-        let after_value = match field {
-            "\"start\"" if start.is_none() => {
-                let (value, after) = parse_uint(consumed)?;
-                start = Some(value);
-                after
+    /// The raw-bin chunk under `key`, if the store holds one that
+    /// decodes and lies inside `chunk` (`None` on any miss).
+    fn stored_chunk(&self, key: &EntryKey, chunk: TrialRange) -> Option<Vec<IndexedSurvivor>> {
+        let payload = self.get(key)?;
+        match decode_from_slice::<Vec<IndexedSurvivor>>(&payload) {
+            Ok(piece) if valid_chunk(&piece, chunk) => Some(piece),
+            _ => {
+                self.count_invalid_payload();
+                None
             }
-            "\"end\"" if end.is_none() => {
-                let (value, after) = parse_uint(consumed)?;
-                end = Some(value);
-                after
-            }
-            "\"survivors\"" if survivors.is_none() => {
-                let (values, after) = parse_uint_array(consumed)?;
-                survivors = Some(values);
-                after
-            }
-            _ => return None,
-        };
-        let after_value = after_value.trim_start();
-        if let Some(next) = after_value.strip_prefix(',') {
-            rest = next;
-        } else if let Some(done) = after_value.strip_prefix('}') {
-            if !done.trim().is_empty() {
-                return None;
-            }
-            break;
-        } else {
-            return None;
-        }
-    }
-    let (start, end) = (start?, end?);
-    if end < start {
-        return None;
-    }
-    Some((TrialRange { start, end }, survivors?))
-}
-
-/// Parses a decimal unsigned integer prefix; returns it and the rest.
-fn parse_uint(s: &str) -> Option<(usize, &str)> {
-    let digits = s.len() - s.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    if digits == 0 {
-        return None;
-    }
-    Some((s[..digits].parse().ok()?, &s[digits..]))
-}
-
-/// Parses a `[u, u, ...]` array prefix; returns it and the rest.
-fn parse_uint_array(s: &str) -> Option<(Vec<usize>, &str)> {
-    let mut rest = s.strip_prefix('[')?.trim_start();
-    let mut values = Vec::new();
-    if let Some(after) = rest.strip_prefix(']') {
-        return Some((values, after));
-    }
-    loop {
-        let (value, after) = parse_uint(rest)?;
-        values.push(value);
-        let after = after.trim_start();
-        if let Some(next) = after.strip_prefix(',') {
-            rest = next.trim_start();
-        } else if let Some(done) = after.strip_prefix(']') {
-            return Some((values, done));
-        } else {
-            return None;
         }
     }
 }
@@ -330,7 +189,7 @@ mod tests {
     use super::*;
     use crate::CacheMode;
     use chipletqc_topology::family::ChipletSpec;
-    use chipletqc_yield::monte_carlo::simulate_yield_range;
+    use chipletqc_yield::monte_carlo::fabricate_collision_free_range;
 
     fn temp_store(tag: &str) -> (std::path::PathBuf, Store) {
         let dir = std::env::temp_dir()
@@ -366,48 +225,41 @@ mod tests {
         let fab = FabricationParams::state_of_the_art();
         let params = CollisionParams::paper();
         let seed = Seed(41);
-        let full = TrialRange::full(1100);
-        let direct = simulate_yield_range(&device, &fab, &params, full, seed, None);
+        let direct =
+            |range| fabricate_collision_free_range(&device, &fab, &params, range, seed);
+        let cached = |store: &Store, range| {
+            store.fabricate_bin_cached("fabkey", "s", &device, &fab, &params, range, seed)
+        };
 
         // Cold: one run over the full range.
-        let cold = store.yield_range_cached("fabkey", "s", &device, &fab, &params, full, seed);
-        assert_eq!(cold, direct);
+        let full = TrialRange::full(1100);
+        assert_eq!(cached(&store, full), direct(full));
         store.flush();
         let cold_stats = store.stats();
         assert_eq!(cold_stats.writes, 3, "three canonical chunks for [0, 1100)");
         assert_eq!(cold_stats.hits, 0);
-        // Re-reading through the same store is served from the
-        // in-process memo: no further disk traffic at all.
-        let again = store.yield_range_cached("fabkey", "s", &device, &fab, &params, full, seed);
-        assert_eq!(again, direct);
-        assert_eq!(store.stats(), cold_stats);
 
         // Warm, in a "new process" (a fresh store over the directory):
-        // ANY differently-sharded view of the same batch is served
+        // a differently split view of the same batch is served
         // entirely from the same chunks.
         let warm_store = Store::open(&dir, CacheMode::ReadWrite).unwrap();
-        let merged = YieldEstimate::merge(TrialRange::split(1100, 3).into_iter().map(|r| {
-            warm_store.yield_range_cached("fabkey", "s", &device, &fab, &params, r, seed)
-        }));
-        assert_eq!(merged, direct);
+        let split: Vec<Frequencies> = [(0, 367), (367, 734), (734, 1100)]
+            .into_iter()
+            .flat_map(|(start, end)| cached(&warm_store, TrialRange { start, end }))
+            .collect();
+        assert_eq!(split, direct(full));
         let warm = warm_store.stats();
         assert_eq!(warm.writes, 0, "no new chunks on the warm read");
         assert_eq!(warm.misses, 0);
-        assert_eq!(warm.hits, 3, "one disk hit per distinct chunk: {warm:?}");
+        assert_eq!(warm.hits, 5, "one disk hit per chunk each request covers: {warm:?}");
 
         // Even a *larger* batch reuses the prefix chunks.
-        let bigger = warm_store.yield_range_cached(
-            "fabkey",
-            "s",
-            &device,
-            &fab,
-            &params,
-            TrialRange::full(1400),
-            seed,
-        );
+        let bigger = TrialRange::full(1400);
+        assert_eq!(cached(&warm_store, bigger), direct(bigger));
         assert_eq!(
-            bigger,
-            simulate_yield_range(&device, &fab, &params, TrialRange::full(1400), seed, None)
+            warm_store.stats().since(warm),
+            crate::StoreStats { hits: 3, misses: 0, writes: 0, invalid: 0 },
+            "[0, 1400) lies inside the three stored chunks"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -461,45 +313,13 @@ mod tests {
                 std::fs::write(&path, b"garbage").unwrap();
             }
         }
-        // A fresh store (the memo is per-process) sees the vandalized
-        // files, rejects every one, and recomputes identical results.
+        // A fresh store sees the vandalized files, rejects every one,
+        // and recomputes identical results.
         let reopened = Store::open(&dir, CacheMode::ReadWrite).unwrap();
         let recomputed =
             reopened.fabricate_bin_cached("fk", "c", &device, &fab, &params, range, Seed(9));
         assert_eq!(recomputed, cold);
         assert_eq!(reopened.stats().invalid, 2, "{:?}", reopened.stats());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tally_chunk_json_round_trips_and_rejects_garbage() {
-        let chunk = TrialRange { start: 512, end: 1024 };
-        let indices = vec![513, 600, 1023];
-        let json = tally_chunk_to_json(chunk, &indices);
-        assert_eq!(tally_chunk_from_json(&json), Some((chunk, indices)));
-        let empty = tally_chunk_to_json(TrialRange { start: 0, end: 512 }, &[]);
-        assert_eq!(
-            tally_chunk_from_json(&empty),
-            Some((TrialRange { start: 0, end: 512 }, vec![]))
-        );
-        // Field order and whitespace are tolerated.
-        assert_eq!(
-            tally_chunk_from_json(
-                br#" { "survivors" : [ 1 , 2 ] , "start" : 0 , "end" : 9 } "#
-            ),
-            Some((TrialRange { start: 0, end: 9 }, vec![1, 2]))
-        );
-        for bad in [
-            &b"not json"[..],
-            br#"{"start":9,"end":0,"survivors":[]}"#,
-            br#"{"start":0,"end":9}"#,
-            br#"{"start":0,"end":9,"survivors":[1],"extra":2}"#,
-            br#"{"start":0,"end":9,"survivors":[1]} trailing"#,
-            br#"{"start":0,"end":9,"survivors":[-1]}"#,
-            br#"{"start":0,"end":9,"survivors":[1,]}"#,
-            b"\xff\xfe",
-        ] {
-            assert_eq!(tally_chunk_from_json(bad), None, "{:?}", String::from_utf8_lossy(bad));
-        }
     }
 }

@@ -11,9 +11,7 @@ use chipletqc_collision::frequencies::Frequencies;
 use chipletqc_math::codec::{decode_from_slice, encode_to_vec};
 use chipletqc_noise::assign::EdgeNoise;
 use chipletqc_store::envelope::{self, Encoding};
-use chipletqc_store::products::{
-    chunk_cover, tally_chunk_from_json, tally_chunk_to_json, CHUNK_TRIALS,
-};
+use chipletqc_store::products::{chunk_cover, CHUNK_TRIALS};
 use chipletqc_yield::monte_carlo::{TrialRange, YieldEstimate};
 
 proptest! {
@@ -39,13 +37,12 @@ proptest! {
         prop_assert_eq!(decoded, value);
     }
 
-    /// Tallies and trial ranges round-trip through the binary codec.
+    /// Yield tallies (a monolithic population's estimate) round-trip
+    /// through the binary codec.
     #[test]
-    fn tallies_and_ranges_round_trip(survivors in 0usize..5000, extra in 0usize..5000) {
+    fn tallies_round_trip(survivors in 0usize..5000, extra in 0usize..5000) {
         let est = YieldEstimate { survivors, batch: survivors + extra };
         prop_assert_eq!(decode_from_slice::<YieldEstimate>(&encode_to_vec(&est)).unwrap(), est);
-        let range = TrialRange { start: survivors, end: survivors + extra };
-        prop_assert_eq!(decode_from_slice::<TrialRange>(&encode_to_vec(&range)).unwrap(), range);
     }
 
     /// A characterized KGD bin round-trips bit-exactly: the sort
@@ -82,11 +79,11 @@ proptest! {
     #[test]
     fn envelopes_round_trip_and_reject_truncation(
         payload in prop::collection::vec(0u8..=255, 0..200),
-        kind_pick in 0u8..4,
+        kind_pick in 0u8..3,
         cut_fraction in 0.0f64..1.0,
         json_pick in 0u8..2,
     ) {
-        let kind = ["kgd-bin", "mono-pop", "raw-bin", "tally"][kind_pick as usize];
+        let kind = ["kgd-bin", "mono-pop", "raw-bin"][kind_pick as usize];
         let encoding = if json_pick == 1 { Encoding::Json } else { Encoding::Binary };
         let sealed = envelope::seal(kind, "prop-key", encoding, &payload);
         let opened = envelope::open(&sealed).unwrap();
@@ -107,29 +104,11 @@ proptest! {
         position_fraction in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let sealed = envelope::seal("tally", "bitflip-key", Encoding::Binary, &payload);
+        let sealed = envelope::seal("raw-bin", "bitflip-key", Encoding::Binary, &payload);
         let position = (((sealed.len() - 1) as f64) * position_fraction) as usize;
         let mut corrupt = sealed.clone();
         corrupt[position] ^= 1 << bit;
         prop_assert!(envelope::open(&corrupt).is_err(), "flip at byte {}", position);
-    }
-
-    /// The tally-chunk JSON payload round-trips exactly.
-    #[test]
-    fn tally_chunk_json_round_trips(
-        chunk_index in 0usize..64,
-        offsets in prop::collection::vec(0usize..CHUNK_TRIALS, 0..64),
-    ) {
-        let chunk = TrialRange {
-            start: chunk_index * CHUNK_TRIALS,
-            end: (chunk_index + 1) * CHUNK_TRIALS,
-        };
-        let mut indices: Vec<usize> =
-            offsets.into_iter().map(|o| chunk.start + o).collect();
-        indices.sort_unstable();
-        indices.dedup();
-        let json = tally_chunk_to_json(chunk, &indices);
-        prop_assert_eq!(tally_chunk_from_json(&json), Some((chunk, indices)));
     }
 
     /// Canonical chunk covers are aligned, contiguous, and cover every

@@ -5,17 +5,14 @@
 //! individual device of a batch can be re-derived in isolation (useful
 //! when debugging a rare collision pattern). Every call runs on the
 //! calling thread; parallelism belongs to the caller (the engine runs
-//! scenarios and their trial-range shards as tasks on its worker
-//! pool).
+//! scenarios and their system slices as tasks on its worker pool).
 //!
-//! ## Trial-range sharding
+//! ## Trial ranges
 //!
-//! Because trial `i` depends only on `(seed, i)`, a batch can be split
-//! into disjoint [`TrialRange`]s and simulated anywhere — different
-//! threads, scheduler shards, or processes — then recombined with
-//! [`YieldEstimate::merge`] (or by concatenating bins in range order)
-//! into exactly the result a single full-batch run produces. This is
-//! the primitive behind the engine's intra-scenario sharding.
+//! Because trial `i` depends only on `(seed, i)`, any [`TrialRange`]
+//! of a batch can be simulated on its own: the survivors of disjoint
+//! ranges, concatenated in range order, are exactly those of one
+//! full-batch run. The result store's raw-bin chunks are built on this.
 //!
 //! ## Stopping at the first collision
 //!
@@ -66,16 +63,6 @@ impl YieldEstimate {
     pub fn confidence95(&self) -> (f64, f64) {
         wilson_interval(self.survivors, self.batch)
     }
-
-    /// Combines estimates of **disjoint** trial ranges of the same
-    /// batch: survivor and trial counts add. Merging every shard of a
-    /// [`TrialRange::split`] reproduces the full-batch estimate
-    /// exactly.
-    pub fn merge(parts: impl IntoIterator<Item = YieldEstimate>) -> YieldEstimate {
-        parts.into_iter().fold(YieldEstimate { survivors: 0, batch: 0 }, |acc, p| {
-            YieldEstimate { survivors: acc.survivors + p.survivors, batch: acc.batch + p.batch }
-        })
-    }
 }
 
 impl std::fmt::Display for YieldEstimate {
@@ -108,10 +95,8 @@ impl Codec for YieldEstimate {
 /// within a Monte Carlo batch.
 ///
 /// Trial `i` is always fabricated from `seed.split(i)` with `i` the
-/// *batch-global* index, so the work of a batch can be partitioned
-/// into ranges, simulated independently (even in other processes), and
-/// merged back — with results bit-identical to a single full-batch
-/// run.
+/// *batch-global* index, so a range simulates the same trials wherever
+/// it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TrialRange {
     /// First trial index (inclusive).
@@ -135,49 +120,11 @@ impl TrialRange {
     pub fn is_empty(&self) -> bool {
         self.end <= self.start
     }
-
-    /// Partitions `[0, batch)` into at most `shards` contiguous,
-    /// non-empty ranges of near-equal length (earlier ranges take the
-    /// remainder), in ascending order.
-    ///
-    /// Requesting more shards than trials yields one range per trial —
-    /// never an empty shard. A zero-trial batch yields a single empty
-    /// range so every batch has at least one schedulable shard.
-    pub fn split(batch: usize, shards: usize) -> Vec<TrialRange> {
-        let shards = shards.clamp(1, batch.max(1));
-        let base = batch / shards;
-        let remainder = batch % shards;
-        let mut ranges = Vec::with_capacity(shards);
-        let mut start = 0;
-        for i in 0..shards {
-            let len = base + usize::from(i < remainder);
-            ranges.push(TrialRange { start, end: start + len });
-            start += len;
-        }
-        ranges
-    }
 }
 
 impl std::fmt::Display for TrialRange {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}, {})", self.start, self.end)
-    }
-}
-
-/// Binary persistence for the result store: `start` then `end`.
-impl Codec for TrialRange {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_usize(self.start);
-        w.put_usize(self.end);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<TrialRange, CodecError> {
-        let start = r.get_usize()?;
-        let end = r.get_usize()?;
-        if end < start {
-            return Err(CodecError::Invalid(format!("range end {end} before start {start}")));
-        }
-        Ok(TrialRange { start, end })
     }
 }
 
@@ -216,10 +163,7 @@ pub fn simulate_yield(
 
 /// Simulates only the trials of `range` (batch-global indices; trial
 /// `i` derives from `seed.split(i)` exactly as in a full-batch run).
-/// The returned estimate's `batch` is the range length, so merging the
-/// estimates of every shard of a [`TrialRange::split`] with
-/// [`YieldEstimate::merge`] reproduces the full-batch
-/// [`simulate_yield`] result exactly.
+/// The returned estimate's `batch` is the range length.
 ///
 /// `_workers` is ignored: every call runs on the calling thread (the
 /// parameter stays while `chipletbench` still passes one).
@@ -268,25 +212,10 @@ pub fn fabricate_collision_free_with_workers(
     fabricate_collision_free(device, fab, params, batch, seed)
 }
 
-/// The batch-global indices of the collision-free trials of `range`,
-/// in ascending order — the tally [`simulate_yield_range`] counts,
-/// with enough information to re-slice it into arbitrary sub-ranges
-/// (`est.survivors == indices within the sub-range`). The result
-/// store's chunked tally entries are built on this.
-pub fn collision_free_trial_indices(
-    device: &Device,
-    fab: &FabricationParams,
-    params: &CollisionParams,
-    range: TrialRange,
-    seed: Seed,
-) -> Vec<usize> {
-    survivors(device, fab, params, range, seed).map(|(i, _)| i).collect()
-}
-
 /// Fabricates only the trials of `range` (batch-global indices) and
 /// returns its collision-free survivors in trial order. Concatenating
-/// the bins of every shard of a [`TrialRange::split`] in range order
-/// reproduces the full-batch [`fabricate_collision_free`] bin exactly.
+/// the bins of contiguous ranges in range order reproduces the
+/// full-batch [`fabricate_collision_free`] bin exactly.
 pub fn fabricate_collision_free_range(
     device: &Device,
     fab: &FabricationParams,
@@ -300,10 +229,8 @@ pub fn fabricate_collision_free_range(
 /// [`fabricate_collision_free_range`] keeping each survivor's
 /// batch-global trial index, in trial order.
 ///
-/// The indices are what let one contiguous fabrication run be split
-/// back into sub-range bins (the result store persists canonical
-/// chunk-sized bin pieces even when it simulates several missing
-/// chunks as a single contiguous range).
+/// The result store persists this for each canonical chunk; the
+/// indices let a read clip a chunk back to the requested range.
 pub fn fabricate_collision_free_indexed_range(
     device: &Device,
     fab: &FabricationParams,
@@ -316,8 +243,8 @@ pub fn fabricate_collision_free_indexed_range(
 
 /// The one trial loop: the collision-free trials of `range` in
 /// ascending order, each with its batch-global index and sampled
-/// frequencies. The tally, the bin and the index list all consume it,
-/// so they can never disagree about the same range.
+/// frequencies. The tally and both bins consume it, so they can never
+/// disagree about the same range.
 ///
 /// Each trial stops at its first collision (see the module docs for
 /// why the output is that of full draws); a survivor is cloned out of
@@ -416,11 +343,21 @@ mod tests {
         assert_ne!(a.survivors, 0);
         // Another seed fabricates other devices: the counts may tie,
         // but the surviving trials differ.
-        let full = TrialRange::full(300);
-        let seven = collision_free_trial_indices(&device, &fab, &params(), full, Seed(7));
-        let eight = collision_free_trial_indices(&device, &fab, &params(), full, Seed(8));
+        let indices = |seed| -> Vec<usize> {
+            fabricate_collision_free_indexed_range(
+                &device,
+                &fab,
+                &params(),
+                TrialRange::full(300),
+                seed,
+            )
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect()
+        };
+        let seven = indices(Seed(7));
         assert_eq!(seven.len(), a.survivors);
-        assert_ne!(seven, eight);
+        assert_ne!(seven, indices(Seed(8)));
     }
 
     #[test]
@@ -479,46 +416,27 @@ mod tests {
     }
 
     #[test]
-    fn trial_range_split_partitions_without_empty_shards() {
-        for (batch, shards) in [(100, 1), (100, 3), (100, 7), (5, 8), (1, 4), (16, 16)] {
-            let ranges = TrialRange::split(batch, shards);
-            assert!(ranges.len() <= shards.max(1), "batch {batch} shards {shards}");
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges.last().unwrap().end, batch);
-            for pair in ranges.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start, "gap in {ranges:?}");
-            }
-            for r in &ranges {
-                assert!(!r.is_empty(), "empty shard in {ranges:?}");
-            }
-            assert_eq!(ranges.iter().map(TrialRange::len).sum::<usize>(), batch);
-        }
-        // Zero-trial batches keep a single (empty) schedulable shard.
-        assert_eq!(TrialRange::split(0, 4), vec![TrialRange { start: 0, end: 0 }]);
-        // Shards = 0 is treated as 1.
-        assert_eq!(TrialRange::split(64, 0), vec![TrialRange::full(64)]);
-    }
-
-    #[test]
     fn sharded_ranges_merge_to_the_full_batch_result() {
         let device = ChipletSpec::with_qubits(20).unwrap().build();
         let fab = FabricationParams::state_of_the_art();
         let full = simulate_yield(&device, &fab, &params(), 250, Seed(23));
         let full_bin = fabricate_collision_free(&device, &fab, &params(), 250, Seed(23));
-        for shards in [2, 3, 8] {
-            let ranges = TrialRange::split(250, shards);
-            let merged =
-                YieldEstimate::merge(ranges.iter().map(|&r| {
-                    simulate_yield_range(&device, &fab, &params(), r, Seed(23), None)
-                }));
-            assert_eq!(merged, full, "estimate diverged at {shards} shards");
-            let merged_bin: Vec<_> = ranges
-                .iter()
-                .flat_map(|&r| {
-                    fabricate_collision_free_range(&device, &fab, &params(), r, Seed(23))
-                })
-                .collect();
-            assert_eq!(merged_bin, full_bin, "bin diverged at {shards} shards");
+        for cuts in [&[0, 125, 250][..], &[0, 84, 167, 250], &[0, 1, 2, 100, 249, 250]] {
+            let (mut survivors, mut bin) = (0, Vec::new());
+            for w in cuts.windows(2) {
+                let r = TrialRange { start: w[0], end: w[1] };
+                survivors +=
+                    simulate_yield_range(&device, &fab, &params(), r, Seed(23), None).survivors;
+                bin.extend(fabricate_collision_free_range(
+                    &device,
+                    &fab,
+                    &params(),
+                    r,
+                    Seed(23),
+                ));
+            }
+            assert_eq!(survivors, full.survivors, "estimate diverged at cuts {cuts:?}");
+            assert_eq!(bin, full_bin, "bin diverged at cuts {cuts:?}");
         }
     }
 
@@ -540,13 +458,14 @@ mod tests {
         let device = ChipletSpec::with_qubits(20).unwrap().build();
         let fab = FabricationParams::state_of_the_art();
         let range = TrialRange { start: 30, end: 250 };
-        let indices = collision_free_trial_indices(&device, &fab, &params(), range, Seed(23));
+        let indices: Vec<usize> =
+            fabricate_collision_free_indexed_range(&device, &fab, &params(), range, Seed(23))
+                .into_iter()
+                .map(|(i, _)| i)
+                .collect();
         let est = simulate_yield_range(&device, &fab, &params(), range, Seed(23), None);
         assert_eq!(indices.len(), est.survivors);
         assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        let indexed =
-            fabricate_collision_free_indexed_range(&device, &fab, &params(), range, Seed(23));
-        assert_eq!(indexed.iter().map(|(i, _)| *i).collect::<Vec<_>>(), indices);
         // Sub-range tallies are exactly the indices within the slice.
         let sub = TrialRange { start: 100, end: 200 };
         let sub_est = simulate_yield_range(&device, &fab, &params(), sub, Seed(23), None);
@@ -619,16 +538,5 @@ mod tests {
         assert_eq!(decode_from_slice::<YieldEstimate>(&encode_to_vec(&est)).unwrap(), est);
         let bad = encode_to_vec(&YieldEstimate { survivors: 11, batch: 10 });
         assert!(decode_from_slice::<YieldEstimate>(&bad).is_err());
-        let range = TrialRange { start: 16, end: 64 };
-        assert_eq!(decode_from_slice::<TrialRange>(&encode_to_vec(&range)).unwrap(), range);
-        let inverted = encode_to_vec(&(64usize, 16usize));
-        assert!(decode_from_slice::<TrialRange>(&inverted).is_err());
-    }
-
-    #[test]
-    fn merge_of_nothing_is_the_empty_estimate() {
-        assert_eq!(YieldEstimate::merge([]), YieldEstimate { survivors: 0, batch: 0 });
-        let one = YieldEstimate { survivors: 3, batch: 10 };
-        assert_eq!(YieldEstimate::merge([one]), one);
     }
 }

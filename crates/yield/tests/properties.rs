@@ -12,8 +12,8 @@ use chipletqc_topology::mcm::McmSpec;
 use chipletqc_topology::plan::FrequencyPlan;
 use chipletqc_yield::fabrication::FabricationParams;
 use chipletqc_yield::monte_carlo::{
-    collision_free_trial_indices, fabricate_collision_free_indexed_range,
-    fabricate_collision_free_range, simulate_yield_range, TrialRange,
+    fabricate_collision_free_indexed_range, fabricate_collision_free_range,
+    simulate_yield_range, TrialRange,
 };
 
 /// A small chiplet (`kind` 0), monolithic (1) or MCM (2) device.
@@ -53,34 +53,41 @@ fn collision_params() -> impl Strategy<Value = CollisionParams> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tally, the indexed bin, the bin and the index list of any
-    /// sub-range equal the full-draw reference.
+    /// The tally, the indexed bin and the bin of any sub-range equal
+    /// the full-draw reference, and the indexed bins of the range's two
+    /// halves, either side of any cut, concatenate to the whole.
     #[test]
     fn trial_loop_matches_full_draws(
         (kind, rows, m) in (0usize..3, 1usize..4, 1usize..4),
         step in 0.04f64..0.08,
         sigma_f in prop_oneof![Just(0.0), Just(0.1323), Just(0.014), 0.0f64..0.03],
         params in collision_params(),
-        (seed, start, len) in (0u64..1_000_000, 0usize..5000, 0usize..120),
+        (seed, start, len, cut) in (0u64..1_000_000, 0usize..5000, 0usize..120, 0usize..120),
     ) {
         let device = small_device(kind, rows, m);
         let fab = FabricationParams::new(FrequencyPlan::with_step(step), sigma_f);
         let (range, seed) = (TrialRange { start, end: start + len }, Seed(seed));
         let reference = full_draw_survivors(&device, &fab, &params, range, seed);
-        let indices: Vec<usize> = reference.iter().map(|(i, _)| *i).collect();
-        prop_assert_eq!(
-            fabricate_collision_free_indexed_range(&device, &fab, &params, range, seed),
-            reference.clone()
-        );
+        let survivors = reference.len();
+        let indexed = |start, end| {
+            fabricate_collision_free_indexed_range(
+                &device,
+                &fab,
+                &params,
+                TrialRange { start, end },
+                seed,
+            )
+        };
+        let middle = start + cut.min(len);
+        let mut halves = indexed(start, middle);
+        halves.extend(indexed(middle, range.end));
+        prop_assert_eq!(&halves, &reference);
+        prop_assert_eq!(indexed(start, range.end), reference.clone());
         prop_assert_eq!(
             fabricate_collision_free_range(&device, &fab, &params, range, seed),
             reference.into_iter().map(|(_, f)| f).collect::<Vec<_>>()
         );
-        prop_assert_eq!(
-            collision_free_trial_indices(&device, &fab, &params, range, seed),
-            indices.clone()
-        );
         let estimate = simulate_yield_range(&device, &fab, &params, range, seed, None);
-        prop_assert_eq!((estimate.survivors, estimate.batch), (indices.len(), len));
+        prop_assert_eq!((estimate.survivors, estimate.batch), (survivors, len));
     }
 }
