@@ -60,7 +60,7 @@ use chipletqc_topology::device::Device;
 use chipletqc_topology::family::{ChipletSpec, MonolithicSpec};
 use chipletqc_topology::mcm::McmSpec;
 use chipletqc_yield::fabrication::FabricationParams;
-use chipletqc_yield::monte_carlo::{fabricate_collision_free, TrialRange, YieldEstimate};
+use chipletqc_yield::monte_carlo::{fabricate_collision_free, YieldEstimate};
 
 /// How MCM and monolithic populations are matched before averaging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -136,22 +136,15 @@ impl LabConfig {
     /// that agree on this string are guaranteed to agree on every
     /// chiplet bin and monolithic population, so persisted products
     /// keyed by `(cache_key, product, size)` can be reused safely.
-    pub fn cache_key(&self) -> String {
-        format!("b{}|{}", self.batch, self.trial_key())
-    }
-
-    /// The *batch-independent* part of [`LabConfig::cache_key`]: what
-    /// pins the outcome of an individual Monte Carlo trial (trial `i`
-    /// depends only on the derived seed and `i`, never on how many
-    /// trials surround it). This keys the store's chunked raw-bin
-    /// entries, so runs with different batch sizes still share every
-    /// canonical chunk they have in common.
     ///
-    /// Every store key's model part has this one format: the root
-    /// seed, then the fabrication model and the collision thresholds as
-    /// their `Debug` output (pinned by `store_keys_are_pinned`).
-    pub fn trial_key(&self) -> String {
-        format!("s{}|f{:?}|c{:?}", self.seed.0, self.fabrication, self.collision)
+    /// The format is the batch, the root seed, then the fabrication
+    /// model and the collision thresholds as their `Debug` output
+    /// (pinned by `store_keys_are_pinned`).
+    pub fn cache_key(&self) -> String {
+        format!(
+            "b{}|s{}|f{:?}|c{:?}",
+            self.batch, self.seed.0, self.fabrication, self.collision
+        )
     }
 }
 
@@ -494,31 +487,6 @@ impl Lab {
         stats
     }
 
-    /// Fabricates the raw collision-free bin for `device`, through the
-    /// persistent store's chunked raw-bin entries when one is attached
-    /// (identical results either way; the store only skips trials it
-    /// has already seen).
-    fn fabricate_raw_bin(&self, device: &Device, stream: &str, seed: Seed) -> Vec<Frequencies> {
-        match &self.shared.store {
-            Some(store) => store.fabricate_bin_cached(
-                &self.config.trial_key(),
-                stream,
-                device,
-                &self.config.fabrication,
-                &self.config.collision,
-                TrialRange::full(self.config.batch),
-                seed,
-            ),
-            None => fabricate_collision_free(
-                device,
-                &self.config.fabrication,
-                &self.config.collision,
-                self.config.batch,
-                seed,
-            ),
-        }
-    }
-
     /// The KGD-characterized collision-free bin for a chiplet design
     /// (cached; computed at most once across all sharing labs, and
     /// served whole from the persistent store when warm — skipping the
@@ -535,9 +503,11 @@ impl Lab {
             }
             self.shared.chiplet_fabrications.fetch_add(1, Ordering::Relaxed);
             let device = chiplet.build();
-            let raw = self.fabricate_raw_bin(
+            let raw = fabricate_collision_free(
                 &device,
-                &format!("chiplet-fab-{key}q"),
+                &self.config.fabrication,
+                &self.config.collision,
+                self.config.batch,
                 self.config.seed.split_str("chiplet-fab").split(key as u64),
             );
             let bin = Arc::new(KgdBin::characterize(
@@ -576,9 +546,11 @@ impl Lab {
             let device = MonolithicSpec::with_qubits(qubits)
                 .unwrap_or_else(|e| panic!("monolithic size {qubits}: {e}"))
                 .build();
-            let survivors = self.fabricate_raw_bin(
+            let survivors = fabricate_collision_free(
                 &device,
-                &format!("mono-fab-{qubits}q"),
+                &self.config.fabrication,
+                &self.config.collision,
+                self.config.batch,
                 self.config.seed.split_str("mono-fab").split(qubits as u64),
             );
             let estimate =
@@ -740,8 +712,8 @@ mod tests {
         Lab::new(LabConfig::quick())
     }
 
-    /// Every store entry is keyed by one of these strings, and they
-    /// print the model structs with `{:?}`: a change to a model
+    /// Every store entry is keyed by this string, and it prints the
+    /// model structs with `{:?}`: a change to a model
     /// struct's `Debug` output (a field added, renamed or removed)
     /// silently re-keys the whole store. This pin makes a re-key show
     /// in the diff.
@@ -752,7 +724,6 @@ mod tests {
                       |cCollisionParams { t1: 0.017, t2: 0.004, t3: 0.03, t5: 0.017, \
                       t6: 0.025, t7: 0.017, enforce_straddling: true }";
         assert_eq!(LabConfig::paper().cache_key(), format!("b10000|s2022|{models}"));
-        assert_eq!(LabConfig::paper().trial_key(), format!("s2022|{models}"));
     }
 
     #[test]
@@ -894,7 +865,7 @@ mod tests {
         let bin_cold = lab.chiplet_bin(chiplet);
         let pop_cold = lab.mono_population(40);
         assert_eq!(hub.fabrication_stats().total(), 2);
-        assert!(hub.store_stats().writes >= 2, "{:?}", hub.store_stats());
+        assert_eq!(hub.store_stats().writes, 2, "{:?}", hub.store_stats());
         hub.flush_store();
 
         // Warm: an independent hub over the same directory recalls
@@ -917,6 +888,22 @@ mod tests {
         let other = Lab::new_in(LabConfig::quick().with_seed(Seed(1)), &hub2);
         other.chiplet_bin(chiplet);
         assert_eq!(hub2.fabrication_stats().chiplet_fabrications, 1);
+        hub2.flush_store();
+
+        // Vandalize every stored entry: a fresh hub rejects each one
+        // and recomputes both products bit-identically.
+        for shard in std::fs::read_dir(dir.join("objects")).unwrap() {
+            for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+                std::fs::write(entry.unwrap().path(), b"garbage").unwrap();
+            }
+        }
+        let hub3 = CacheHub::new().with_store(Store::open(&dir, CacheMode::ReadWrite).unwrap());
+        let lab3 = Lab::new_in(LabConfig::quick(), &hub3);
+        assert_eq!(*lab3.chiplet_bin(chiplet), *bin_cold);
+        assert_eq!(*lab3.mono_population(40), *pop_cold);
+        assert_eq!(hub3.store_stats().invalid, 2, "{:?}", hub3.store_stats());
+        assert_eq!(hub3.fabrication_stats().total(), 2);
+        hub3.flush_store();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

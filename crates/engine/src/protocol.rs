@@ -626,7 +626,7 @@ mod tests {
         use chipletqc_store::EntryKey;
         for request in [
             Request::Hello("a shared token".into()),
-            Request::Store(StoreRequest::Get(EntryKey::new("ck|b400", "tally", "s/0-512"))),
+            Request::Store(StoreRequest::Get(EntryKey::new("ck|b400", "mono-pop", "40q"))),
             Request::Store(StoreRequest::Put {
                 key: EntryKey::new("ck|b400", "kgd-bin", "10q"),
                 encoding: Encoding::Binary,

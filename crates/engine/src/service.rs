@@ -16,9 +16,9 @@
 //! [`chipletqc_store::remote`]) are answered from the daemon's local
 //! store tier, so a cold host whose store points at this daemon
 //! ([`Store::with_peer`](chipletqc_store::Store::with_peer)) pulls
-//! KGD bins, mono populations, and Monte Carlo chunks over the wire
-//! instead of fabricating them — the paper's networked-chiplets thesis
-//! applied to the infrastructure.
+//! KGD bins and mono populations over the wire instead of fabricating
+//! them — the paper's networked-chiplets thesis applied to the
+//! infrastructure.
 //!
 //! ## Contract
 //!
@@ -1889,7 +1889,7 @@ mod tests {
         // A store request against a storeless daemon is an error
         // frame, not a dead daemon.
         let get = Request::Store(StoreRequest::Get(chipletqc_store::EntryKey::new(
-            "ck", "tally", "s/0-512",
+            "ck", "kgd-bin", "10q",
         )));
         let error = request(&socket, &get).unwrap();
         assert!(

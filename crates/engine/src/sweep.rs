@@ -66,12 +66,14 @@ use crate::scenario::{ExperimentKind, Overrides, Scale, Scenario, SystemSpec};
 /// largest sweep this repository runs has 432 scenarios.
 pub const MAX_SCENARIOS: usize = 10_000;
 
-/// The largest Monte Carlo batch a sweep may ask for. With a store
-/// attached, fabrication allocates one range per 512-trial chunk up
-/// front, so an unbounded batch is one small text that aborts the
-/// process, a daemon too: `batch = 100000000000000` asks for 3.1 TB,
-/// and an allocation failure does not unwind. The paper's largest
-/// batch is 10,000, and the largest this repository runs is 800,000.
+/// The largest Monte Carlo batch a sweep may ask for. A batch is one
+/// task, and a lab's survivor bin grows with every trial
+/// (`fabricate_collision_free` collects into a `Vec`), so an unbounded
+/// batch is one small text that holds a worker and an admission slot
+/// until its trials end or an allocation fails; an allocation failure
+/// does not unwind, so it aborts the process, a daemon too. The
+/// paper's largest batch is 10,000, and the largest this repository
+/// runs is 800,000.
 pub const MAX_BATCH: usize = 1_000_000;
 
 /// A sweep: one experiment kind plus axes over the chiplet design

@@ -40,7 +40,7 @@ fn requests() -> Vec<Request> {
             seed: Some(9),
             reset: true,
         }),
-        Request::Store(StoreRequest::Get(EntryKey::new("ck|b400", "tally", "s/0-512"))),
+        Request::Store(StoreRequest::Get(EntryKey::new("ck|b400", "mono-pop", "40q"))),
         Request::Store(StoreRequest::Put {
             key: EntryKey::new("ck|b400", "kgd-bin", "10q"),
             encoding: Encoding::Binary,

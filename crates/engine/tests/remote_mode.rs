@@ -32,9 +32,9 @@ use chipletqc_store::{CacheMode, EntryKey, Store};
 
 const TOKEN: &str = "remote-mode-test-token";
 
-/// fig8 exercises every persisted product (KGD bins and mono
-/// populations over raw-bin chunks); output_gain persists nothing, so
-/// its reports must match with no store traffic at all.
+/// fig8 exercises both persisted products (KGD bins and mono
+/// populations); output_gain persists nothing, so its reports must
+/// match with no store traffic at all.
 const FIG8_SWEEP: &str = "name = rm\n\
                           kind = fig8\n\
                           scale = quick\n\
@@ -180,7 +180,7 @@ fn a_cold_daemon_with_a_warm_store_peer_fabricates_nothing() {
     local_thread.join().unwrap();
 
     // The raw peer verbs round-trip against the live warm daemon.
-    let key = EntryKey::new("remote-mode-test", "tally", "probe/0-512");
+    let key = EntryKey::new("remote-mode-test", "kgd-bin", "10q");
     assert_eq!(peer.get(&key), Lookup::Miss);
     peer.put(&key, Encoding::Json, br#"{"probe":true}"#).expect("store-put");
     assert_eq!(

@@ -17,10 +17,9 @@ use chipletqc_engine::scheduler::Scheduler;
 use chipletqc_engine::sweep::Sweep;
 use chipletqc_store::{CacheMode, Store, StoreStats};
 
-/// Two fig8 scenarios (one a two-system group) put every persisted
-/// product kind — KGD bins, monolithic populations, raw-bin chunks —
-/// on the path; an output-gain scenario rides along and persists
-/// nothing.
+/// Two fig8 scenarios (one a two-system group) put both persisted
+/// product kinds — KGD bins and monolithic populations — on the path;
+/// an output-gain scenario rides along and persists nothing.
 fn batch() -> Vec<Scenario> {
     let mut scenarios = Sweep::parse(
         "name = sd\n\
@@ -158,14 +157,16 @@ fn a_cold_sliced_fig8_batch_writes_each_entry_once() {
     let dir = temp_dir("once");
     let hub = CacheHub::new()
         .with_store(Store::open(&dir, CacheMode::ReadWrite).expect("open store"));
-    // One scenario of three systems, so three slices on two workers
-    // race for the shared 10-qubit chiplet bin.
+    // Two scenarios of three systems each, so three slices per
+    // scenario on two workers race for the shared 10-qubit chiplet
+    // bin. They differ only in batch, so they share no entry: each
+    // configuration stores one chiplet bin and three populations.
     let scenarios = Sweep::parse(
         "name = once\n\
          kind = fig8\n\
          scale = quick\n\
          grid = 10q2x2+10q2x3+10q3x3\n\
-         batch = 120\n\
+         batch = 120, 240\n\
          seed = 7\n",
     )
     .expect("sweep parses")
@@ -174,8 +175,13 @@ fn a_cold_sliced_fig8_batch_writes_each_entry_once() {
     hub.flush_store();
     let disk = hub.store().expect("store attached").disk_stats().expect("scan store");
     let kinds: Vec<&str> = disk.kinds.iter().map(|(kind, _, _)| kind.as_str()).collect();
-    assert_eq!(kinds, ["kgd-bin", "mono-pop", "raw-bin"]);
+    assert_eq!(kinds, ["kgd-bin", "mono-pop"]);
     assert_eq!(hub.store_stats().writes, disk.entries, "an entry was written twice: {disk:?}");
+    assert_eq!(
+        hub.store_stats(),
+        StoreStats { hits: 0, misses: 8, writes: 8, invalid: 0 },
+        "a cold batch's store counters are a function of the batch"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

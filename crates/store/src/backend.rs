@@ -185,24 +185,24 @@ mod tests {
         dir
     }
 
-    fn key(detail: &str) -> EntryKey {
-        EntryKey::new("b400|s2022", "tally", detail)
+    fn key(qubits: usize) -> EntryKey {
+        EntryKey::new("b400|s2022", crate::products::KIND_KGD_BIN, format!("{qubits}q"))
     }
 
     #[test]
     fn dir_backend_round_trips_and_lists() {
         let root = temp_root("dir-roundtrip");
         let backend = DirBackend::open(&root).unwrap();
-        assert_eq!(backend.get(&key("a")), Lookup::Miss);
-        backend.put(&key("a"), Encoding::Json, b"{}").unwrap();
-        backend.put(&key("b"), Encoding::Binary, b"bytes").unwrap();
+        assert_eq!(backend.get(&key(10)), Lookup::Miss);
+        backend.put(&key(10), Encoding::Json, b"{}").unwrap();
+        backend.put(&key(20), Encoding::Binary, b"bytes").unwrap();
         assert_eq!(
-            backend.get(&key("a")),
+            backend.get(&key(10)),
             Lookup::Hit { encoding: Encoding::Json, payload: b"{}".to_vec() }
         );
         let mut listed = backend.list().unwrap();
         listed.sort_by(|a, b| a.detail.cmp(&b.detail));
-        assert_eq!(listed, vec![key("a"), key("b")]);
+        assert_eq!(listed, vec![key(10), key(20)]);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -210,17 +210,17 @@ mod tests {
     fn dir_backend_corruption_is_invalid_not_a_wrong_product() {
         let root = temp_root("dir-corrupt");
         let backend = DirBackend::open(&root).unwrap();
-        backend.put(&key("c"), Encoding::Binary, b"payload").unwrap();
-        let path = backend.entry_path(&key("c"));
+        backend.put(&key(10), Encoding::Binary, b"payload").unwrap();
+        let path = backend.entry_path(&key(10));
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 1]).unwrap();
-        assert_eq!(backend.get(&key("c")), Lookup::Invalid);
+        assert_eq!(backend.get(&key(10)), Lookup::Invalid);
         // Listing is header-deep and optimistic: the payload-corrupt
         // entry still lists (its header is intact) — `get` is where
         // validity is decided — while header-less garbage is skipped.
-        assert_eq!(backend.list().unwrap(), vec![key("c")]);
+        assert_eq!(backend.list().unwrap(), vec![key(10)]);
         std::fs::write(&path, b"not an envelope at all").unwrap();
-        assert_eq!(backend.get(&key("c")), Lookup::Invalid);
+        assert_eq!(backend.get(&key(10)), Lookup::Invalid);
         assert_eq!(backend.list().unwrap(), Vec::new());
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn every_truncation_fails_cleanly() {
-        let bytes = seal("tally", "k", Encoding::Json, br#"{"survivors":3,"batch":10}"#);
+        let bytes = seal("mono-pop", "k", Encoding::Json, br#"{"survivors":3,"batch":10}"#);
         for cut in 0..bytes.len() {
             assert!(open(&bytes[..cut]).is_err(), "cut at {cut} opened");
         }
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn bit_flips_are_detected() {
-        let bytes = seal("tally", "key", Encoding::Binary, b"sensitive");
+        let bytes = seal("kgd-bin", "key", Encoding::Binary, b"sensitive");
         for i in 0..bytes.len() {
             let mut copy = bytes.clone();
             copy[i] ^= 0x01;

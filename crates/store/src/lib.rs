@@ -24,26 +24,12 @@
 //! * `mono-pop` — a whole noise-assigned monolithic population; detail
 //!   is the system size (payload encoded by `chipletqc`, which owns
 //!   the type).
-//! * `raw-bin` — the collision-free survivors of one canonical
-//!   [`TrialRange`] chunk, with batch-global trial indices; keyed by a
-//!   *batch-independent* fabrication key, so runs with different batch
-//!   sizes still share every chunk they have in common.
 //!
 //! Every product payload is binary ([`Encoding::Binary`]).
 //!
 //! Entries are addressed on disk by a hash of the logical key
 //! (`objects/<2-hex>/<32-hex>.cqs`); the envelope stores the full key,
 //! so a hash collision reads as a miss, never as the wrong product.
-//!
-//! ## Merge-on-read
-//!
-//! Raw bins are persisted per canonical chunk
-//! ([`products::CHUNK_TRIALS`] trials, aligned). A read for any
-//! [`TrialRange`] decomposes into chunk pieces, serves the pieces it
-//! finds, simulates each missing chunk on its own, and concatenates
-//! the clipped pieces in range order. Differently-batched runs
-//! therefore interoperate: trial `i` depends only on `(seed, i)`,
-//! never on who simulated it.
 //!
 //! ## Backends and tiers
 //!
@@ -66,8 +52,6 @@
 //! failure counts as a miss (plus an `invalid` counter) and the value
 //! is recomputed. The store is a cache, not a database: deleting any
 //! or all of it is always safe.
-//!
-//! [`TrialRange`]: chipletqc_yield::monte_carlo::TrialRange
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -156,10 +140,9 @@ pub struct EntryKey {
     /// The configuration key pinning everything that determines the
     /// product's bytes (a `LabConfig::cache_key()`-style string).
     pub cache_key: String,
-    /// The product kind (`kgd-bin`, `mono-pop`, `raw-bin`).
+    /// The product kind (`kgd-bin` or `mono-pop`).
     pub kind: String,
-    /// The product coordinate within the configuration (size, stream,
-    /// trial range).
+    /// The product coordinate within the configuration (a size).
     pub detail: String,
 }
 
@@ -785,22 +768,22 @@ mod tests {
         dir
     }
 
-    fn key(detail: &str) -> EntryKey {
-        EntryKey::new("b400|s2022", "tally", detail)
+    fn key(qubits: usize) -> EntryKey {
+        EntryKey::new("b400|s2022", products::KIND_KGD_BIN, format!("{qubits}q"))
     }
 
     #[test]
     fn put_flush_get_round_trips() {
         let root = temp_root("roundtrip");
         let store = Store::open(&root, CacheMode::ReadWrite).unwrap();
-        assert_eq!(store.get(&key("a")), None);
-        store.put(&key("a"), Encoding::Binary, b"hello".to_vec());
+        assert_eq!(store.get(&key(10)), None);
+        store.put(&key(10), Encoding::Binary, b"hello".to_vec());
         store.flush();
-        assert_eq!(store.get(&key("a")).as_deref(), Some(&b"hello"[..]));
+        assert_eq!(store.get(&key(10)).as_deref(), Some(&b"hello"[..]));
         assert_eq!(store.stats(), StoreStats { hits: 1, misses: 1, writes: 1, invalid: 0 });
         // A second store over the same directory sees the entry.
         let other = Store::open(&root, CacheMode::ReadWrite).unwrap();
-        assert_eq!(other.get(&key("a")).as_deref(), Some(&b"hello"[..]));
+        assert_eq!(other.get(&key(10)).as_deref(), Some(&b"hello"[..]));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -808,18 +791,18 @@ mod tests {
     fn modes_gate_reads_and_writes() {
         let root = temp_root("modes");
         let rw = Store::open(&root, CacheMode::ReadWrite).unwrap();
-        rw.put(&key("x"), Encoding::Binary, b"v".to_vec());
+        rw.put(&key(10), Encoding::Binary, b"v".to_vec());
         rw.flush();
 
         let read_only = Store::open(&root, CacheMode::Read).unwrap();
-        assert!(read_only.get(&key("x")).is_some());
-        read_only.put(&key("y"), Encoding::Binary, b"w".to_vec());
+        assert!(read_only.get(&key(10)).is_some());
+        read_only.put(&key(20), Encoding::Binary, b"w".to_vec());
         read_only.flush();
         assert_eq!(read_only.stats().writes, 0);
-        assert!(rw.get(&key("y")).is_none(), "read mode must not have written");
+        assert!(rw.get(&key(20)).is_none(), "read mode must not have written");
 
         let write_only = Store::open(&root, CacheMode::Write).unwrap();
-        assert!(write_only.get(&key("x")).is_none(), "write mode never serves hits");
+        assert!(write_only.get(&key(10)).is_none(), "write mode never serves hits");
         assert_eq!(write_only.stats().misses, 1);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -828,14 +811,14 @@ mod tests {
     fn corrupt_stale_and_mismatched_entries_are_misses() {
         let root = temp_root("corrupt");
         let store = Store::open(&root, CacheMode::ReadWrite).unwrap();
-        store.put(&key("c"), Encoding::Binary, b"payload".to_vec());
+        store.put(&key(10), Encoding::Binary, b"payload".to_vec());
         store.flush();
-        let path = store.entry_path(&key("c"));
+        let path = store.entry_path(&key(10));
 
         // Truncation.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-        assert_eq!(store.get(&key("c")), None);
+        assert_eq!(store.get(&key(10)), None);
         assert_eq!(store.stats().invalid, 1);
 
         // Bit flip.
@@ -843,30 +826,31 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0xFF;
         std::fs::write(&path, &flipped).unwrap();
-        assert_eq!(store.get(&key("c")), None);
+        assert_eq!(store.get(&key(10)), None);
 
         // A valid envelope written under a different logical key
         // (simulated hash collision / stale rename): also a miss.
-        let foreign = envelope::seal("tally", "some-other-key", Encoding::Binary, b"payload");
+        let foreign =
+            envelope::seal("mono-pop", "some-other-key", Encoding::Binary, b"payload");
         std::fs::write(&path, foreign).unwrap();
-        assert_eq!(store.get(&key("c")), None);
+        assert_eq!(store.get(&key(10)), None);
         assert_eq!(store.stats().invalid, 3);
 
         // Restoring the original bytes restores the hit.
         std::fs::write(&path, &full).unwrap();
-        assert!(store.get(&key("c")).is_some());
+        assert!(store.get(&key(10)).is_some());
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn distinct_keys_do_not_alias() {
-        let a = EntryKey::new("ck", "tally", "s/0-10");
-        let b = EntryKey::new("ck", "raw-bin", "s/0-10");
-        let c = EntryKey::new("ck2", "tally", "s/0-10");
+        let a = EntryKey::new("ck", "kgd-bin", "10q");
+        let b = EntryKey::new("ck", "mono-pop", "10q");
+        let c = EntryKey::new("ck2", "kgd-bin", "10q");
         assert_ne!(a.hash(), b.hash());
         assert_ne!(a.hash(), c.hash());
         assert_ne!(a.logical(), b.logical());
-        assert!(a.to_string().contains("tally"));
+        assert!(a.to_string().contains("kgd-bin"));
     }
 
     #[test]
@@ -874,14 +858,14 @@ mod tests {
         let root = temp_root("gc");
         let store = Store::open(&root, CacheMode::ReadWrite).unwrap();
         for i in 0..6 {
-            store.put(&key(&format!("e{i}")), Encoding::Binary, vec![0u8; 100]);
+            store.put(&key(10 * (i + 1)), Encoding::Binary, vec![0u8; 100]);
         }
         store.flush();
         let stats = store.disk_stats().unwrap();
         assert_eq!(stats.entries, 6);
         assert_eq!(stats.corrupt, 0);
         assert_eq!(stats.kinds.len(), 1);
-        assert_eq!(stats.kinds[0].0, "tally");
+        assert_eq!(stats.kinds[0].0, "kgd-bin");
         assert_eq!(stats.kinds[0].1, 6);
         assert!(stats.bytes > 600);
 
@@ -1020,25 +1004,25 @@ mod tests {
     fn peer_tier_serves_local_misses_and_populates_read_through() {
         let root = temp_root("peer-tier");
         let peer = Arc::new(MemBackend::default());
-        peer.put(&key("remote"), Encoding::Binary, b"from-peer").unwrap();
+        peer.put(&key(10), Encoding::Binary, b"from-peer").unwrap();
 
         let store =
             Store::open(&root, CacheMode::ReadWrite).unwrap().with_peer(Arc::clone(&peer) as _);
         assert!(store.has_peer());
         // A local miss falls through to the peer and counts as a hit.
-        assert_eq!(store.get(&key("remote")).as_deref(), Some(&b"from-peer"[..]));
+        assert_eq!(store.get(&key(10)).as_deref(), Some(&b"from-peer"[..]));
         assert_eq!(store.stats(), StoreStats { hits: 1, misses: 0, writes: 1, invalid: 0 });
         // The read-through populate landed locally: drop the peer and
         // the entry still serves, encoding preserved.
         store.flush();
         let local_only = Store::open(&root, CacheMode::ReadWrite).unwrap();
-        assert_eq!(local_only.get(&key("remote")).as_deref(), Some(&b"from-peer"[..]));
+        assert_eq!(local_only.get(&key(10)).as_deref(), Some(&b"from-peer"[..]));
         assert_eq!(
-            local_only.local.get(&key("remote")),
+            local_only.local.get(&key(10)),
             Lookup::Hit { encoding: Encoding::Binary, payload: b"from-peer".to_vec() }
         );
         // A double miss (local and peer) is one store-level miss.
-        assert_eq!(store.get(&key("nowhere")), None);
+        assert_eq!(store.get(&key(20)), None);
         assert_eq!(store.stats().misses, 1);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1047,13 +1031,13 @@ mod tests {
     fn read_mode_uses_the_peer_but_never_populates() {
         let root = temp_root("peer-readonly");
         let peer = Arc::new(MemBackend::default());
-        peer.put(&key("r"), Encoding::Json, b"{}").unwrap();
+        peer.put(&key(10), Encoding::Json, b"{}").unwrap();
         let store = Store::open(&root, CacheMode::Read).unwrap().with_peer(peer as _);
-        assert_eq!(store.get(&key("r")).as_deref(), Some(&b"{}"[..]));
+        assert_eq!(store.get(&key(10)).as_deref(), Some(&b"{}"[..]));
         store.flush();
         assert_eq!(store.stats().writes, 0);
         let local_only = Store::open(&root, CacheMode::Read).unwrap();
-        assert_eq!(local_only.get(&key("r")), None, "read mode must not have populated");
+        assert_eq!(local_only.get(&key(10)), None, "read mode must not have populated");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1061,24 +1045,24 @@ mod tests {
     fn serve_peer_side_respects_mode_and_skips_own_peer() {
         let root = temp_root("peer-serve");
         let upstream = Arc::new(MemBackend::default());
-        upstream.put(&key("u"), Encoding::Binary, b"upstream-only").unwrap();
+        upstream.put(&key(10), Encoding::Binary, b"upstream-only").unwrap();
         let store = Store::open(&root, CacheMode::ReadWrite).unwrap().with_peer(upstream as _);
         // Serving never cascades through this host's own peer: a mesh
         // of daemons pointing at each other must not loop.
-        assert_eq!(store.serve_peer_get(&key("u")), Lookup::Miss);
+        assert_eq!(store.serve_peer_get(&key(10)), Lookup::Miss);
         // A served put lands locally and is then served back.
-        store.serve_peer_put(&key("p"), Encoding::Json, b"{}").unwrap();
+        store.serve_peer_put(&key(20), Encoding::Json, b"{}").unwrap();
         assert_eq!(
-            store.serve_peer_get(&key("p")),
+            store.serve_peer_get(&key(20)),
             Lookup::Hit { encoding: Encoding::Json, payload: b"{}".to_vec() }
         );
-        assert_eq!(store.serve_peer_list().unwrap(), vec![key("p")]);
+        assert_eq!(store.serve_peer_list().unwrap(), vec![key(20)]);
         // Peer serving is not this host's workload: session counters
         // untouched.
         assert_eq!(store.stats(), StoreStats::default());
 
         let read_only = Store::open(&root, CacheMode::Read).unwrap();
-        let err = read_only.serve_peer_put(&key("x"), Encoding::Json, b"{}").unwrap_err();
+        let err = read_only.serve_peer_put(&key(30), Encoding::Json, b"{}").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1086,8 +1070,9 @@ mod tests {
     #[test]
     fn push_replication_sends_computed_entries_but_never_echoes_populates() {
         let root = temp_root("push");
+        let (peer_made, computed, silent) = (key(10), key(20), key(30));
         let peer = Arc::new(MemBackend::default());
-        peer.put(&key("peer-made"), Encoding::Binary, b"upstream").unwrap();
+        peer.put(&peer_made, Encoding::Binary, b"upstream").unwrap();
         assert_eq!(peer.puts.load(Ordering::Relaxed), 1);
         let store = Store::open(&root, CacheMode::ReadWrite)
             .unwrap()
@@ -1096,41 +1081,42 @@ mod tests {
         assert!(store.pushes());
         // A locally-computed entry replicates to the peer behind the
         // write.
-        store.put(&key("computed"), Encoding::Json, b"{}".to_vec());
+        store.put(&computed, Encoding::Json, b"{}".to_vec());
         store.flush();
         assert_eq!(
-            peer.get(&key("computed")),
+            peer.get(&computed),
             Lookup::Hit { encoding: Encoding::Json, payload: b"{}".to_vec() }
         );
         assert_eq!(peer.puts.load(Ordering::Relaxed), 2);
         // A read-through populate lands locally but is NOT pushed
         // back to the peer it came from.
-        assert_eq!(store.get(&key("peer-made")).as_deref(), Some(&b"upstream"[..]));
+        assert_eq!(store.get(&peer_made).as_deref(), Some(&b"upstream"[..]));
         store.flush();
         let local_only = Store::open(&root, CacheMode::Read).unwrap();
-        assert!(local_only.get(&key("peer-made")).is_some(), "populate landed locally");
+        assert!(local_only.get(&peer_made).is_some(), "populate landed locally");
         assert_eq!(peer.puts.load(Ordering::Relaxed), 2, "populate echoed back to its source");
         // Without with_push, nothing replicates.
         let quiet = Store::open(temp_root("push-off"), CacheMode::ReadWrite)
             .unwrap()
             .with_peer(Arc::clone(&peer) as _);
         assert!(!quiet.pushes());
-        quiet.put(&key("silent"), Encoding::Binary, b"v".to_vec());
+        quiet.put(&silent, Encoding::Binary, b"v".to_vec());
         quiet.flush();
-        assert_eq!(peer.get(&key("silent")), Lookup::Miss);
+        assert_eq!(peer.get(&silent), Lookup::Miss);
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn prefetch_pulls_only_missing_entries_and_is_synchronous() {
         let root = temp_root("prefetch");
+        let (warm, cold_1, cold_2) = (key(10), key(20), key(30));
         let peer = Arc::new(MemBackend::default());
-        peer.put(&key("warm"), Encoding::Binary, b"already-local").unwrap();
-        peer.put(&key("cold-1"), Encoding::Json, b"{\"a\":1}").unwrap();
-        peer.put(&key("cold-2"), Encoding::Binary, b"bytes").unwrap();
+        peer.put(&warm, Encoding::Binary, b"already-local").unwrap();
+        peer.put(&cold_1, Encoding::Json, b"{\"a\":1}").unwrap();
+        peer.put(&cold_2, Encoding::Binary, b"bytes").unwrap();
         let store =
             Store::open(&root, CacheMode::ReadWrite).unwrap().with_peer(Arc::clone(&peer) as _);
-        store.put(&key("warm"), Encoding::Binary, b"already-local".to_vec());
+        store.put(&warm, Encoding::Binary, b"already-local".to_vec());
         store.flush();
         let before = store.stats();
         let report = store.prefetch_from_peer().unwrap();
@@ -1139,8 +1125,8 @@ mod tests {
         // Synchronous: a peer-less store over the same directory
         // serves the transfers immediately, encodings preserved.
         let local_only = Store::open(&root, CacheMode::Read).unwrap();
-        assert_eq!(local_only.get(&key("cold-1")).as_deref(), Some(&b"{\"a\":1}"[..]));
-        assert_eq!(local_only.get(&key("cold-2")).as_deref(), Some(&b"bytes"[..]));
+        assert_eq!(local_only.get(&cold_1).as_deref(), Some(&b"{\"a\":1}"[..]));
+        assert_eq!(local_only.get(&cold_2).as_deref(), Some(&b"bytes"[..]));
         // A second pass finds everything present.
         let again = store.prefetch_from_peer().unwrap();
         assert_eq!(again, PrefetchReport { listed: 3, fetched: 0, present: 3, failed: 0 });
@@ -1157,10 +1143,10 @@ mod tests {
     fn stats_since_supports_long_lived_services() {
         let root = temp_root("service");
         let store = Store::open(&root, CacheMode::ReadWrite).unwrap();
-        store.put(&key("a"), Encoding::Binary, b"v".to_vec());
+        store.put(&key(10), Encoding::Binary, b"v".to_vec());
         store.flush();
         let snapshot = store.stats();
-        assert!(store.get(&key("a")).is_some());
+        assert!(store.get(&key(10)).is_some());
         assert_eq!(
             store.stats().since(snapshot),
             StoreStats { hits: 1, misses: 0, writes: 0, invalid: 0 }

@@ -671,7 +671,7 @@ mod tests {
     use super::*;
 
     fn key() -> EntryKey {
-        EntryKey::new("b400|s2022", "tally", "s/0-512")
+        EntryKey::new("b400|s2022", crate::products::KIND_MONO_POP, "40q")
     }
 
     fn round_trip_request(request: &StoreRequest) -> StoreRequest {

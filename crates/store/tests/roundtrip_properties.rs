@@ -11,8 +11,7 @@ use chipletqc_collision::frequencies::Frequencies;
 use chipletqc_math::codec::{decode_from_slice, encode_to_vec};
 use chipletqc_noise::assign::EdgeNoise;
 use chipletqc_store::envelope::{self, Encoding};
-use chipletqc_store::products::{chunk_cover, CHUNK_TRIALS};
-use chipletqc_yield::monte_carlo::{TrialRange, YieldEstimate};
+use chipletqc_yield::monte_carlo::YieldEstimate;
 
 proptest! {
     /// `Frequencies` round-trips bit-exactly (including values with no
@@ -79,11 +78,11 @@ proptest! {
     #[test]
     fn envelopes_round_trip_and_reject_truncation(
         payload in prop::collection::vec(0u8..=255, 0..200),
-        kind_pick in 0u8..3,
+        kind_pick in 0u8..2,
         cut_fraction in 0.0f64..1.0,
         json_pick in 0u8..2,
     ) {
-        let kind = ["kgd-bin", "mono-pop", "raw-bin"][kind_pick as usize];
+        let kind = ["kgd-bin", "mono-pop"][kind_pick as usize];
         let encoding = if json_pick == 1 { Encoding::Json } else { Encoding::Binary };
         let sealed = envelope::seal(kind, "prop-key", encoding, &payload);
         let opened = envelope::open(&sealed).unwrap();
@@ -104,29 +103,10 @@ proptest! {
         position_fraction in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let sealed = envelope::seal("raw-bin", "bitflip-key", Encoding::Binary, &payload);
+        let sealed = envelope::seal("mono-pop", "bitflip-key", Encoding::Binary, &payload);
         let position = (((sealed.len() - 1) as f64) * position_fraction) as usize;
         let mut corrupt = sealed.clone();
         corrupt[position] ^= 1 << bit;
         prop_assert!(envelope::open(&corrupt).is_err(), "flip at byte {}", position);
-    }
-
-    /// Canonical chunk covers are aligned, contiguous, and cover every
-    /// requested range.
-    #[test]
-    fn chunk_cover_always_covers(start in 0usize..10_000, len in 1usize..10_000) {
-        let range = TrialRange { start, end: start + len };
-        let chunks = chunk_cover(range);
-        prop_assert!(chunks.first().unwrap().start <= range.start);
-        prop_assert!(chunks.last().unwrap().end >= range.end);
-        prop_assert!(range.start - chunks.first().unwrap().start < CHUNK_TRIALS);
-        prop_assert!(chunks.last().unwrap().end - range.end < CHUNK_TRIALS);
-        for (i, c) in chunks.iter().enumerate() {
-            prop_assert_eq!(c.start % CHUNK_TRIALS, 0);
-            prop_assert_eq!(c.len(), CHUNK_TRIALS);
-            if i > 0 {
-                prop_assert_eq!(chunks[i - 1].end, c.start);
-            }
-        }
     }
 }

@@ -12,7 +12,7 @@
 //! Because trial `i` depends only on `(seed, i)`, any [`TrialRange`]
 //! of a batch can be simulated on its own: the survivors of disjoint
 //! ranges, concatenated in range order, are exactly those of one
-//! full-batch run. The result store's raw-bin chunks are built on this.
+//! full-batch run.
 //!
 //! ## Stopping at the first collision
 //!
@@ -223,28 +223,12 @@ pub fn fabricate_collision_free_range(
     range: TrialRange,
     seed: Seed,
 ) -> Vec<Frequencies> {
-    survivors(device, fab, params, range, seed).map(|(_, freqs)| freqs).collect()
-}
-
-/// [`fabricate_collision_free_range`] keeping each survivor's
-/// batch-global trial index, in trial order.
-///
-/// The result store persists this for each canonical chunk; the
-/// indices let a read clip a chunk back to the requested range.
-pub fn fabricate_collision_free_indexed_range(
-    device: &Device,
-    fab: &FabricationParams,
-    params: &CollisionParams,
-    range: TrialRange,
-    seed: Seed,
-) -> Vec<(usize, Frequencies)> {
     survivors(device, fab, params, range, seed).collect()
 }
 
-/// The one trial loop: the collision-free trials of `range` in
-/// ascending order, each with its batch-global index and sampled
-/// frequencies. The tally and both bins consume it, so they can never
-/// disagree about the same range.
+/// The one trial loop: the sampled frequencies of the collision-free
+/// trials of `range`, in ascending trial order. The tally and the bin
+/// both consume it, so they can never disagree about the same range.
 ///
 /// Each trial stops at its first collision (see the module docs for
 /// why the output is that of full draws); a survivor is cloned out of
@@ -256,7 +240,7 @@ fn survivors<'a>(
     params: &'a CollisionParams,
     range: TrialRange,
     seed: Seed,
-) -> impl Iterator<Item = (usize, Frequencies)> + 'a {
+) -> impl Iterator<Item = Frequencies> + 'a {
     survivors_drawing(device, fab, params, range, seed, |q, rng| fab.draw_freq(device, q, rng))
 }
 
@@ -269,13 +253,13 @@ fn survivors_drawing<'a>(
     range: TrialRange,
     seed: Seed,
     mut draw: impl FnMut(QubitId, &mut StdRng) -> f64 + 'a,
-) -> impl Iterator<Item = (usize, Frequencies)> + 'a {
+) -> impl Iterator<Item = Frequencies> + 'a {
     let schedule = CheckSchedule::new(device);
     let mut scratch = Frequencies::ideal(device, fab.plan());
     (range.start..range.end).filter_map(move |i| {
         let mut rng = seed.split(i as u64).rng();
         let hit = schedule.fill_until_collision(&mut scratch, params, |q| draw(q, &mut rng));
-        hit.is_none().then(|| (i, scratch.clone()))
+        hit.is_none().then(|| scratch.clone())
     })
 }
 
@@ -342,22 +326,11 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a.survivors, 0);
         // Another seed fabricates other devices: the counts may tie,
-        // but the surviving trials differ.
-        let indices = |seed| -> Vec<usize> {
-            fabricate_collision_free_indexed_range(
-                &device,
-                &fab,
-                &params(),
-                TrialRange::full(300),
-                seed,
-            )
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect()
-        };
-        let seven = indices(Seed(7));
+        // but the bins differ.
+        let bin = |seed| fabricate_collision_free(&device, &fab, &params(), 300, seed);
+        let seven = bin(Seed(7));
         assert_eq!(seven.len(), a.survivors);
-        assert_ne!(seven, indices(Seed(8)));
+        assert_ne!(seven, bin(Seed(8)));
     }
 
     #[test]
@@ -438,39 +411,6 @@ mod tests {
             assert_eq!(survivors, full.survivors, "estimate diverged at cuts {cuts:?}");
             assert_eq!(bin, full_bin, "bin diverged at cuts {cuts:?}");
         }
-    }
-
-    #[test]
-    fn indexed_range_carries_batch_global_trial_indices() {
-        let device = ChipletSpec::with_qubits(20).unwrap().build();
-        let fab = FabricationParams::state_of_the_art();
-        let range = TrialRange { start: 40, end: 120 };
-        let indexed =
-            fabricate_collision_free_indexed_range(&device, &fab, &params(), range, Seed(23));
-        assert!(indexed.iter().all(|(i, _)| range.start <= *i && *i < range.end));
-        assert!(indexed.windows(2).all(|w| w[0].0 < w[1].0), "indices not ascending");
-        let plain = fabricate_collision_free_range(&device, &fab, &params(), range, Seed(23));
-        assert_eq!(indexed.into_iter().map(|(_, f)| f).collect::<Vec<_>>(), plain);
-    }
-
-    #[test]
-    fn survivor_indices_match_tally_and_bin() {
-        let device = ChipletSpec::with_qubits(20).unwrap().build();
-        let fab = FabricationParams::state_of_the_art();
-        let range = TrialRange { start: 30, end: 250 };
-        let indices: Vec<usize> =
-            fabricate_collision_free_indexed_range(&device, &fab, &params(), range, Seed(23))
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect();
-        let est = simulate_yield_range(&device, &fab, &params(), range, Seed(23), None);
-        assert_eq!(indices.len(), est.survivors);
-        assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        // Sub-range tallies are exactly the indices within the slice.
-        let sub = TrialRange { start: 100, end: 200 };
-        let sub_est = simulate_yield_range(&device, &fab, &params(), sub, Seed(23), None);
-        let clipped = indices.iter().filter(|i| sub.start <= **i && **i < sub.end).count();
-        assert_eq!(clipped, sub_est.survivors);
     }
 
     #[test]

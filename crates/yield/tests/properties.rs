@@ -12,8 +12,7 @@ use chipletqc_topology::mcm::McmSpec;
 use chipletqc_topology::plan::FrequencyPlan;
 use chipletqc_yield::fabrication::FabricationParams;
 use chipletqc_yield::monte_carlo::{
-    fabricate_collision_free_indexed_range, fabricate_collision_free_range,
-    simulate_yield_range, TrialRange,
+    fabricate_collision_free_range, simulate_yield_range, TrialRange,
 };
 
 /// A small chiplet (`kind` 0), monolithic (1) or MCM (2) device.
@@ -33,12 +32,10 @@ fn full_draw_survivors(
     params: &CollisionParams,
     range: TrialRange,
     seed: Seed,
-) -> Vec<(usize, Frequencies)> {
+) -> Vec<Frequencies> {
     (range.start..range.end)
-        .filter_map(|i| {
-            let freqs = fab.sample(device, &mut seed.split(i as u64).rng());
-            is_collision_free(device, &freqs, params).then_some((i, freqs))
-        })
+        .map(|i| fab.sample(device, &mut seed.split(i as u64).rng()))
+        .filter(|freqs| is_collision_free(device, freqs, params))
         .collect()
 }
 
@@ -53,9 +50,9 @@ fn collision_params() -> impl Strategy<Value = CollisionParams> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tally, the indexed bin and the bin of any sub-range equal
-    /// the full-draw reference, and the indexed bins of the range's two
-    /// halves, either side of any cut, concatenate to the whole.
+    /// The tally and the bin of any sub-range equal the full-draw
+    /// reference, and the bins of the range's two halves, either side
+    /// of any cut, concatenate to the whole.
     #[test]
     fn trial_loop_matches_full_draws(
         (kind, rows, m) in (0usize..3, 1usize..4, 1usize..4),
@@ -69,24 +66,14 @@ proptest! {
         let (range, seed) = (TrialRange { start, end: start + len }, Seed(seed));
         let reference = full_draw_survivors(&device, &fab, &params, range, seed);
         let survivors = reference.len();
-        let indexed = |start, end| {
-            fabricate_collision_free_indexed_range(
-                &device,
-                &fab,
-                &params,
-                TrialRange { start, end },
-                seed,
-            )
+        let bin = |start, end| {
+            fabricate_collision_free_range(&device, &fab, &params, TrialRange { start, end }, seed)
         };
         let middle = start + cut.min(len);
-        let mut halves = indexed(start, middle);
-        halves.extend(indexed(middle, range.end));
+        let mut halves = bin(start, middle);
+        halves.extend(bin(middle, range.end));
         prop_assert_eq!(&halves, &reference);
-        prop_assert_eq!(indexed(start, range.end), reference.clone());
-        prop_assert_eq!(
-            fabricate_collision_free_range(&device, &fab, &params, range, seed),
-            reference.into_iter().map(|(_, f)| f).collect::<Vec<_>>()
-        );
+        prop_assert_eq!(bin(start, range.end), reference);
         let estimate = simulate_yield_range(&device, &fab, &params, range, seed, None);
         prop_assert_eq!((estimate.survivors, estimate.batch), (survivors, len));
     }
