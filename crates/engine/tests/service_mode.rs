@@ -289,10 +289,15 @@ fn cancelling_or_disconnecting_mid_batch_leaves_the_daemon_serving() {
         assert_eq!(terminal, Response::Cancelled);
     }
 
-    // Disconnect: same setup, but hang up instead of cancelling.
+    // Disconnect: same setup, but hang up instead of cancelling. The
+    // task the cancel found running still finished, leaving its
+    // products warm in the hub, and a warm batch can end before the
+    // daemon notices the hang-up; `reset` drops them so this batch
+    // runs cold, as the first did.
     {
         let stream = UnixStream::connect(&socket).expect("connect");
-        write_request(&mut BufWriter::new(&stream), &Request::Submit(slow.clone())).unwrap();
+        let cold = Submission { reset: true, ..slow.clone() };
+        write_request(&mut BufWriter::new(&stream), &Request::Submit(cold)).unwrap();
         let mut reader = BufReader::new(&stream);
         let first = read_response(&mut reader).expect("first frame");
         assert!(
