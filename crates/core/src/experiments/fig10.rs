@@ -17,9 +17,10 @@ use chipletqc_circuit::circuit::Circuit;
 use chipletqc_math::logspace::{ln_to_log10, mean_ln};
 use chipletqc_math::rng::Seed;
 use chipletqc_noise::assign::EdgeNoise;
+use chipletqc_topology::device::Device;
 use chipletqc_topology::evalset::paper_mcms;
 use chipletqc_topology::mcm::McmSpec;
-use chipletqc_transpile::esp::{edge_usage, esp_from_usage};
+use chipletqc_transpile::esp::{edge_usage, esps_from_usages};
 use chipletqc_transpile::pipeline::Transpiler;
 
 use crate::lab::{CacheHub, Lab, LabConfig};
@@ -247,28 +248,17 @@ pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
             if mono_pop.members.is_empty() {
                 return vec![None; circuits.len()];
             }
-            let device = &mono_pop.device;
-            config
-                .transpiler
-                .transpile_many(&circuits, device)
-                .iter()
-                .map(|compiled| {
-                    let usage = edge_usage(&compiled.physical, device);
-                    log10_mean_esp(mono_pop.members.iter().map(|(_, noise)| noise), &usage)
-                })
-                .collect()
+            let usages = usage_tables(&config.transpiler, &circuits, &mono_pop.device);
+            log10_mean_esps(mono_pop.members.iter().map(|(_, noise)| noise), &usages)
         });
         let selected =
             lab.selected_mcm_count(lab.placement(spec).len(), mono_pop.estimate.survivors);
         let mcms = lab.modules(spec, selected);
-        let mcm_device = spec.build();
-
-        let mcm_compiled = config.transpiler.transpile_many(&circuits, &mcm_device);
-        for ((row, compiled), &mono_esp_log10) in
-            rows.iter_mut().zip(&mcm_compiled).zip(&*mono_esps)
+        let usages = usage_tables(&config.transpiler, &circuits, &spec.build());
+        let mcm_esps = log10_mean_esps(mcms.iter().map(|m| &m.noise), &usages);
+        for ((row, &mcm_esp_log10), &mono_esp_log10) in
+            rows.iter_mut().zip(&mcm_esps).zip(&*mono_esps)
         {
-            let usage = edge_usage(&compiled.physical, &mcm_device);
-            let mcm_esp_log10 = log10_mean_esp(mcms.iter().map(|m| &m.noise), &usage);
             let point_outcome = match (mcm_esp_log10, mono_esp_log10) {
                 (Some(m), Some(o)) => RatioOutcome::Finite(m - o),
                 (Some(_), None) => RatioOutcome::MonolithicImpossible,
@@ -285,14 +275,32 @@ pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
     Fig10Data { rows }
 }
 
-/// The population geometric-mean `log10 ESP` of one compiled circuit's
-/// edge usage, `None` for an empty population.
-fn log10_mean_esp<'a>(
+/// Each circuit's [`edge_usage`] once compiled onto `device`.
+fn usage_tables(
+    transpiler: &Transpiler,
+    circuits: &[Circuit],
+    device: &Device,
+) -> Vec<Vec<u32>> {
+    transpiler
+        .transpile_many(circuits, device)
+        .iter()
+        .map(|compiled| edge_usage(&compiled.physical, device))
+        .collect()
+}
+
+/// The population geometric-mean `log10 ESP` of each usage table, each
+/// member scored once for all tables; `None` for an empty population.
+fn log10_mean_esps<'a>(
     population: impl Iterator<Item = &'a EdgeNoise>,
-    usage: &[u32],
-) -> Option<f64> {
-    let lns: Vec<f64> = population.map(|noise| esp_from_usage(usage, noise).ln()).collect();
-    (!lns.is_empty()).then(|| ln_to_log10(mean_ln(&lns)))
+    usages: &[Vec<u32>],
+) -> Vec<Option<f64>> {
+    let mut lns = vec![Vec::new(); usages.len()];
+    for noise in population {
+        for (lns, esp) in lns.iter_mut().zip(esps_from_usages(usages, noise)) {
+            lns.push(esp.ln());
+        }
+    }
+    lns.iter().map(|lns| (!lns.is_empty()).then(|| ln_to_log10(mean_ln(lns)))).collect()
 }
 
 #[cfg(test)]
@@ -343,6 +351,43 @@ mod tests {
             .collect();
         assert_eq!(Fig10Data::merge(parts), full);
         assert!(Fig10Data::merge([]).rows.is_empty());
+    }
+
+    /// Every point's ESPs equal scoring each benchmark alone with
+    /// `esp_from_usage` over the same modules and members, bit for bit
+    /// (the reports print two decimals, so their pins cannot see an
+    /// ulp).
+    #[test]
+    fn esps_equal_per_benchmark_scoring_bit_for_bit() {
+        use chipletqc_transpile::esp::esp_from_usage;
+        let config = Fig10Config::quick();
+        let hub = CacheHub::new();
+        let data = run_in(&config, &hub);
+        let lab = Lab::new_in(config.lab, &hub);
+        let t = &config.transpiler;
+        let log10_mean = |noises: Vec<&EdgeNoise>, circuit: &Circuit, device: &Device| {
+            let usage = edge_usage(&t.transpile(circuit, device).physical, device);
+            let lns: Vec<f64> = noises.iter().map(|n| esp_from_usage(&usage, n).ln()).collect();
+            (!lns.is_empty()).then(|| ln_to_log10(mean_ln(&lns))).map(f64::to_bits)
+        };
+        for (s, spec) in config.systems.iter().enumerate() {
+            let mono_pop = lab.mono_population(spec.num_qubits());
+            let selected =
+                lab.selected_mcm_count(lab.placement(spec).len(), mono_pop.estimate.survivors);
+            let mcms = lab.modules(spec, selected);
+            for row in &data.rows {
+                let circuit =
+                    row.benchmark.for_device_qubits(spec.num_qubits(), config.circuit_seed);
+                let point = &row.points[s];
+                let modules = mcms.iter().map(|m| &m.noise).collect();
+                let mcm = log10_mean(modules, &circuit, &spec.build());
+                let members = mono_pop.members.iter().map(|(_, noise)| noise).collect();
+                let mono = log10_mean(members, &circuit, &mono_pop.device);
+                let bits = |v: Option<f64>| v.map(f64::to_bits);
+                let got = (bits(point.mcm_esp_log10), bits(point.mono_esp_log10));
+                assert_eq!(got, (mcm, mono), "{spec} {}", row.benchmark);
+            }
+        }
     }
 
     #[test]

@@ -57,10 +57,17 @@ impl LogProduct {
     /// Panics if `p` is NaN, negative, or greater than 1.
     pub fn mul_prob_pow(&mut self, p: f64, n: usize) {
         assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+        self.mul_ln_pow(p.ln(), n);
+    }
+
+    /// Multiplies by the probability whose natural log is `ln_p`,
+    /// raised to the `n`-th power: [`Self::mul_prob_pow`] with the log
+    /// taken by the caller, who can share it among many products.
+    pub fn mul_ln_pow(&mut self, ln_p: f64, n: usize) {
         if n == 0 {
             return;
         }
-        self.ln += p.ln() * n as f64;
+        self.ln += ln_p * n as f64;
         self.factors += n;
     }
 

@@ -6,12 +6,21 @@
 //! (single-qubit error is not assigned by the paper's models). The
 //! product underflows `f64` at evaluation scale, so it is carried as a
 //! [`LogProduct`].
+//!
+//! A routed circuit's ESP depends on the device only through its
+//! per-edge gate counts ([`edge_usage`]), so a circuit is counted once
+//! and scored against each fabricated device's noise table.
+//! [`esps_from_usages`] scores several circuits' counts against one
+//! noise table, taking each used edge's log fidelity once;
+//! [`esp_from_usage`] is its one-table case and [`esp_log`] composes
+//! the two.
 
 use chipletqc_circuit::circuit::Circuit;
 use chipletqc_circuit::gate::GateQubits;
 use chipletqc_math::logspace::LogProduct;
 use chipletqc_noise::assign::EdgeNoise;
 use chipletqc_topology::device::Device;
+use chipletqc_topology::graph::EdgeId;
 use chipletqc_topology::qubit::QubitId;
 
 /// Computes the log-domain fidelity product of every two-qubit gate in
@@ -29,25 +38,7 @@ pub fn esp_log(circuit: &Circuit, device: &Device, noise: &EdgeNoise) -> LogProd
         "noise table does not match device {}",
         device.name()
     );
-    let mut esp = LogProduct::one();
-    for gate in circuit.gates() {
-        if let GateQubits::Two(a, b) = gate.qubits() {
-            let edge = device
-                .edge_between(QubitId(a.0), QubitId(b.0))
-                .unwrap_or_else(|| panic!("{} {a},{b} not on a device edge", gate.name()));
-            // SWAP costs three CX on hardware; RZZ costs two.
-            let per_edge = noise.fidelity(edge.id);
-            let repetitions = match gate.name() {
-                "swap" => 3,
-                "rzz" => 2,
-                _ => 1,
-            };
-            for _ in 0..repetitions {
-                esp.mul_prob(per_edge.clamp(0.0, 1.0));
-            }
-        }
-    }
-    esp
+    esp_from_usage(&edge_usage(circuit, device), noise)
 }
 
 /// Per-edge two-qubit-gate usage counts of a routed physical circuit
@@ -79,21 +70,42 @@ pub fn edge_usage(circuit: &Circuit, device: &Device) -> Vec<u32> {
     usage
 }
 
-/// The log-domain ESP from precomputed [`edge_usage`] counts.
+/// The log-domain ESP from precomputed [`edge_usage`] counts: the
+/// one-table case of [`esps_from_usages`].
 ///
 /// # Panics
 ///
 /// Panics if the usage table and noise table disagree in length.
 pub fn esp_from_usage(usage: &[u32], noise: &EdgeNoise) -> LogProduct {
-    assert_eq!(usage.len(), noise.len(), "usage/noise table length mismatch");
-    let mut esp = LogProduct::one();
-    for (e, &count) in usage.iter().enumerate() {
-        esp.mul_prob_pow(
-            noise.fidelity(chipletqc_topology::graph::EdgeId(e as u32)).clamp(0.0, 1.0),
-            count as usize,
-        );
+    esps_from_usages(&[usage], noise)[0]
+}
+
+/// The log-domain ESPs of several [`edge_usage`] tables against one
+/// noise table, in table order.
+///
+/// Edges go in ascending order; the log fidelity of an edge some table
+/// uses is taken once and multiplied into each table that uses it, so
+/// every result is bit-identical to scoring its table alone, and an
+/// edge no table uses costs no logarithm.
+///
+/// # Panics
+///
+/// Panics if a usage table and the noise table disagree in length.
+pub fn esps_from_usages<U: AsRef<[u32]>>(usages: &[U], noise: &EdgeNoise) -> Vec<LogProduct> {
+    for usage in usages {
+        assert_eq!(usage.as_ref().len(), noise.len(), "usage/noise table length mismatch");
     }
-    esp
+    let mut esps = vec![LogProduct::one(); usages.len()];
+    for e in 0..noise.len() {
+        if usages.iter().all(|usage| usage.as_ref()[e] == 0) {
+            continue;
+        }
+        let ln = noise.fidelity(EdgeId(e as u32)).clamp(0.0, 1.0).ln();
+        for (esp, usage) in esps.iter_mut().zip(usages) {
+            esp.mul_ln_pow(ln, usage.as_ref()[e] as usize);
+        }
+    }
+    esps
 }
 
 #[cfg(test)]
@@ -102,6 +114,7 @@ mod tests {
     use chipletqc_circuit::qubit::Qubit;
     use chipletqc_noise::assign::EdgeNoise;
     use chipletqc_topology::family::ChipletSpec;
+    use proptest::prelude::*;
 
     fn uniform_noise(device: &Device, e: f64) -> EdgeNoise {
         EdgeNoise::from_infidelities(vec![e; device.edges().len()])
@@ -166,6 +179,47 @@ mod tests {
         let fast = esp_from_usage(&usage, &noise);
         assert!((direct.ln() - fast.ln()).abs() < 1e-12);
         assert_eq!(direct.factors(), fast.factors());
+    }
+
+    proptest! {
+        /// Scoring several usage tables at once equals scoring each
+        /// alone and the per-edge `mul_prob_pow` fold, bit for bit:
+        /// zero counts, perfect edges (fidelity 1) and the worst edge a
+        /// noise table holds (fidelity `f64::EPSILON`; `EdgeNoise`
+        /// rejects an infidelity of 1) included.
+        #[test]
+        fn multi_table_scores_are_bit_identical(
+            edges in 1usize..40,
+            edge_draws in prop::collection::vec((0u8..4, 0.0f64..1.0), 40),
+            table_draws in prop::collection::vec(prop::collection::vec((0u8..3, 0u32..50), 40), 0..8),
+        ) {
+            let noise = EdgeNoise::from_infidelities(
+                edge_draws[..edges]
+                    .iter()
+                    .map(|&(kind, e)| match kind {
+                        0 => 0.0,
+                        1 => 1.0 - f64::EPSILON,
+                        _ => e,
+                    })
+                    .collect(),
+            );
+            let usages: Vec<Vec<u32>> = table_draws
+                .iter()
+                .map(|t| t[..edges].iter().map(|&(k, n)| if k == 0 { 0 } else { n }).collect())
+                .collect();
+            let esps = esps_from_usages(&usages, &noise);
+            prop_assert_eq!(esps.len(), usages.len());
+            for (esp, usage) in esps.iter().zip(&usages) {
+                let mut fold = LogProduct::one();
+                for (e, &count) in usage.iter().enumerate() {
+                    fold.mul_prob_pow(noise.fidelity(EdgeId(e as u32)), count as usize);
+                }
+                for alone in [esp_from_usage(usage, &noise), fold] {
+                    prop_assert_eq!(esp.ln().to_bits(), alone.ln().to_bits());
+                    prop_assert_eq!(esp.factors(), alone.factors());
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,12 +9,16 @@
 //! * [`routing`] — SABRE-style SWAP insertion (front layer + extended
 //!   set + decay, after Li, Ding & Xie, ASPLOS'19 — the paper's
 //!   qubit-mapping reference), with an event-driven drain that visits
-//!   only gates able to run, in the order a full rescan would;
+//!   only gates able to run, in the order a full rescan would, and
+//!   candidate SWAPs scored by the distance change of only the gates
+//!   they move, over a lookahead rebuilt only after a gate runs;
 //! * [`decompose`] — lowering to the IBM-style physical basis
 //!   {RZ, SX, X, CX} (a CX keeps its direction; the paper treats
 //!   reversal as free);
 //! * [`esp`] — the fidelity-product figure of merit over all two-qubit
-//!   gates, computed in log space;
+//!   gates, computed in log space from per-edge gate counts; one call
+//!   scores several circuits' counts against a noise table, taking
+//!   each used edge's log fidelity once;
 //! * [`pipeline`] — the end-to-end [`pipeline::Transpiler`];
 //!   [`Transpiler::transpile_many`] compiles a batch of circuits onto
 //!   one device over a single all-pairs distance table.

@@ -30,6 +30,17 @@
 //! stays byte-identical, and the tests compare against a rescan
 //! reference by equality. The decay penalty, read only when scoring
 //! SWAPs, resets once per drain that ran a gate.
+//!
+//! SWAPs are scored by delta. Once per SWAP decision the router sums
+//! the integer hop distances over the front layer and over the extended
+//! set; a candidate's sums are those plus the distance change of only
+//! the gates with a logical qubit on one of its two physical qubits,
+//! found through a per-logical-qubit index. Integer sums convert to
+//! `f64` exactly, so every score, tie-break and chosen SWAP equals a
+//! float re-sum over every gate. The front layer and the extended set
+//! (with its index) are rebuilt only after a drain that ran a gate:
+//! without one, the front layer and the executed gates are unchanged,
+//! and SWAPs, the stall fallback's included, move only the layout.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -138,6 +149,10 @@ pub fn route(
             runnable.insert(lo);
         }
     }
+    // A SWAP can move any placed logical qubit, so the lookahead's
+    // per-qubit index spans the layout, not just the circuit's qubits.
+    let mut lookahead = Lookahead::new(layout.num_logical());
+    let mut candidates: Vec<(QubitId, QubitId)> = Vec::new();
 
     while remaining > 0 {
         // Front gates the last SWAPs made adjacent can run now.
@@ -193,18 +208,21 @@ pub fn route(
             decay.iter_mut().for_each(|d| *d = 1.0);
         }
 
-        // Phase 2: the front layer is blocked; pick a SWAP.
-        let front_gates: Vec<(Qubit, Qubit)> = front.iter().copied().collect();
-        assert!(
-            !front_gates.is_empty(),
-            "router stalled with {remaining} gates and an empty front layer"
-        );
-
-        // Advance the dense-executed-prefix pointer so the extended-set
-        // scan stays O(window) instead of O(circuit).
-        while scan_start < gates.len() && executed[scan_start] {
-            scan_start += 1;
+        // Phase 2: the front layer is blocked; pick a SWAP. The front
+        // layer and the extended set change only when a gate runs.
+        if progressed || lookahead.is_empty() {
+            assert!(
+                !front.is_empty(),
+                "router stalled with {remaining} gates and an empty front layer"
+            );
+            // Advance the dense-executed-prefix pointer so the
+            // extended-set scan stays O(window) instead of O(circuit).
+            while scan_start < gates.len() && executed[scan_start] {
+                scan_start += 1;
+            }
+            lookahead.rebuild(gates, &executed, scan_start, &front, params.extended_set_size);
         }
+        let front_gates = lookahead.front();
 
         if swaps_since_progress >= stall_limit {
             // Fallback: force the first blocked gate together along a
@@ -221,13 +239,10 @@ pub fn route(
             continue;
         }
 
-        let extended =
-            extended_set(gates, &executed, scan_start, &front_gates, params.extended_set_size);
-
         // Candidate SWAPs: every device edge touching a front gate's
         // physical qubits.
-        let mut candidates: Vec<(QubitId, QubitId)> = Vec::new();
-        for &(a, b) in &front_gates {
+        candidates.clear();
+        for &(a, b) in front_gates {
             for p in [layout.physical(a), layout.physical(b)] {
                 for &(n, _) in device.graph().neighbors(p) {
                     let (x, y) = if p < n { (p, n) } else { (n, p) };
@@ -238,28 +253,15 @@ pub fn route(
         candidates.sort_unstable();
         candidates.dedup();
 
+        // Integer distance sums convert to `f64` exactly, so these
+        // costs equal the per-candidate float re-sums bit for bit.
+        let (front_len, ext_len) = (front_gates.len() as f64, lookahead.extended_len() as f64);
+        let base = lookahead.distance_sums(dist, &layout);
         let mut best: Option<((QubitId, QubitId), f64)> = None;
         for &(x, y) in &candidates {
-            layout.swap_physical(x, y);
-            let front_cost: f64 = front_gates
-                .iter()
-                .map(|&(a, b)| {
-                    dist[layout.physical(a).index()][layout.physical(b).index()] as f64
-                })
-                .sum::<f64>()
-                / front_gates.len() as f64;
-            let ext_cost: f64 = if extended.is_empty() {
-                0.0
-            } else {
-                extended
-                    .iter()
-                    .map(|&(a, b)| {
-                        dist[layout.physical(a).index()][layout.physical(b).index()] as f64
-                    })
-                    .sum::<f64>()
-                    / extended.len() as f64
-            };
-            layout.swap_physical(x, y); // undo
+            let [front_sum, ext_sum] = lookahead.swapped_sums(base, dist, &layout, x, y);
+            let front_cost = front_sum as f64 / front_len;
+            let ext_cost = if ext_len == 0.0 { 0.0 } else { ext_sum as f64 / ext_len };
             let score = decay[x.index()].max(decay[y.index()])
                 * (front_cost + params.extended_set_weight * ext_cost);
             if best.is_none_or(|(_, s)| score < s) {
@@ -339,6 +341,133 @@ fn extended_set(
         }
     }
     extended
+}
+
+/// No entry: the end of a [`Lookahead`] list.
+const NONE: u32 = u32::MAX;
+
+/// The gates a SWAP is scored over — the front layer, then the extended
+/// set — with each logical qubit's gates threaded into a list, so a
+/// candidate SWAP re-measures only the gates on its two qubits.
+struct Lookahead {
+    /// Front-layer gates (ascending), then extended-set gates.
+    gates: Vec<(Qubit, Qubit)>,
+    /// How many of `gates` are the front layer.
+    front_len: usize,
+    /// Per logical qubit, its first entry, or [`NONE`]. Entry `2g + s`
+    /// is side `s` (0 for `a`, 1 for `b`) of gate `g`.
+    head: Vec<u32>,
+    /// Per entry, the next entry on the same logical qubit, or [`NONE`].
+    next: Vec<u32>,
+}
+
+impl Lookahead {
+    fn new(logical_qubits: usize) -> Lookahead {
+        Lookahead {
+            gates: Vec::new(),
+            front_len: 0,
+            head: vec![NONE; logical_qubits],
+            next: Vec::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.gates.is_empty()
+    }
+
+    fn front(&self) -> &[(Qubit, Qubit)] {
+        &self.gates[..self.front_len]
+    }
+
+    fn extended_len(&self) -> usize {
+        self.gates.len() - self.front_len
+    }
+
+    /// Takes `front` and, after it, its [`extended_set`].
+    fn rebuild(
+        &mut self,
+        gates: &[Gate],
+        executed: &[bool],
+        scan_start: usize,
+        front: &BTreeSet<(Qubit, Qubit)>,
+        limit: usize,
+    ) {
+        for &(a, b) in &self.gates {
+            self.head[a.index()] = NONE;
+            self.head[b.index()] = NONE;
+        }
+        self.gates.clear();
+        self.gates.extend(front);
+        self.front_len = self.gates.len();
+        let extended = extended_set(gates, executed, scan_start, self.front(), limit);
+        self.gates.extend(extended);
+        self.next.clear();
+        self.next.resize(2 * self.gates.len(), NONE);
+        for (g, &(a, b)) in self.gates.iter().enumerate() {
+            for (side, q) in [a, b].into_iter().enumerate() {
+                let entry = 2 * g + side;
+                self.next[entry] = self.head[q.index()];
+                self.head[q.index()] = entry as u32;
+            }
+        }
+    }
+
+    /// The front layer's and the extended set's summed hop distances
+    /// under `layout`.
+    fn distance_sums(&self, dist: &[Vec<u32>], layout: &Layout) -> [i64; 2] {
+        let mut sums = [0i64; 2];
+        for (g, &(a, b)) in self.gates.iter().enumerate() {
+            sums[usize::from(g >= self.front_len)] +=
+                hop(dist, layout.physical(a), layout.physical(b));
+        }
+        sums
+    }
+
+    /// The [`Lookahead::distance_sums`] after swapping physical `x` and
+    /// `y`, from the sums `base` before it: only the gates on the
+    /// logical qubits at `x` and `y` change distance.
+    fn swapped_sums(
+        &self,
+        base: [i64; 2],
+        dist: &[Vec<u32>],
+        layout: &Layout,
+        x: QubitId,
+        y: QubitId,
+    ) -> [i64; 2] {
+        let moved = |p: QubitId| {
+            if p == x {
+                y
+            } else if p == y {
+                x
+            } else {
+                p
+            }
+        };
+        let (lx, ly) = (layout.logical(x), layout.logical(y));
+        let mut sums = base;
+        // A gate on both qubits is on both lists; count it on `lx`'s.
+        for (l, skip) in [(lx, None), (ly, lx)] {
+            let Some(l) = l else { continue };
+            let mut entry = self.head[l.index()];
+            while entry != NONE {
+                let g = entry as usize / 2;
+                let (a, b) = self.gates[g];
+                if skip.is_none_or(|s| a != s && b != s) {
+                    let (pa, pb) = (layout.physical(a), layout.physical(b));
+                    sums[usize::from(g >= self.front_len)] +=
+                        hop(dist, moved(pa), moved(pb)) - hop(dist, pa, pb);
+                }
+                entry = self.next[entry as usize];
+            }
+        }
+        sums
+    }
+}
+
+/// The hop distance between physical `p` and `q`, widened so sums and
+/// differences of unreachable pairs (`u32::MAX`) stay exact.
+fn hop(dist: &[Vec<u32>], p: QubitId, q: QubitId) -> i64 {
+    i64::from(dist[p.index()][q.index()])
 }
 
 /// Emits a gate with its qubits remapped through the layout.
@@ -677,12 +806,15 @@ mod tests {
         /// output (gate order, SWAPs, final layout) on monolithic,
         /// chiplet and MCM devices under both layouts and any SABRE
         /// parameters (lookahead weights up to 4 stall the heuristic
-        /// often enough to exercise the shortest-path fallback);
+        /// often enough to exercise the shortest-path fallback), and
+        /// with layouts that place every device qubit, so a candidate
+        /// SWAP can move a placed logical qubit no gate uses;
         /// `transpile_many` equals per-circuit `transpile`.
         #[test]
         fn route_matches_the_rescan_reference(
             pick in 0usize..3,
             snake in 0usize..2,
+            wide in 0usize..2,
             widths in (0.05f64..1.0, 0.05f64..1.0),
             ops in prop::collection::vec((0u8..6, 0usize..1000, 0usize..1000, 2usize..30), 0..160),
             more in prop::collection::vec((0u8..6, 0usize..1000, 0usize..1000, 2usize..30), 0..60),
@@ -704,7 +836,8 @@ mod tests {
                 decay_delta: sabre.2,
                 decay_reset_interval: sabre.3,
             };
-            let layout = layout_strategy.place(circuit.num_qubits(), &device);
+            let placed = if wide == 1 { device.num_qubits() } else { circuit.num_qubits() };
+            let layout = layout_strategy.place(placed, &device);
             let dist = device.graph().distance_matrix();
             prop_assert_eq!(
                 route(&circuit, &device, &dist, &layout, &params),
