@@ -8,7 +8,8 @@
 //!   simulations (Figs. 4, 6 and 8). It files each check under the
 //!   highest qubit index it reads, so
 //!   [`CheckSchedule::fill_until_collision`] checks a trial while it is
-//!   drawn, qubit by qubit, and stops at the first collision;
+//!   drawn, a block of qubits at a time, and stops after the first block
+//!   whose checks find a collision;
 //! * [`is_collision_free`] is the full-assignment predicate: the same
 //!   verdict over an assignment that is already drawn, with an early
 //!   exit (the property tests' oracle and the benchmark's
@@ -16,7 +17,9 @@
 //! * [`find_collisions`] lists every collision, for reports and the
 //!   per-type analysis.
 
-use chipletqc_topology::device::{Device, Edge};
+use std::ops::Range;
+
+use chipletqc_topology::device::Device;
 use chipletqc_topology::qubit::QubitId;
 
 use crate::criteria::{
@@ -39,16 +42,18 @@ fn check_len(device: &Device, freqs: &Frequencies) {
 
 // Both checkers run these once per check; without `#[inline]` a full
 // `is_collision_free` scan of a 400- or 1,000-qubit device measured
-// ~15% slower (release build, 2-core x86-64 Xeon).
+// ~15% slower (release build, 2-core x86-64 Xeon). Each ORs its
+// criteria with `|`, not `||`, and the schedule ORs a block's checks
+// the same way, so it branches once on a block's verdict, not per check.
 
-/// Whether any of types 1–4 fires on edge `e`.
+/// Whether any of types 1–4 fires on the edge with control `c` and
+/// target `t` (types 1 and 3 are symmetric in the two endpoints).
 #[inline]
-fn edge_collides(freqs: &Frequencies, e: &Edge, params: &CollisionParams) -> bool {
-    let (c, t) = (e.control, e.target());
-    type1(freqs, e.a, e.b, params)
-        || type2(freqs, c, t, params)
-        || type3(freqs, e.a, e.b, params)
-        || type4(freqs, c, t, params)
+fn edge_collides(freqs: &Frequencies, [c, t]: [QubitId; 2], params: &CollisionParams) -> bool {
+    type1(freqs, c, t, params)
+        | type2(freqs, c, t, params)
+        | type3(freqs, c, t, params)
+        | type4(freqs, c, t, params)
 }
 
 /// Whether any of types 5–7 fires on control `i` with targets `j`, `k`.
@@ -58,7 +63,7 @@ fn triple_collides(
     [i, j, k]: [QubitId; 3],
     params: &CollisionParams,
 ) -> bool {
-    type5(freqs, j, k, params) || type6(freqs, j, k, params) || type7(freqs, i, j, k, params)
+    type5(freqs, j, k, params) | type6(freqs, j, k, params) | type7(freqs, i, j, k, params)
 }
 
 /// Whether the fabricated device has **no** Table I collision.
@@ -78,7 +83,7 @@ pub fn is_collision_free(
 ) -> bool {
     check_len(device, freqs);
     for e in device.edges() {
-        if edge_collides(freqs, e, params) {
+        if edge_collides(freqs, [e.control, e.target()], params) {
             return false;
         }
     }
@@ -95,22 +100,30 @@ pub fn is_collision_free(
     true
 }
 
+/// The first block a trial is drawn and checked in; each next block is
+/// twice as large, up to [`MAX_BLOCK`].
+const FIRST_BLOCK: usize = 8;
+
+/// The largest block: a trial of more qubits goes on in blocks of 64.
+const MAX_BLOCK: usize = 64;
+
 /// One device's Table I checks, each filed under the highest qubit
 /// index it reads: an edge's types 1–4 under its higher endpoint, and a
 /// (control, target, target) triple's types 5–7 under the highest of
 /// its three qubits.
 ///
-/// The checks filed under qubit `q` read only qubits `0..=q`, so an
-/// assignment drawn in qubit order can be checked as it is drawn.
-/// Whether an assignment collides does not depend on the order of its
-/// checks, so the first check that fires settles the verdict
-/// [`is_collision_free`] gives on the full assignment. Build one per
-/// device and reuse it for every trial.
+/// The checks filed under the qubits of a block read only qubits of
+/// that block or lower ones, so an assignment drawn block by block in
+/// qubit order can be checked as it is drawn. Whether an assignment
+/// collides does not depend on the order of its checks, so the first
+/// block whose checks fire settles the verdict [`is_collision_free`]
+/// gives on the full assignment. Build one per device and reuse it for
+/// every trial.
 #[derive(Debug, Clone)]
 pub struct CheckSchedule {
-    /// Every edge, by higher endpoint: qubit `q`'s are
-    /// `edges[edge_at[q]..edge_at[q + 1]]`.
-    edges: Vec<Edge>,
+    /// Every edge as `[control, target]`, by higher endpoint: qubit
+    /// `q`'s are `edges[edge_at[q]..edge_at[q + 1]]`.
+    edges: Vec<[QubitId; 2]>,
     edge_at: Vec<usize>,
     /// Every `[control, target, target]` triple, by highest qubit:
     /// qubit `q`'s are `triples[triple_at[q]..triple_at[q + 1]]`.
@@ -131,7 +144,8 @@ impl CheckSchedule {
                 }
             }
         }
-        let (edges, edge_at) = file_by_qubit(n, device.edges().to_vec(), |e| e.a.max(e.b));
+        let edges: Vec<_> = device.edges().iter().map(|e| [e.control, e.target()]).collect();
+        let (edges, edge_at) = file_by_qubit(n, edges, |&[c, t]| c.max(t));
         let (triples, triple_at) = file_by_qubit(n, triples, |&[i, j, k]| i.max(j).max(k));
         CheckSchedule { edges, edge_at, triples, triple_at }
     }
@@ -141,26 +155,42 @@ impl CheckSchedule {
         self.edge_at.len() - 1
     }
 
-    /// Writes `draw(q)` into `freqs` for each qubit `q` in index order,
-    /// runs the checks filed under `q` as soon as it is written, and
-    /// stops at the first that fires.
+    /// The blocks of qubit indices a trial is drawn and checked in, in
+    /// order: 8, 16, 32 and 64 qubits, then 64 at a time, the last cut
+    /// at the device's size. Small first blocks let a trial that
+    /// collides early stop early; large later ones keep a survivor's
+    /// branches few.
+    pub fn blocks(&self) -> impl Iterator<Item = Range<usize>> {
+        let n = self.num_qubits();
+        let (mut start, mut size) = (0, FIRST_BLOCK);
+        std::iter::from_fn(move || {
+            let block = start..n.min(start + size);
+            (start, size) = (block.end, MAX_BLOCK.min(2 * size));
+            (!block.is_empty()).then_some(block)
+        })
+    }
+
+    /// Fills `freqs` block by block: for each of [`CheckSchedule::blocks`]
+    /// in order, `fill(block, values)` writes the block's frequencies into
+    /// `values` (its slice of `freqs`), then every check filed under the
+    /// block runs, and the fill stops after the first block with a
+    /// collision.
     ///
-    /// Returns that qubit, the lowest over the assignment's collisions
-    /// of the highest qubit each involves, after exactly `q + 1` calls
-    /// of `draw`; qubits above it keep what `freqs` held before. Returns
-    /// `None` when the assignment is collision-free, after drawing every
-    /// qubit.
+    /// Returns that block: the one holding the lowest, over the
+    /// assignment's collisions, of the highest qubit each involves.
+    /// Qubits above it keep what `freqs` held before. Returns `None`
+    /// when the assignment is collision-free, after filling every qubit.
     ///
     /// # Panics
     ///
-    /// Panics if `freqs` does not cover the device or `draw` returns a
+    /// Panics if `freqs` does not cover the device or `fill` writes a
     /// non-finite value.
     pub fn fill_until_collision(
         &self,
         freqs: &mut Frequencies,
         params: &CollisionParams,
-        mut draw: impl FnMut(QubitId) -> f64,
-    ) -> Option<QubitId> {
+        mut fill: impl FnMut(Range<usize>, &mut [f64]),
+    ) -> Option<Range<usize>> {
         assert_eq!(
             freqs.len(),
             self.num_qubits(),
@@ -168,18 +198,14 @@ impl CheckSchedule {
             freqs.len(),
             self.num_qubits()
         );
-        for q in 0..self.num_qubits() {
-            let qubit = QubitId(q as u32);
-            freqs.set_freq(qubit, draw(qubit));
-            let edges = &self.edges[self.edge_at[q]..self.edge_at[q + 1]];
-            let triples = &self.triples[self.triple_at[q]..self.triple_at[q + 1]];
-            if edges.iter().any(|e| edge_collides(freqs, e, params))
-                || triples.iter().any(|&t| triple_collides(freqs, t, params))
-            {
-                return Some(qubit);
-            }
-        }
-        None
+        self.blocks().find(|block| {
+            freqs.fill_block(block.clone(), |values| fill(block.clone(), values));
+            let freqs = &*freqs;
+            let edges = &self.edges[self.edge_at[block.start]..self.edge_at[block.end]];
+            let triples = &self.triples[self.triple_at[block.start]..self.triple_at[block.end]];
+            edges.iter().fold(false, |hit, &e| hit | edge_collides(freqs, e, params))
+                | triples.iter().fold(false, |hit, &t| hit | triple_collides(freqs, t, params))
+        })
     }
 }
 
@@ -465,7 +491,7 @@ mod tests {
             let (mut edges, mut triples) = (Vec::new(), Vec::new());
             for (q, qubit) in device.qubits().enumerate() {
                 for e in &schedule.edges[schedule.edge_at[q]..schedule.edge_at[q + 1]] {
-                    assert_eq!(e.a.max(e.b), qubit, "{}: edge {:?}", device.name(), e.id);
+                    assert_eq!(e.iter().max(), Some(&qubit), "{}: edge {e:?}", device.name());
                     edges.push(*e);
                 }
                 for t in &schedule.triples[schedule.triple_at[q]..schedule.triple_at[q + 1]] {
@@ -473,8 +499,11 @@ mod tests {
                     triples.push(*t);
                 }
             }
-            edges.sort_by_key(|e| e.id);
-            assert_eq!(edges, device.edges(), "{}: every edge once", device.name());
+            let mut expected: Vec<_> =
+                device.edges().iter().map(|e| [e.control, e.target()]).collect();
+            edges.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(edges, expected, "{}: every edge once", device.name());
             let mut expected = Vec::new();
             for i in device.qubits() {
                 let targets = device.targets_of(i);
@@ -486,6 +515,36 @@ mod tests {
             triples.sort_unstable();
             expected.sort_unstable();
             assert_eq!(triples, expected, "{}: every triple once", device.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "frequency of Q9 must be finite")]
+    fn a_non_finite_fill_panics_naming_the_qubit() {
+        let device = ChipletSpec::with_qubits(10).unwrap().build();
+        let ideal = Frequencies::ideal(&device, &FrequencyPlan::state_of_the_art());
+        let (schedule, mut freqs) = (CheckSchedule::new(&device), ideal.clone());
+        schedule.fill_until_collision(&mut freqs, &paper_params(), |block, values| {
+            values.copy_from_slice(&ideal.as_slice()[block.clone()]);
+            if block.contains(&9) {
+                values[9 - block.start] = f64::NAN;
+            }
+        });
+    }
+
+    #[test]
+    fn blocks_double_from_8_to_64_and_tile_the_device() {
+        let blocks = |device: &Device| CheckSchedule::new(device).blocks().collect::<Vec<_>>();
+        let mono = |q| MonolithicSpec::with_qubits(q).unwrap().build();
+        assert_eq!(blocks(&mono(100)), [0..8, 8..24, 24..56, 56..100]);
+        for device in [ChipletSpec::with_qubits(10).unwrap().build(), mono(495), mono(1000)] {
+            let blocks = blocks(&device);
+            assert_eq!(blocks[0].start, 0);
+            assert_eq!(blocks.last().map(|b| b.end), Some(device.num_qubits()));
+            for (i, pair) in blocks.windows(2).enumerate() {
+                assert_eq!(pair[0].end, pair[1].start);
+                assert_eq!(pair[0].len(), 64.min(8 << i), "{}: block {i}", device.name());
+            }
         }
     }
 

@@ -7,6 +7,8 @@
 //! plan; [`Frequencies::ideal`] produces the zero-variation reference
 //! assignment.
 
+use std::ops::Range;
+
 use chipletqc_math::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use chipletqc_topology::device::Device;
 use chipletqc_topology::plan::FrequencyPlan;
@@ -66,15 +68,20 @@ impl Frequencies {
         self.freqs[q.index()]
     }
 
-    /// Overwrites the frequency of `q`: the checker's qubit-by-qubit
-    /// fill reuses one assignment across trials.
+    /// Overwrites the frequencies of the qubits in `block` with what
+    /// `fill` writes into their slice: the check schedule's block fill
+    /// reuses one assignment across trials.
     ///
     /// # Panics
     ///
-    /// Panics if `f` is not finite.
-    pub(crate) fn set_freq(&mut self, q: QubitId, f: f64) {
-        assert!(f.is_finite(), "frequency of {q} must be finite, got {f}");
-        self.freqs[q.index()] = f;
+    /// Panics if `fill` writes a non-finite value.
+    pub(crate) fn fill_block(&mut self, block: Range<usize>, fill: impl FnOnce(&mut [f64])) {
+        let values = &mut self.freqs[block.clone()];
+        fill(values);
+        for (q, &f) in block.zip(values.iter()) {
+            let q = QubitId(q as u32);
+            assert!(f.is_finite(), "frequency of {q} must be finite, got {f}");
+        }
     }
 
     /// The anharmonicity of `q` in GHz (negative): the one α every

@@ -15,9 +15,10 @@
 //!   frequencies, with the paper's thresholds as defaults and every
 //!   threshold parameterizable;
 //! * [`checker`] — whole-device checking: a per-device check schedule
-//!   that checks a Monte Carlo trial while it is drawn and stops at its
-//!   first collision, the collision-free predicate over a full
-//!   assignment, and full reports for analysis.
+//!   that checks a Monte Carlo trial block by block while it is drawn
+//!   and stops after the first block with a collision, the
+//!   collision-free predicate over a full assignment, and full reports
+//!   for analysis.
 //!
 //! # Example
 //!

@@ -99,10 +99,11 @@ proptest! {
     }
 
     /// The check schedule run over a full assignment agrees with both
-    /// full-assignment checks: it stops at the lowest, over the report's
-    /// collisions, of the highest qubit each involves (so it finds a
-    /// collision exactly when `is_collision_free` says there is one),
-    /// after drawing exactly the qubits up to it.
+    /// full-assignment checks: it stops after the block holding the
+    /// lowest, over the report's collisions, of the highest qubit each
+    /// involves (so it finds a collision exactly when `is_collision_free`
+    /// says there is one), after drawing exactly the qubits up to that
+    /// block's end.
     #[test]
     fn schedule_agrees_with_the_full_assignment_checks(
         (kind, rows, m) in (0usize..3, 1usize..4, 1usize..4),
@@ -120,20 +121,22 @@ proptest! {
             enforce_straddling: straddling != 0,
             ..CollisionParams::paper().scaled(window)
         };
+        let schedule = CheckSchedule::new(&device);
         let expected = find_collisions(&device, &full, &params)
             .collisions
             .iter()
-            .map(|c| *c.qubits.iter().max().unwrap())
-            .min();
+            .map(|c| c.qubits.iter().max().unwrap().index())
+            .min()
+            .map(|q| schedule.blocks().find(|block| block.contains(&q)).unwrap());
         let mut scratch = Frequencies::ideal(&device, &plan);
         let mut draws = 0;
-        let hit = CheckSchedule::new(&device).fill_until_collision(&mut scratch, &params, |q| {
-            draws += 1;
-            full.freq(q)
+        let hit = schedule.fill_until_collision(&mut scratch, &params, |block, values| {
+            draws += values.len();
+            values.copy_from_slice(&full.as_slice()[block]);
         });
-        prop_assert_eq!(hit, expected);
+        prop_assert_eq!(&hit, &expected);
         prop_assert_eq!(hit.is_none(), is_collision_free(&device, &full, &params));
-        prop_assert_eq!(draws, hit.map_or(device.num_qubits(), |q| q.index() + 1));
+        prop_assert_eq!(draws, hit.as_ref().map_or(device.num_qubits(), |block| block.end));
         if hit.is_none() {
             prop_assert_eq!(&scratch, &full);
         }

@@ -202,6 +202,36 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
+/// The pairs [`fill_standard_normal`] keeps on the stack at once.
+const FILL_CHUNK: usize = 64;
+
+/// Fills `out` with the generator's next `out.len()` standard normals:
+/// bit for bit the values of as many [`standard_normal`] calls, leaving
+/// the generator where they would.
+///
+/// The polar method rejects about one `(u, v)` pair in five, and a
+/// branch on each pair's verdict mispredicts about as often, so each
+/// chunk takes two passes: the first writes every pair but advances
+/// only past accepted ones, the second transforms the kept pairs.
+pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+    let mut squares = [0.0; FILL_CHUNK];
+    for out in out.chunks_mut(FILL_CHUNK) {
+        let squares = &mut squares[..out.len()];
+        let mut kept = 0;
+        while kept < out.len() {
+            let u = 2.0 * open_unit(rng) - 1.0;
+            let v = 2.0 * open_unit(rng) - 1.0;
+            let s = u * u + v * v;
+            out[kept] = u;
+            squares[kept] = s;
+            kept += usize::from((s > 0.0) & (s < 1.0));
+        }
+        for (z, &s) in out.iter_mut().zip(squares.iter()) {
+            *z *= (-2.0 * s.ln() / s).sqrt();
+        }
+    }
+}
+
 /// The error function, via the Abramowitz–Stegun 7.1.26 rational
 /// approximation (absolute error < 1.5e-7, ample for yield estimates).
 pub fn erf(x: f64) -> f64 {
@@ -220,6 +250,7 @@ mod tests {
     use super::*;
     use crate::rng::Seed;
     use crate::stats::{mean, std_dev};
+    use rand::RngCore;
 
     #[test]
     fn normal_rejects_bad_params() {
@@ -301,5 +332,44 @@ mod tests {
         let positive = samples.iter().filter(|x| **x > 0.0).count();
         let ratio = positive as f64 / samples.len() as f64;
         assert!((ratio - 0.5).abs() < 0.01, "ratio = {ratio}");
+    }
+
+    /// Replays `script`, then continues as `rest`.
+    struct Scripted {
+        script: std::vec::IntoIter<u64>,
+        rest: rand::rngs::StdRng,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.script.next().unwrap_or_else(|| self.rest.next_u64())
+        }
+    }
+
+    #[test]
+    fn fill_standard_normal_rejects_like_standard_normal() {
+        // Branches no seeded stream reaches, each about 2^-53 per draw:
+        // a raw draw below 2^11 is 0.0 to `open_unit`, which draws
+        // again, and 2^63 is exactly 0.5, so two make u = v = 0 and
+        // s = 0, which must be rejected. `ACCEPT` is 0.75: its pair has
+        // u = v = 0.5 and s = 0.5.
+        const BELOW: u64 = (1 << 11) - 1;
+        const HALF: u64 = 1 << 63;
+        const ACCEPT: u64 = 3 << 62;
+        // Each unit draws one normal and rejects one pair; 70 units
+        // cross the 64-pair chunk.
+        let script: Vec<u64> = [ACCEPT, ACCEPT, BELOW, HALF, HALF].repeat(70);
+        let scripted = || Scripted { script: script.clone().into_iter(), rest: Seed(31).rng() };
+        let accepted = 0.5 * (-2.0 * 0.5f64.ln() / 0.5).sqrt();
+        for len in [1, 63, 64, 65, 70, 150] {
+            let (mut block_rng, mut oracle_rng) = (scripted(), scripted());
+            let mut block = vec![0.0; len];
+            fill_standard_normal(&mut block_rng, &mut block);
+            let oracle: Vec<f64> = (0..len).map(|_| standard_normal(&mut oracle_rng)).collect();
+            assert!(block[..len.min(70)].iter().all(|&z| z == accepted), "len {len}");
+            let bits = |zs: &[f64]| zs.iter().map(|z| z.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&block), bits(&oracle), "len {len}");
+            assert_eq!(block_rng.next_u64(), oracle_rng.next_u64(), "len {len}");
+        }
     }
 }

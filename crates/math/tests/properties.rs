@@ -1,11 +1,12 @@
 //! Property tests for the numeric substrate.
 
 use proptest::prelude::*;
+use rand::RngCore;
 
 use chipletqc_math::combinatorics::{
     factor_pairs, ln_factorial, log10_binomial, log10_permutations,
 };
-use chipletqc_math::dist::{LogNormal, Normal};
+use chipletqc_math::dist::{fill_standard_normal, standard_normal, LogNormal, Normal};
 use chipletqc_math::histogram::{Binning, SampleHistogram};
 use chipletqc_math::logspace::LogProduct;
 use chipletqc_math::rng::Seed;
@@ -145,6 +146,18 @@ proptest! {
         children.sort_unstable();
         children.dedup();
         prop_assert_eq!(children.len(), 66);
+    }
+
+    /// The block sampler draws bit for bit what as many `standard_normal`
+    /// calls draw, and leaves the generator where they would.
+    #[test]
+    fn fill_standard_normal_matches_standard_normal(seed in 0u64..u64::MAX, len in 0usize..=200) {
+        let (mut block_rng, mut oracle_rng) = (Seed(seed).rng(), Seed(seed).rng());
+        let mut block = vec![0.0; len];
+        fill_standard_normal(&mut block_rng, &mut block);
+        let oracle: Vec<u64> = (0..len).map(|_| standard_normal(&mut oracle_rng).to_bits()).collect();
+        prop_assert_eq!(block.iter().map(|z| z.to_bits()).collect::<Vec<_>>(), oracle);
+        prop_assert_eq!(block_rng.next_u64(), oracle_rng.next_u64());
     }
 }
 

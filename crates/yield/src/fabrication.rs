@@ -91,8 +91,10 @@ impl FabricationParams {
     }
 
     /// Qubit `q`'s fabricated frequency, drawn from `N(F_class(q), σ_f)`:
-    /// the one per-qubit draw behind [`FabricationParams::sample`] and the
-    /// Monte Carlo loop, which draws a trial qubit by qubit.
+    /// the per-qubit draw behind [`FabricationParams::sample`]. The Monte
+    /// Carlo loop draws a trial in blocks instead and computes the same
+    /// `ideal + (0.0 + σ_f * z)` from the same normals, so `sample` is the
+    /// full-draw reference its tests compare against.
     ///
     /// # Panics
     ///

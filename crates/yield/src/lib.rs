@@ -12,11 +12,12 @@
 //!   devices);
 //! * [`monte_carlo`] — deterministic batch simulation;
 //!   also produces the surviving *collision-free bin* with its sampled
-//!   frequencies, which the assembly crate consumes, and supports
-//!   splitting a batch into [`TrialRange`] shards whose merged results
-//!   are bit-identical to a single full-batch run. Each trial is drawn
-//!   qubit by qubit and stops at its first collision, with exactly the
-//!   output of drawing every qubit first;
+//!   frequencies, which the assembly crate consumes. Any [`TrialRange`]
+//!   of a batch can be simulated on its own: the survivors of
+//!   contiguous ranges, concatenated in range order, are those of the
+//!   full batch. Each trial is drawn in blocks of qubits and stops
+//!   after the first block with a collision, with exactly the output
+//!   of drawing every qubit first;
 //! * [`sweep`] — yield-vs-size curve generation for the Fig. 4 and
 //!   Fig. 8 reproductions;
 //! * [`analytic`] — an independence-approximation analytic estimator

@@ -16,16 +16,19 @@
 //!
 //! ## Stopping at the first collision
 //!
-//! A trial's verdict is settled by its first collision, so a trial
-//! draws its qubits in index order and is checked while it is drawn:
-//! after drawing qubit `q` it runs the Table I checks whose highest
-//! qubit is `q` ([`CheckSchedule`]) and stops at the first hit. Only a
-//! survivor draws every qubit. The output is exactly that of drawing
-//! every assignment in full ([`FabricationParams::sample`]) and keeping
-//! those that pass [`chipletqc_collision::checker::is_collision_free`]:
-//! trial `i`'s draws come from `seed.split(i)`, which no other trial
-//! reads, in the same order up to where the trial stops; nothing reads
-//! a colliding trial's remaining draws; and whether an assignment
+//! A trial's verdict is settled by its first collision, so a trial is
+//! drawn in blocks of qubits in index order and checked while it is
+//! drawn: after drawing a block it runs every Table I check whose
+//! highest qubit lies in the block ([`CheckSchedule`]), and stops after
+//! the first block with a hit. Only a survivor draws every qubit. The
+//! output is exactly that of drawing every assignment in full
+//! ([`FabricationParams::sample`]) and keeping those that pass
+//! [`chipletqc_collision::checker::is_collision_free`]: trial `i`'s
+//! draws come from `seed.split(i)`, which no other trial reads, in the
+//! same order and with the same values up to where the trial stops; a
+//! block's checks read only qubits that block or an earlier one wrote;
+//! nothing reads the draws of a colliding trial, including those its
+//! last block made past the collision; and whether an assignment
 //! collides does not depend on the order of its checks.
 
 use rand::rngs::StdRng;
@@ -34,10 +37,10 @@ use chipletqc_collision::checker::CheckSchedule;
 use chipletqc_collision::criteria::CollisionParams;
 use chipletqc_collision::frequencies::Frequencies;
 use chipletqc_math::codec::{ByteReader, ByteWriter, Codec, CodecError};
+use chipletqc_math::dist::fill_standard_normal;
 use chipletqc_math::rng::Seed;
 use chipletqc_math::stats::wilson_interval;
 use chipletqc_topology::device::Device;
-use chipletqc_topology::qubit::QubitId;
 
 use crate::fabrication::FabricationParams;
 
@@ -230,10 +233,13 @@ pub fn fabricate_collision_free_range(
 /// trials of `range`, in ascending trial order. The tally and the bin
 /// both consume it, so they can never disagree about the same range.
 ///
-/// Each trial stops at its first collision (see the module docs for
-/// why the output is that of full draws); a survivor is cloned out of
-/// one scratch assignment per call, so a colliding trial allocates
-/// nothing.
+/// Each trial is drawn in blocks and stops after its first block with a
+/// collision (see the module docs for why the output is that of full
+/// draws). Qubit `q` of a trial is `ideal[q] + (0.0 + σ_f * z)` for its
+/// standard normal `z`, what [`FabricationParams::sample`] computes. The
+/// ideal frequencies and the scratch assignment are made once per call
+/// and a survivor is cloned out of the scratch, so a colliding trial
+/// allocates nothing.
 fn survivors<'a>(
     device: &'a Device,
     fab: &'a FabricationParams,
@@ -241,24 +247,31 @@ fn survivors<'a>(
     range: TrialRange,
     seed: Seed,
 ) -> impl Iterator<Item = Frequencies> + 'a {
-    survivors_drawing(device, fab, params, range, seed, |q, rng| fab.draw_freq(device, q, rng))
+    survivors_drawing(device, fab, params, range, seed, fill_standard_normal)
 }
 
-/// [`survivors`] with its per-qubit draw passed in, so a test can count
-/// the draws a trial makes.
+/// [`survivors`] with its block draw of standard normals passed in, so a
+/// test can count the draws a trial makes.
 fn survivors_drawing<'a>(
     device: &'a Device,
     fab: &'a FabricationParams,
     params: &'a CollisionParams,
     range: TrialRange,
     seed: Seed,
-    mut draw: impl FnMut(QubitId, &mut StdRng) -> f64 + 'a,
+    mut normals: impl FnMut(&mut StdRng, &mut [f64]) + 'a,
 ) -> impl Iterator<Item = Frequencies> + 'a {
     let schedule = CheckSchedule::new(device);
-    let mut scratch = Frequencies::ideal(device, fab.plan());
+    let ideal = Frequencies::ideal(device, fab.plan());
+    let mut scratch = ideal.clone();
+    let sigma_f = fab.sigma_f();
     (range.start..range.end).filter_map(move |i| {
         let mut rng = seed.split(i as u64).rng();
-        let hit = schedule.fill_until_collision(&mut scratch, params, |q| draw(q, &mut rng));
+        let hit = schedule.fill_until_collision(&mut scratch, params, |block, values| {
+            normals(&mut rng, values);
+            for (f, &ideal_q) in values.iter_mut().zip(&ideal.as_slice()[block]) {
+                *f = ideal_q + (0.0 + sigma_f * *f);
+            }
+        });
         hit.is_none().then(|| scratch.clone())
     })
 }
@@ -423,6 +436,7 @@ mod tests {
         ];
         let (mut colliding, mut surviving) = (0, 0);
         for device in &devices {
+            let schedule = CheckSchedule::new(device);
             for sigma_f in [0.1323, 0.014, 0.006] {
                 let fab = FabricationParams::state_of_the_art().with_sigma_f(sigma_f);
                 for i in 0..40 {
@@ -434,22 +448,25 @@ mod tests {
                         &params(),
                         trial,
                         Seed(29),
-                        |q, rng| {
-                            draws.set(draws.get() + 1);
-                            fab.draw_freq(device, q, rng)
+                        |rng, values| {
+                            draws.set(draws.get() + values.len());
+                            fill_standard_normal(rng, values);
                         },
                     )
                     .count();
                     let full = fab.sample(device, &mut Seed(29).split(i as u64).rng());
                     let report = find_collisions(device, &full, &params());
-                    // Up to the lowest, over the trial's collisions, of
-                    // the highest qubit each involves; else every qubit.
+                    // Up to the end of the block holding the lowest, over
+                    // the trial's collisions, of the highest qubit each
+                    // involves; else every qubit.
                     let expected = report
                         .collisions
                         .iter()
                         .filter_map(|c| c.qubits.iter().max())
                         .min()
-                        .map_or(device.num_qubits(), |q| q.index() + 1);
+                        .map_or(device.num_qubits(), |q| {
+                            schedule.blocks().find(|b| b.contains(&q.index())).unwrap().end
+                        });
                     assert_eq!(survived, usize::from(report.is_collision_free()));
                     assert_eq!(
                         draws.get(),
