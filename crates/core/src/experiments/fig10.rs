@@ -2,28 +2,31 @@
 //! benchmark suite.
 //!
 //! For every system, each benchmark is generated at 80 % utilization,
-//! compiled (layout + SABRE + basis lowering) onto both the MCM and the
-//! monolithic topology, and scored by the fidelity product of all
-//! two-qubit gates over the respective device populations. The
-//! reported quantity is `log10(ESP_MCM / ESP_Mono)` using population
-//! geometric means — positive means MCM advantage. Systems whose
-//! monolithic counterpart had zero collision-free yield are the
-//! paper's red-X points: the MCM is the only way to run the workload.
+//! compiled (layout + SABRE) onto both the MCM and the monolithic
+//! topology, and scored by the fidelity product of all two-qubit gates
+//! over the respective device populations. The score reads only each
+//! routed circuit's per-edge two-qubit gate counts, which equal the
+//! counts of its basis lowering, so the circuits are never lowered;
+//! the counts come from [`CacheHub::usage_tables`], compiled once per
+//! device and hub and kept in the result store. The reported quantity
+//! is `log10(ESP_MCM / ESP_Mono)` using population geometric means —
+//! positive means MCM advantage. Systems whose monolithic counterpart
+//! had zero collision-free yield are the paper's red-X points: the MCM
+//! is the only way to run the workload.
 
 use std::collections::BTreeMap;
 
 use chipletqc_benchmarks::suite::Benchmark;
-use chipletqc_circuit::circuit::Circuit;
 use chipletqc_math::logspace::{ln_to_log10, mean_ln};
 use chipletqc_math::rng::Seed;
 use chipletqc_noise::assign::EdgeNoise;
-use chipletqc_topology::device::Device;
 use chipletqc_topology::evalset::paper_mcms;
+use chipletqc_topology::family::MonolithicSpec;
 use chipletqc_topology::mcm::McmSpec;
-use chipletqc_transpile::esp::{edge_usage, esps_from_usages};
+use chipletqc_transpile::esp::esps_from_usages;
 use chipletqc_transpile::pipeline::Transpiler;
 
-use crate::lab::{CacheHub, Lab, LabConfig};
+use crate::lab::{CacheHub, CompileTarget, Lab, LabConfig};
 use crate::report::TextTable;
 
 /// Fig. 10 configuration.
@@ -225,9 +228,11 @@ pub fn run(config: &Fig10Config) -> Fig10Data {
 /// caches through `hub` (the engine's concurrent-scenario path).
 pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
     let lab = Lab::new_in(config.lab, hub);
-    // Monolithic log10 ESPs, one per benchmark, compiled and scored
-    // once per system size (an empty population scores `None` without
-    // compiling).
+    let usage_tables = |target| {
+        hub.usage_tables(&config.transpiler, &config.benchmarks, config.circuit_seed, target)
+    };
+    // Monolithic log10 ESPs, one per benchmark, scored once per system
+    // size (an empty population scores `None` without compiling).
     let mut mono_by_size: BTreeMap<usize, Vec<Option<f64>>> = BTreeMap::new();
 
     let mut rows: Vec<Fig10Row> = config
@@ -238,23 +243,20 @@ pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
 
     for spec in &config.systems {
         let qubits = spec.num_qubits();
-        let circuits: Vec<Circuit> = config
-            .benchmarks
-            .iter()
-            .map(|b| b.for_device_qubits(qubits, config.circuit_seed))
-            .collect();
         let mono_pop = lab.mono_population(qubits);
         let mono_esps = mono_by_size.entry(qubits).or_insert_with(|| {
             if mono_pop.members.is_empty() {
-                return vec![None; circuits.len()];
+                return vec![None; config.benchmarks.len()];
             }
-            let usages = usage_tables(&config.transpiler, &circuits, &mono_pop.device);
+            let mono = MonolithicSpec::with_qubits(qubits)
+                .unwrap_or_else(|e| panic!("monolithic size {qubits}: {e}"));
+            let usages = usage_tables(CompileTarget::Monolithic(mono));
             log10_mean_esps(mono_pop.members.iter().map(|(_, noise)| noise), &usages)
         });
         let selected =
             lab.selected_mcm_count(lab.placement(spec).len(), mono_pop.estimate.survivors);
         let mcms = lab.modules(spec, selected);
-        let usages = usage_tables(&config.transpiler, &circuits, &spec.build());
+        let usages = usage_tables(CompileTarget::Mcm(*spec));
         let mcm_esps = log10_mean_esps(mcms.iter().map(|m| &m.noise), &usages);
         for ((row, &mcm_esp_log10), &mono_esp_log10) in
             rows.iter_mut().zip(&mcm_esps).zip(&*mono_esps)
@@ -273,19 +275,6 @@ pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
         }
     }
     Fig10Data { rows }
-}
-
-/// Each circuit's [`edge_usage`] once compiled onto `device`.
-fn usage_tables(
-    transpiler: &Transpiler,
-    circuits: &[Circuit],
-    device: &Device,
-) -> Vec<Vec<u32>> {
-    transpiler
-        .transpile_many(circuits, device)
-        .iter()
-        .map(|compiled| edge_usage(&compiled.physical, device))
-        .collect()
 }
 
 /// The population geometric-mean `log10 ESP` of each usage table, each
@@ -359,7 +348,9 @@ mod tests {
     /// ulp).
     #[test]
     fn esps_equal_per_benchmark_scoring_bit_for_bit() {
-        use chipletqc_transpile::esp::esp_from_usage;
+        use chipletqc_circuit::circuit::Circuit;
+        use chipletqc_topology::device::Device;
+        use chipletqc_transpile::esp::{edge_usage, esp_from_usage};
         let config = Fig10Config::quick();
         let hub = CacheHub::new();
         let data = run_in(&config, &hub);
@@ -388,6 +379,43 @@ mod tests {
                 assert_eq!(got, (mcm, mono), "{spec} {}", row.benchmark);
             }
         }
+    }
+
+    /// A 64-bit FNV-1a hash of the usage tables of all seven
+    /// benchmarks on every quick Fig. 10 device, MCM and monolithic,
+    /// pinned together with [`COMPILE_VERSION`]. Stored usage tables
+    /// are keyed on that version, so a compile change that moved them
+    /// without a bump would leave an old store serving stale tables.
+    #[test]
+    fn compile_fingerprint_is_pinned_with_the_compile_version() {
+        use chipletqc_transpile::pipeline::COMPILE_VERSION;
+        let config = Fig10Config::quick();
+        let sizes: std::collections::BTreeSet<usize> =
+            config.systems.iter().map(McmSpec::num_qubits).collect();
+        let devices = config.systems.iter().map(McmSpec::build).chain(
+            sizes
+                .into_iter()
+                .map(|qubits| MonolithicSpec::with_qubits(qubits).unwrap().build()),
+        );
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for device in devices {
+            let circuits: Vec<_> = Benchmark::ALL
+                .iter()
+                .map(|b| b.for_device_qubits(device.num_qubits(), config.circuit_seed))
+                .collect();
+            for table in config.transpiler.usage_many(&circuits, &device) {
+                for byte in table.iter().flat_map(|count| count.to_le_bytes()) {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            (COMPILE_VERSION, hash),
+            (1, 0x621f_33eb_07e7_cb53),
+            "the quick Fig. 10 usage tables moved: a change to the router, the layout, \
+             the benchmark generators or the topology that moves them must bump \
+             COMPILE_VERSION, so stores re-key their usage entries; pin the new pair"
+        );
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! fabrication and placement work across its four panels. Module link
 //! noise depends on the link ratio, so it is never cached: each
 //! comparison draws it ([`Lab::modules`]) only for the modules it
-//! averages, and drops them once the system is scored.
+//! averages, and drops them once the system is scored. Fig. 10's
+//! compiled edge-usage tables depend on no lab configuration at all,
+//! so the [`CacheHub`] keeps them once per device
+//! ([`CacheHub::usage_tables`]).
 //!
 //! ## Thread-safe sharing (the engine contract)
 //!
@@ -47,18 +50,23 @@ use chipletqc_assembly::assembler::{
     AssembledMcm, Assembler, AssemblyOutcome, AssemblyParams, Placement,
 };
 use chipletqc_assembly::kgd::KgdBin;
+use chipletqc_benchmarks::suite::Benchmark;
+use chipletqc_circuit::circuit::Circuit;
 use chipletqc_collision::criteria::CollisionParams;
 use chipletqc_collision::frequencies::Frequencies;
-use chipletqc_math::codec::{ByteReader, ByteWriter, Codec, CodecError};
+use chipletqc_math::codec::{
+    decode_from_slice, encode_to_vec, ByteReader, ByteWriter, Codec, CodecError,
+};
 use chipletqc_math::rng::Seed;
 use chipletqc_math::stats::mean;
 use chipletqc_noise::assign::{EdgeNoise, NoiseModel};
 use chipletqc_store::envelope::Encoding;
-use chipletqc_store::products::KIND_MONO_POP;
+use chipletqc_store::products::{KIND_MONO_POP, KIND_USAGE};
 use chipletqc_store::{EntryKey, Store, StoreStats};
 use chipletqc_topology::device::Device;
 use chipletqc_topology::family::{ChipletSpec, MonolithicSpec};
 use chipletqc_topology::mcm::McmSpec;
+use chipletqc_transpile::pipeline::{Transpiler, COMPILE_VERSION};
 use chipletqc_yield::fabrication::FabricationParams;
 use chipletqc_yield::monte_carlo::{fabricate_collision_free, YieldEstimate};
 
@@ -215,6 +223,10 @@ impl Codec for MonoPopulation {
 /// the map lock is held only to find the slot, never while computing.
 type Slot<T> = Arc<OnceLock<Arc<T>>>;
 
+/// One device's usage tables ([`CacheHub::usage_tables`]): each
+/// benchmark's per-edge two-qubit gate counts, in benchmark order.
+pub type UsageTables = Vec<Vec<u32>>;
+
 fn slot<K: Ord + Clone, T>(map: &Mutex<BTreeMap<K, Slot<T>>>, key: &K) -> Slot<T> {
     Arc::clone(map.lock().expect("cache poisoned").entry(key.clone()).or_default())
 }
@@ -223,6 +235,8 @@ fn slot<K: Ord + Clone, T>(map: &Mutex<BTreeMap<K, Slot<T>>>, key: &K) -> Slot<T
 /// [`CacheHub`], between labs of concurrent scenarios).
 ///
 /// Placements are kept in memory only; the store never sees them.
+/// Usage tables read no lab configuration, so they live in the hub
+/// itself, not here.
 ///
 /// When a persistent [`Store`] is attached (via
 /// [`CacheHub::with_store`]), it sits *under* these caches as a
@@ -303,7 +317,10 @@ impl FabricationStats {
 
 /// A registry of [`SharedCaches`] keyed by cache-relevant
 /// configuration, extending sibling-lab sharing to labs constructed
-/// independently (the engine's concurrent scenarios).
+/// independently (the engine's concurrent scenarios), plus one
+/// compute-once slot per compiled device ([`CacheHub::usage_tables`]),
+/// shared by every scenario that compiles the same benchmarks onto it
+/// whatever its lab configuration.
 ///
 /// Cloning a hub clones the handle, not the contents; all clones see
 /// the same caches.
@@ -318,6 +335,10 @@ struct HubState {
     /// Per cache key: the caches and the `clock` value of their last
     /// [`CacheHub::shared_for`] touch.
     entries: BTreeMap<String, (Arc<SharedCaches>, u64)>,
+    /// Per compile key ([`usage_key`]'s cache key): each device's
+    /// usage-table slot by the key's detail, and the `clock` value of
+    /// the compile key's last [`CacheHub::usage_tables`] touch.
+    usages: BTreeMap<String, (BTreeMap<String, Slot<UsageTables>>, u64)>,
     clock: u64,
     /// Campaign counts carried over from evicted caches, so
     /// [`CacheHub::fabrication_stats`] stays monotonic — the property
@@ -394,32 +415,39 @@ impl CacheHub {
 
     /// Evicts the warm caches of every *idle* configuration (no lab
     /// holds them) beyond the `keep` most recently used — by last lab
-    /// creation, not insertion — keeping their campaign counts. A
-    /// long-lived service calls this after each batch to bound its
-    /// memory; an evicted configuration costs only recomputation (or a
-    /// store read), since cached values are pure functions of their
-    /// keys.
+    /// creation, not insertion — keeping their campaign counts, and
+    /// likewise the idle usage-table slots (no thread is computing or
+    /// awaiting them) of every compile configuration beyond the `keep`
+    /// most recently used. A long-lived service calls this after each
+    /// batch to bound its memory; an evicted configuration costs only
+    /// recomputation (or a store read), since cached values are pure
+    /// functions of their keys.
     pub fn trim(&self, keep: usize) {
         let mut inner = self.inner.lock().expect("hub poisoned");
-        let mut touches: Vec<u64> =
-            inner.entries.values().map(|(_, touched)| *touched).collect();
-        touches.sort_unstable_by(|a, b| b.cmp(a));
-        // Touches are unique, so this splits off exactly the
-        // configurations ranked past `keep`.
-        let Some(&cutoff) = touches.get(keep) else { return };
-        let HubState { entries, retired, .. } = &mut *inner;
-        entries.retain(|_, (caches, touched)| {
-            let evict = *touched <= cutoff && Arc::strong_count(caches) == 1;
-            if evict {
-                caches.tally(retired);
-            }
-            !evict
-        });
+        let HubState { entries, usages, retired, .. } = &mut *inner;
+        if let Some(cutoff) = past_keep(entries.values().map(|(_, touched)| *touched), keep) {
+            entries.retain(|_, (caches, touched)| {
+                let evict = *touched <= cutoff && Arc::strong_count(caches) == 1;
+                if evict {
+                    caches.tally(retired);
+                }
+                !evict
+            });
+        }
+        if let Some(cutoff) = past_keep(usages.values().map(|(_, touched)| *touched), keep) {
+            usages.retain(|_, (slots, touched)| {
+                if *touched <= cutoff {
+                    slots.retain(|_, slot| Arc::strong_count(slot) > 1);
+                }
+                !slots.is_empty()
+            });
+        }
     }
 
-    /// Drops every idle warm in-memory product ([`CacheHub::trim`] to
-    /// zero; the hub is the only in-process cache) while keeping the
-    /// store attachment and the cumulative fabrication counters.
+    /// Drops every idle warm in-memory product, usage tables included
+    /// ([`CacheHub::trim`] to zero; the hub is the only in-process
+    /// cache), while keeping the store attachment and the cumulative
+    /// fabrication counters.
     ///
     /// This is the long-lived service's `reset` valve: the hub behaves
     /// as freshly constructed (plus any persistent store), so the next
@@ -428,6 +456,120 @@ impl CacheHub {
     pub fn clear(&self) {
         self.trim(0);
     }
+
+    /// Each benchmark's `edge_usage` table on `target`, in benchmark
+    /// order: the benchmark generated at the target's size from
+    /// `circuit_seed`, laid out and routed by `transpiler`
+    /// ([`Transpiler::usage_many`]). Cached: computed at most once per
+    /// hub, however many scenarios, lab configurations or shards ask,
+    /// and read through the persistent store's `usage` entries when
+    /// one is attached (a miss compiles, then writes behind).
+    pub fn usage_tables(
+        &self,
+        transpiler: &Transpiler,
+        benchmarks: &[Benchmark],
+        circuit_seed: Seed,
+        target: CompileTarget,
+    ) -> Arc<UsageTables> {
+        let key = usage_key(transpiler, benchmarks, circuit_seed, target);
+        let cell = self.usage_slot(&key);
+        Arc::clone(cell.get_or_init(|| {
+            let device = target.build();
+            if let Some(store) = &self.store {
+                if let Some(payload) = store.get(&key) {
+                    match decode_usage(&payload, benchmarks.len(), device.edges().len()) {
+                        Ok(tables) => return Arc::new(tables),
+                        Err(_) => store.count_invalid_payload(),
+                    }
+                }
+            }
+            let circuits: Vec<Circuit> = benchmarks
+                .iter()
+                .map(|b| b.for_device_qubits(device.num_qubits(), circuit_seed))
+                .collect();
+            let tables = Arc::new(transpiler.usage_many(&circuits, &device));
+            if let Some(store) = &self.store {
+                let for_writer = Arc::clone(&tables);
+                store.put_with(&key, Encoding::Binary, move || encode_to_vec(&*for_writer));
+            }
+            tables
+        }))
+    }
+
+    /// The slot of `key`'s device under its compile key, created empty
+    /// on first use; touches the compile key for [`CacheHub::trim`].
+    fn usage_slot(&self, key: &EntryKey) -> Slot<UsageTables> {
+        let mut inner = self.inner.lock().expect("hub poisoned");
+        inner.clock += 1;
+        let touched = inner.clock;
+        let (slots, touch) = inner.usages.entry(key.cache_key.clone()).or_default();
+        *touch = touched;
+        Arc::clone(slots.entry(key.detail.clone()).or_default())
+    }
+}
+
+/// The touch at or below which entries rank past the `keep` most
+/// recently used, `None` when there are at most `keep`. Touches are
+/// unique, so the cutoff splits off exactly those entries.
+fn past_keep(touches: impl Iterator<Item = u64>, keep: usize) -> Option<u64> {
+    let mut touches: Vec<u64> = touches.collect();
+    touches.sort_unstable_by(|a, b| b.cmp(a));
+    touches.get(keep).copied()
+}
+
+/// A device [`CacheHub::usage_tables`] compiles onto.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompileTarget {
+    /// A multi-chip module.
+    Mcm(McmSpec),
+    /// A monolithic device.
+    Monolithic(MonolithicSpec),
+}
+
+impl CompileTarget {
+    fn build(&self) -> Device {
+        match self {
+            CompileTarget::Mcm(spec) => spec.build(),
+            CompileTarget::Monolithic(spec) => spec.build(),
+        }
+    }
+}
+
+/// The store key of one device's usage tables. The cache key holds the
+/// compile inputs every device of a figure shares: [`COMPILE_VERSION`],
+/// then the transpiler, the circuit seed and the benchmark list, the
+/// transpiler and the list printed with `{:?}` as
+/// [`LabConfig::cache_key`] prints its models; the detail is the
+/// target's `{:?}` (pinned by `usage_keys_are_pinned`).
+fn usage_key(
+    transpiler: &Transpiler,
+    benchmarks: &[Benchmark],
+    circuit_seed: Seed,
+    target: CompileTarget,
+) -> EntryKey {
+    EntryKey::new(
+        format!("v{COMPILE_VERSION}|t{transpiler:?}|s{}|b{benchmarks:?}", circuit_seed.0),
+        KIND_USAGE,
+        format!("{target:?}"),
+    )
+}
+
+/// Decodes a usage entry, rejecting a payload that does not hold
+/// exactly `tables` tables of `edges` counts each: a stale or corrupt
+/// entry is then a store miss, never a table scored against the wrong
+/// edges.
+fn decode_usage(
+    payload: &[u8],
+    tables: usize,
+    edges: usize,
+) -> Result<UsageTables, CodecError> {
+    let decoded: UsageTables = decode_from_slice(payload)?;
+    if decoded.len() != tables || decoded.iter().any(|table| table.len() != edges) {
+        return Err(CodecError::Invalid(format!(
+            "usage tables do not cover {tables} benchmarks on {edges} edges"
+        )));
+    }
+    Ok(decoded)
 }
 
 /// The cached experiment pipeline.
@@ -536,7 +678,7 @@ impl Lab {
                 || EntryKey::new(self.config.cache_key(), KIND_MONO_POP, format!("{qubits}q"));
             if let Some(store) = &self.shared.store {
                 if let Some(payload) = store.get(&entry_key()) {
-                    match chipletqc_math::codec::decode_from_slice::<MonoPopulation>(&payload) {
+                    match decode_from_slice::<MonoPopulation>(&payload) {
                         Ok(pop) => return Arc::new(pop),
                         Err(_) => store.count_invalid_payload(),
                     }
@@ -569,7 +711,7 @@ impl Lab {
             if let Some(store) = &self.shared.store {
                 let for_writer = Arc::clone(&pop);
                 store.put_with(&entry_key(), Encoding::Binary, move || {
-                    chipletqc_math::codec::encode_to_vec(&*for_writer)
+                    encode_to_vec(&*for_writer)
                 });
             }
             pop
@@ -724,6 +866,35 @@ mod tests {
                       |cCollisionParams { t1: 0.017, t2: 0.004, t3: 0.03, t5: 0.017, \
                       t6: 0.025, t7: 0.017, enforce_straddling: true }";
         assert_eq!(LabConfig::paper().cache_key(), format!("b10000|s2022|{models}"));
+    }
+
+    /// The usage key of one paper device. Its cache key prints the
+    /// transpiler and the benchmark list with `{:?}` and holds
+    /// [`COMPILE_VERSION`], and its detail prints the device spec, so
+    /// a re-key of every usage entry shows in the diff.
+    #[test]
+    fn usage_keys_are_pinned() {
+        use crate::experiments::fig10::Fig10Config;
+        let config = Fig10Config::paper();
+        let spec = McmSpec::new(ChipletSpec::with_qubits(10).unwrap(), 2, 2);
+        let key = usage_key(
+            &config.transpiler,
+            &config.benchmarks,
+            config.circuit_seed,
+            CompileTarget::Mcm(spec),
+        );
+        let compile = "v1|tTranspiler { layout: SnakeOrder, routing: RoutingParams { \
+                       extended_set_size: 20, extended_set_weight: 0.5, decay_delta: 0.001, \
+                       decay_reset_interval: 5 } }|s10\
+                       |b[Bv, Qaoa, Ghz, Adder, Primacy, BitCode, Hamiltonian]";
+        let device = "Mcm(McmSpec { chiplet: ChipletSpec { dense_rows: 2, m: 1 }, \
+                      grid_rows: 2, grid_cols: 2 })";
+        assert_eq!(key, EntryKey::new(compile, "usage", device));
+        let mono = CompileTarget::Monolithic(MonolithicSpec::with_qubits(40).unwrap());
+        assert_eq!(
+            usage_key(&config.transpiler, &config.benchmarks, config.circuit_seed, mono).detail,
+            "Monolithic(MonolithicSpec { dense_rows: 4, m: 2 })"
+        );
     }
 
     #[test]
@@ -981,6 +1152,107 @@ mod tests {
             FabricationStats { chiplet_fabrications: 1, mono_fabrications: 0 },
             "only the least recently used idle configuration was evicted"
         );
+    }
+
+    /// A small compile: two benchmarks on a 40-qubit device.
+    fn usage_inputs() -> (Transpiler, [Benchmark; 2], Seed, CompileTarget) {
+        let target = CompileTarget::Monolithic(MonolithicSpec::with_qubits(40).unwrap());
+        (Transpiler::paper(), [Benchmark::Ghz, Benchmark::Qaoa], Seed(10), target)
+    }
+
+    #[test]
+    fn usage_tables_read_through_the_store_and_recompute_vandalized_entries() {
+        use chipletqc_store::CacheMode;
+        let dir = std::env::temp_dir()
+            .join(format!("chipletqc-lab-usage-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (t, benchmarks, seed, target) = usage_inputs();
+        let open =
+            || CacheHub::new().with_store(Store::open(&dir, CacheMode::ReadWrite).unwrap());
+
+        // The tables are the routed usage counts of each benchmark.
+        let device = target.build();
+        let circuits: Vec<Circuit> =
+            benchmarks.iter().map(|b| b.for_device_qubits(40, seed)).collect();
+        let expected = t.usage_many(&circuits, &device);
+
+        let cold = open();
+        let tables = cold.usage_tables(&t, &benchmarks, seed, target);
+        assert_eq!(*tables, expected);
+        assert!(Arc::ptr_eq(&tables, &cold.usage_tables(&t, &benchmarks, seed, target)));
+        cold.flush_store();
+        assert_eq!(
+            cold.store_stats(),
+            StoreStats { hits: 0, misses: 1, writes: 1, invalid: 0 }
+        );
+
+        let warm = open();
+        assert_eq!(*warm.usage_tables(&t, &benchmarks, seed, target), expected);
+        assert_eq!(
+            warm.store_stats(),
+            StoreStats { hits: 1, misses: 0, writes: 0, invalid: 0 }
+        );
+
+        // Vandalize the entry: a fresh hub rejects it as an invalid
+        // miss and recomputes the tables bit-identically.
+        for shard in std::fs::read_dir(dir.join("objects")).unwrap() {
+            for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+                std::fs::write(entry.unwrap().path(), b"garbage").unwrap();
+            }
+        }
+        let vandalized = open();
+        assert_eq!(*vandalized.usage_tables(&t, &benchmarks, seed, target), expected);
+        vandalized.flush_store();
+        assert_eq!(
+            vandalized.store_stats(),
+            StoreStats { hits: 0, misses: 1, writes: 1, invalid: 1 }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn usage_decode_rejects_the_wrong_shape() {
+        let tables: UsageTables = vec![vec![0, 3, 1], vec![2, 0, 0]];
+        let bytes = encode_to_vec(&tables);
+        assert_eq!(decode_usage(&bytes, 2, 3), Ok(tables.clone()));
+        // A table too many or too few for the benchmark list.
+        assert!(decode_usage(&bytes, 1, 3).is_err());
+        assert!(decode_usage(&bytes, 3, 3).is_err());
+        // A table of the wrong length for the device.
+        assert!(decode_usage(&bytes, 2, 4).is_err());
+        let ragged: UsageTables = vec![vec![0, 3, 1], vec![2, 0]];
+        assert!(decode_usage(&encode_to_vec(&ragged), 2, 3).is_err());
+        // Truncated or padded.
+        assert!(decode_usage(&bytes[..bytes.len() - 1], 2, 3).is_err());
+        assert!(decode_usage(&[bytes.as_slice(), &[0]].concat(), 2, 3).is_err());
+    }
+
+    #[test]
+    fn trim_and_clear_drop_idle_usage_slots_but_never_one_in_use() {
+        let hub = CacheHub::new();
+        let (t, benchmarks, seed, target) = usage_inputs();
+        let tables = |seed| hub.usage_tables(&t, &benchmarks, seed, target);
+        let stale = tables(Seed(1));
+        let warm = tables(seed);
+        // A slot a thread is computing or awaiting, under a compile key
+        // that `trim(1)` ranks past its keep.
+        let busy_key = usage_key(&t, &benchmarks, Seed(2), target);
+        let busy = hub.usage_slot(&busy_key);
+        let fresh = tables(seed);
+        assert!(Arc::ptr_eq(&warm, &fresh));
+
+        hub.trim(1);
+        assert!(Arc::ptr_eq(&warm, &tables(seed)), "the most recently used stays warm");
+        assert!(!Arc::ptr_eq(&stale, &tables(Seed(1))), "an idle stale slot is dropped");
+        assert_eq!(*stale, *tables(Seed(1)), "recomputation is bit-identical");
+        assert!(Arc::ptr_eq(&busy, &hub.usage_slot(&busy_key)), "trim kept the slot in use");
+
+        hub.clear();
+        assert!(!Arc::ptr_eq(&warm, &tables(seed)), "clear drops every idle slot");
+        assert!(Arc::ptr_eq(&busy, &hub.usage_slot(&busy_key)), "clear kept the slot in use");
+        drop(busy);
+        hub.clear();
+        assert!(hub.inner.lock().unwrap().usages.is_empty());
     }
 
     #[test]

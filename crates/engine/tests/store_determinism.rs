@@ -5,10 +5,13 @@
 //!    at all, apart from the two counter objects (`store`, and
 //!    `fabrication`, which a warm store drives to zero);
 //! 2. **Warm runs skip fabrication entirely** — the second run over a
-//!    shared cache directory executes zero fabrication campaigns;
+//!    shared cache directory executes zero fabrication campaigns and
+//!    reads every product, Fig. 10's usage tables included, from the
+//!    store: no miss and no write;
 //! 3. both hold at every tested `(workers, shards)` pair, and across
 //!    *different* shard counts against the same directory;
-//! 4. the store holds only the lab's products, each written once.
+//! 4. the store holds only the lab's products and the compiled usage
+//!    tables, each written once.
 
 use chipletqc::lab::CacheHub;
 use chipletqc_engine::report::{strip_counter_objects, RunReport};
@@ -17,9 +20,10 @@ use chipletqc_engine::scheduler::Scheduler;
 use chipletqc_engine::sweep::Sweep;
 use chipletqc_store::{CacheMode, Store, StoreStats};
 
-/// Two fig8 scenarios (one a two-system group) put both persisted
-/// product kinds — KGD bins and monolithic populations — on the path;
-/// an output-gain scenario rides along and persists nothing.
+/// Two fig8 scenarios (one a two-system group) put both fabrication
+/// product kinds — KGD bins and monolithic populations — on the path,
+/// and a three-system fig10 scenario the usage tables; an output-gain
+/// scenario rides along and persists nothing.
 fn batch() -> Vec<Scenario> {
     let mut scenarios = Sweep::parse(
         "name = sd\n\
@@ -36,6 +40,21 @@ fn batch() -> Vec<Scenario> {
         kind: ExperimentKind::OutputGain,
         scale: Scale::Quick,
         overrides: Overrides { batch: Some(120), ..Overrides::default() },
+    });
+    scenarios.push(Scenario {
+        name: "apps".into(),
+        kind: ExperimentKind::Fig10,
+        scale: Scale::Quick,
+        overrides: Overrides {
+            batch: Some(120),
+            seed: Some(7),
+            systems: Some(vec![
+                SystemSpec { chiplet_qubits: 10, rows: 2, cols: 2 },
+                SystemSpec { chiplet_qubits: 10, rows: 2, cols: 3 },
+                SystemSpec { chiplet_qubits: 20, rows: 1, cols: 2 },
+            ]),
+            ..Overrides::default()
+        },
     });
     // A scenario with a second cache key (different seed), so the test
     // also covers store isolation between configurations.
@@ -54,11 +73,10 @@ fn batch() -> Vec<Scenario> {
 }
 
 /// Runs the batch and returns the full report JSON plus the counters.
-fn run(workers: usize, shards: usize, hub: &CacheHub) -> (String, usize, u64, u64) {
+fn run(workers: usize, shards: usize, hub: &CacheHub) -> (String, usize, StoreStats) {
     let results = Scheduler::new(workers).with_shards(shards).run(&batch(), hub);
     hub.flush_store();
     let fabrication = hub.fabrication_stats().total();
-    let store = hub.store_stats();
     let json = RunReport::from_results(
         &results,
         hub.fabrication_stats(),
@@ -66,7 +84,7 @@ fn run(workers: usize, shards: usize, hub: &CacheHub) -> (String, usize, u64, u6
         hub.peer_stats(),
     )
     .to_json();
-    (json, fabrication, store.hits, store.writes)
+    (json, fabrication, hub.store_stats())
 }
 
 /// Removes the two top-level counter objects — exactly the fields the
@@ -85,7 +103,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn cold_warm_and_off_reports_agree_modulo_counters_at_every_schedule() {
     // The store-less baseline.
-    let (off_json, off_fabrications, _, _) = run(2, 1, &CacheHub::new());
+    let (off_json, off_fabrications, _) = run(2, 1, &CacheHub::new());
     assert!(off_fabrications > 0);
 
     for (workers, shards) in [(1, 1), (2, 3)] {
@@ -93,26 +111,28 @@ fn cold_warm_and_off_reports_agree_modulo_counters_at_every_schedule() {
 
         let cold_hub = CacheHub::new()
             .with_store(Store::open(&dir, CacheMode::ReadWrite).expect("open store"));
-        let (cold_json, cold_fabrications, cold_hits, cold_writes) =
-            run(workers, shards, &cold_hub);
+        let (cold_json, cold_fabrications, cold) = run(workers, shards, &cold_hub);
         assert_eq!(
             cold_fabrications, off_fabrications,
             "a cold store must not change how much work runs"
         );
-        assert_eq!(cold_hits, 0);
-        assert!(cold_writes > 0, "cold run must persist its products");
+        assert_eq!(cold.hits, 0);
+        assert!(cold.writes > 0, "cold run must persist its products");
 
         // Warm run — same directory, and a *different* shard count
         // than the cold run, so reuse must survive resharding.
         let warm_hub = CacheHub::new()
             .with_store(Store::open(&dir, CacheMode::ReadWrite).expect("open store"));
-        let (warm_json, warm_fabrications, warm_hits, _) =
-            run(workers, shards.max(2) + 1, &warm_hub);
+        let (warm_json, warm_fabrications, warm) = run(workers, shards.max(2) + 1, &warm_hub);
         assert_eq!(
             warm_fabrications, 0,
             "warm run at ({workers}, {shards}) must skip fabrication entirely"
         );
-        assert!(warm_hits > 0);
+        assert_eq!(
+            warm,
+            StoreStats { hits: cold.writes, misses: 0, writes: 0, invalid: 0 },
+            "warm run at ({workers}, {shards}) must read every product, usage tables included"
+        );
 
         // Byte-identical apart from the counter objects.
         assert_eq!(
@@ -186,27 +206,61 @@ fn a_cold_sliced_fig8_batch_writes_each_entry_once() {
 }
 
 #[test]
+fn a_cold_sliced_fig10_batch_writes_each_usage_entry_once() {
+    // Two scenarios that differ only in seed share every usage table,
+    // and at two or three slices the 40-qubit monolithic size falls in
+    // two slices of each, so four tasks race for its tables.
+    let scenarios = Sweep::parse(
+        "name = apps\n\
+         kind = fig10\n\
+         scale = quick\n\
+         grid = 10q2x2+10q2x3+20q1x2\n\
+         batch = 120\n\
+         seed = 7, 8\n",
+    )
+    .expect("sweep parses")
+    .expand();
+    for shards in [2, 3] {
+        let dir = temp_dir(&format!("usage-s{shards}"));
+        let hub = CacheHub::new()
+            .with_store(Store::open(&dir, CacheMode::ReadWrite).expect("open store"));
+        Scheduler::new(2).with_shards(shards).run(&scenarios, &hub);
+        hub.flush_store();
+        let disk = hub.store().expect("store attached").disk_stats().expect("scan store");
+        assert_eq!(
+            hub.store_stats().writes,
+            disk.entries,
+            "an entry was written twice: {disk:?}"
+        );
+        let usage = disk.kinds.iter().find(|(kind, _, _)| kind == "usage");
+        // Three modules and the 40- and 60-qubit monolithic devices.
+        assert_eq!(usage.map(|(_, entries, _)| *entries), Some(5), "{disk:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn read_mode_serves_hits_but_never_writes_and_off_matches() {
     let dir = temp_dir("modes");
     let cold_hub = CacheHub::new()
         .with_store(Store::open(&dir, CacheMode::ReadWrite).expect("open store"));
-    let (baseline, _, _, _) = run(2, 1, &cold_hub);
+    let (baseline, _, _) = run(2, 1, &cold_hub);
 
     let read_hub =
         CacheHub::new().with_store(Store::open(&dir, CacheMode::Read).expect("open store"));
-    let (read_json, read_fabrications, read_hits, read_writes) = run(2, 1, &read_hub);
+    let (read_json, read_fabrications, read) = run(2, 1, &read_hub);
     assert_eq!(read_fabrications, 0, "read mode still serves warm products");
-    assert!(read_hits > 0);
-    assert_eq!(read_writes, 0, "read mode must not write");
+    assert!(read.hits > 0);
+    assert_eq!(read.writes, 0, "read mode must not write");
     assert_eq!(strip_counters(&read_json), strip_counters(&baseline));
 
     // Write mode recomputes everything and refreshes the entries.
     let write_hub =
         CacheHub::new().with_store(Store::open(&dir, CacheMode::Write).expect("open store"));
-    let (write_json, write_fabrications, write_hits, write_writes) = run(2, 1, &write_hub);
+    let (write_json, write_fabrications, write) = run(2, 1, &write_hub);
     assert!(write_fabrications > 0, "write mode never trusts existing entries");
-    assert_eq!(write_hits, 0);
-    assert!(write_writes > 0);
+    assert_eq!(write.hits, 0);
+    assert!(write.writes > 0);
     assert_eq!(strip_counters(&write_json), strip_counters(&baseline));
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -257,6 +257,15 @@ pub fn decode_from_slice<T: Codec>(bytes: &[u8]) -> Result<T, CodecError> {
     Ok(value)
 }
 
+impl Codec for u32 {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u32(*self);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        r.get_u32()
+    }
+}
+
 impl Codec for u64 {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(*self);

@@ -1,12 +1,13 @@
 //! # chipletqc-store
 //!
 //! A persistent, content-addressed result store: repeated engine
-//! invocations reuse expensive fabrication and characterization
-//! products instead of recomputing them.
+//! invocations reuse expensive fabrication, characterization and
+//! compile products instead of recomputing them.
 //!
 //! Every figure in the paper reconsumes the same intermediates —
 //! collision-free KGD chiplet bins and monolithic survivor
-//! populations. Within one process the `chipletqc` `CacheHub`
+//! populations, and for Fig. 10 each device's compiled edge-usage
+//! tables. Within one process the `chipletqc` `CacheHub`
 //! deduplicates them; this crate extends that guarantee
 //! *across processes*: products are keyed by
 //! `LabConfig::cache_key()`-style strings that pin everything
@@ -24,6 +25,10 @@
 //! * `mono-pop` — a whole noise-assigned monolithic population; detail
 //!   is the system size (payload encoded by `chipletqc`, which owns
 //!   the type).
+//! * `usage` — one device's Fig. 10 edge-usage tables, one per
+//!   benchmark; cache key is the compiler version, the compiler, the
+//!   circuit seed and the benchmark list, detail is the device (payload
+//!   encoded by `chipletqc`).
 //!
 //! Every product payload is binary ([`Encoding::Binary`]).
 //!
@@ -140,7 +145,7 @@ pub struct EntryKey {
     /// The configuration key pinning everything that determines the
     /// product's bytes (a `LabConfig::cache_key()`-style string).
     pub cache_key: String,
-    /// The product kind (`kgd-bin` or `mono-pop`).
+    /// The product kind (`kgd-bin`, `mono-pop` or `usage`).
     pub kind: String,
     /// The product coordinate within the configuration (a size).
     pub detail: String,

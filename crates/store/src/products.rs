@@ -1,6 +1,7 @@
-//! Typed product access: the two entry kinds the store holds, each a
-//! whole product keyed by the lab's `LabConfig::cache_key()` and a
-//! size.
+//! Typed product access: the three entry kinds the store holds. The
+//! two fabrication products are whole products keyed by the lab's
+//! `LabConfig::cache_key()` and a size; usage tables are keyed by the
+//! compiler inputs and a device.
 
 use chipletqc_math::codec::{decode_from_slice, encode_to_vec};
 
@@ -12,6 +13,11 @@ pub const KIND_KGD_BIN: &str = "kgd-bin";
 /// Entry kind: a whole noise-assigned monolithic population (payload
 /// encoded by `chipletqc`, which owns the type).
 pub const KIND_MONO_POP: &str = "mono-pop";
+/// Entry kind: one device's compiled per-edge two-qubit gate counts,
+/// one table per benchmark (payload encoded by `chipletqc`'s
+/// `CacheHub`, which keys it by compiler version, compiler, circuit
+/// seed and benchmark list, with the device as the detail).
+pub const KIND_USAGE: &str = "usage";
 
 impl Store {
     /// Reads a whole characterized KGD bin (`None` on any miss).

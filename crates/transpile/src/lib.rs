@@ -21,7 +21,10 @@
 //!   each used edge's log fidelity once;
 //! * [`pipeline`] — the end-to-end [`pipeline::Transpiler`];
 //!   [`Transpiler::transpile_many`] compiles a batch of circuits onto
-//!   one device over a single all-pairs distance table.
+//!   one device over a single all-pairs distance table, and
+//!   [`Transpiler::usage_many`] stops after routing and returns each
+//!   circuit's per-edge two-qubit gate counts, the tables Fig. 10
+//!   scores (and the result store keeps under [`COMPILE_VERSION`]).
 //!
 //! # Example
 //!
@@ -49,4 +52,4 @@ pub mod routing;
 
 pub use esp::esp_log;
 pub use layout::{Layout, LayoutStrategy};
-pub use pipeline::{TranspiledCircuit, Transpiler};
+pub use pipeline::{TranspiledCircuit, Transpiler, COMPILE_VERSION};

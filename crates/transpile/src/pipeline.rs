@@ -3,7 +3,9 @@
 //! Layout → SABRE routing → basis decomposition. The output carries
 //! everything the
 //! evaluation needs: Table II gate tallies and ESP scoring against a
-//! device noise assignment.
+//! device noise assignment. [`Transpiler::usage_many`] stops after
+//! routing and counts each circuit's [`edge_usage`], which equals the
+//! count over the lowered circuit.
 
 use chipletqc_circuit::circuit::{Circuit, GateCounts};
 use chipletqc_math::logspace::LogProduct;
@@ -12,9 +14,19 @@ use chipletqc_topology::device::Device;
 use chipletqc_topology::qubit::QubitId;
 
 use crate::decompose::to_basis;
-use crate::esp::esp_log;
+use crate::esp::{edge_usage, esp_log};
 use crate::layout::{Layout, LayoutStrategy};
-use crate::routing::{route, RoutingParams};
+use crate::routing::{route, Routed, RoutingParams};
+
+/// The version of everything a usage table ([`Transpiler::usage_many`])
+/// depends on beyond its inputs: the router, the layout, the benchmark
+/// generators and the device topology. Stored usage tables are keyed
+/// on it, so bump it whenever a change to any of those moves a table;
+/// a store written before the bump is then cold for usage tables,
+/// never stale. The compile-fingerprint test in
+/// `crates/core/src/experiments/fig10.rs` pins it together with a hash
+/// of the quick Fig. 10 tables.
+pub const COMPILE_VERSION: u32 = 1;
 
 /// Transpiler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,39 +71,53 @@ impl Transpiler {
         circuits: &[Circuit],
         device: &Device,
     ) -> Vec<TranspiledCircuit> {
-        let dist = device.graph().distance_matrix();
-        circuits
-            .iter()
-            .map(|circuit| {
-                let layout = self.layout.place(circuit.num_qubits(), device);
-                self.compile(circuit, device, &dist, layout)
-            })
-            .collect()
-    }
-
-    /// Routes from `layout` over the distance table `dist`, then lowers
-    /// to the basis.
-    fn compile(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        dist: &[Vec<u32>],
-        layout: Layout,
-    ) -> TranspiledCircuit {
-        assert!(
-            layout.num_logical() >= circuit.num_qubits(),
-            "layout places {} qubits but the circuit needs {}",
-            layout.num_logical(),
-            circuit.num_qubits()
-        );
-        let routed = route(circuit, device, dist, &layout, &self.routing);
-        TranspiledCircuit {
+        self.route_each(circuits, device, |circuit, layout, routed| TranspiledCircuit {
             physical: to_basis(&routed.circuit),
             swaps: routed.swaps,
             initial_layout: layout,
             final_layout: routed.final_layout,
             logical_2q: circuit.count_2q(),
-        }
+        })
+    }
+
+    /// Each circuit's [`edge_usage`] on `device`, in order, counted on
+    /// the routed circuit without lowering it: `edge_usage` counts a
+    /// SWAP three times and an RZZ twice, as many CXs as
+    /// [`to_basis`] emits for them, so every table equals the
+    /// `edge_usage` of the matching [`Transpiler::transpile_many`]
+    /// output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a circuit is wider than the device.
+    pub fn usage_many(&self, circuits: &[Circuit], device: &Device) -> Vec<Vec<u32>> {
+        self.route_each(circuits, device, |_, _, routed| edge_usage(&routed.circuit, device))
+    }
+
+    /// Lays out and routes each circuit over one distance table for
+    /// `device`, and hands `finish` the circuit, its initial layout and
+    /// the routing result.
+    fn route_each<T>(
+        &self,
+        circuits: &[Circuit],
+        device: &Device,
+        mut finish: impl FnMut(&Circuit, Layout, Routed) -> T,
+    ) -> Vec<T> {
+        let dist = device.graph().distance_matrix();
+        circuits
+            .iter()
+            .map(|circuit| {
+                let layout = self.layout.place(circuit.num_qubits(), device);
+                assert!(
+                    layout.num_logical() >= circuit.num_qubits(),
+                    "layout places {} qubits but the circuit needs {}",
+                    layout.num_logical(),
+                    circuit.num_qubits()
+                );
+                let routed = route(circuit, device, &dist, &layout, &self.routing);
+                finish(circuit, layout, routed)
+            })
+            .collect()
     }
 }
 
@@ -156,6 +182,7 @@ mod tests {
     use chipletqc_noise::assign::EdgeNoise;
     use chipletqc_topology::family::{ChipletSpec, MonolithicSpec};
     use chipletqc_topology::mcm::McmSpec;
+    use proptest::prelude::*;
 
     #[test]
     fn transpiles_all_benchmarks_onto_mcm_and_mono() {
@@ -200,6 +227,50 @@ mod tests {
         let small = t.transpile(&Benchmark::Ghz.for_device_qubits(20, Seed(1)), &device);
         let large = t.transpile(&Benchmark::Ghz.for_device_qubits(40, Seed(1)), &device);
         assert!(large.esp(&device, &noise).ln() < small.esp(&device, &noise).ln());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Counting two-qubit gates on the routed circuit equals
+        /// counting them on its lowering, for every benchmark on MCM
+        /// and monolithic devices of random shape and random circuit
+        /// seeds; so `usage_many` equals the `edge_usage` of
+        /// `transpile_many`'s output.
+        #[test]
+        fn usage_from_the_routed_circuit_equals_the_lowered_count(
+            mcm in 0usize..2,
+            chiplet in 0usize..2,
+            grid in (1usize..4, 1usize..4),
+            mono_fifths in 2usize..30,
+            seed in 0u64..1000,
+        ) {
+            let device = if mcm == 1 {
+                McmSpec::new(ChipletSpec::catalog()[chiplet], grid.0, grid.1).build()
+            } else {
+                MonolithicSpec::with_qubits(5 * mono_fifths).unwrap().build()
+            };
+            let circuits: Vec<Circuit> = Benchmark::ALL
+                .iter()
+                .map(|b| b.for_device_qubits(device.num_qubits(), Seed(seed)))
+                .collect();
+            let t = Transpiler::paper();
+            let dist = device.graph().distance_matrix();
+            for circuit in &circuits {
+                let layout = t.layout.place(circuit.num_qubits(), &device);
+                let routed = route(circuit, &device, &dist, &layout, &t.routing).circuit;
+                prop_assert_eq!(
+                    edge_usage(&routed, &device),
+                    edge_usage(&to_basis(&routed), &device)
+                );
+            }
+            let lowered: Vec<Vec<u32>> = t
+                .transpile_many(&circuits, &device)
+                .iter()
+                .map(|compiled| edge_usage(&compiled.physical, &device))
+                .collect();
+            prop_assert_eq!(t.usage_many(&circuits, &device), lowered);
+        }
     }
 
     #[test]

@@ -100,7 +100,8 @@ pub struct Routed {
 /// `dist` is the device's all-pairs hop-distance table
 /// ([`CouplingGraph::distance_matrix`](chipletqc_topology::graph::CouplingGraph::distance_matrix));
 /// [`Transpiler::transpile_many`](crate::pipeline::Transpiler::transpile_many)
-/// builds it once for all the circuits it routes onto one device.
+/// and [`Transpiler::usage_many`](crate::pipeline::Transpiler::usage_many)
+/// build it once for all the circuits they route onto one device.
 ///
 /// # Panics
 ///
