@@ -7,8 +7,8 @@
 //! over the respective device populations. The score reads only each
 //! routed circuit's per-edge two-qubit gate counts, which equal the
 //! counts of its basis lowering, so the circuits are never lowered;
-//! the counts come from [`CacheHub::usage_tables`], compiled once per
-//! device and hub and kept in the result store. The reported quantity
+//! the counts come from [`Lab::usage_tables`], compiled once per
+//! device and kept in the result store. The reported quantity
 //! is `log10(ESP_MCM / ESP_Mono)` using population geometric means —
 //! positive means MCM advantage. Systems whose monolithic counterpart
 //! had zero collision-free yield are the paper's red-X points: the MCM
@@ -229,7 +229,7 @@ pub fn run(config: &Fig10Config) -> Fig10Data {
 pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
     let lab = Lab::new_in(config.lab, hub);
     let usage_tables = |target| {
-        hub.usage_tables(&config.transpiler, &config.benchmarks, config.circuit_seed, target)
+        lab.usage_tables(&config.transpiler, &config.benchmarks, config.circuit_seed, target)
     };
     // Monolithic log10 ESPs, one per benchmark, scored once per system
     // size (an empty population scores `None` without compiling).
@@ -413,8 +413,9 @@ mod tests {
             (COMPILE_VERSION, hash),
             (1, 0x621f_33eb_07e7_cb53),
             "the quick Fig. 10 usage tables moved: a change to the router, the layout, \
-             the benchmark generators or the topology that moves them must bump \
-             COMPILE_VERSION, so stores re-key their usage entries; pin the new pair"
+             the benchmark generators, the topology or edge_usage's weights (SWAP 3x, \
+             RZZ 2x) that moves them must bump COMPILE_VERSION, so stores re-key their \
+             usage entries; pin the new pair"
         );
     }
 

@@ -11,9 +11,9 @@
 //! noise depends on the link ratio, so it is never cached: each
 //! comparison draws it ([`Lab::modules`]) only for the modules it
 //! averages, and drops them once the system is scored. Fig. 10's
-//! compiled edge-usage tables depend on no lab configuration at all,
-//! so the [`CacheHub`] keeps them once per device
-//! ([`CacheHub::usage_tables`]).
+//! compiled edge-usage tables ([`Lab::usage_tables`]) are cached beside
+//! the placements; they read no lab configuration, so one store entry
+//! per device serves every configuration.
 //!
 //! ## Thread-safe sharing (the engine contract)
 //!
@@ -223,7 +223,7 @@ impl Codec for MonoPopulation {
 /// the map lock is held only to find the slot, never while computing.
 type Slot<T> = Arc<OnceLock<Arc<T>>>;
 
-/// One device's usage tables ([`CacheHub::usage_tables`]): each
+/// One device's usage tables ([`Lab::usage_tables`]): each
 /// benchmark's per-edge two-qubit gate counts, in benchmark order.
 pub type UsageTables = Vec<Vec<u32>>;
 
@@ -235,21 +235,21 @@ fn slot<K: Ord + Clone, T>(map: &Mutex<BTreeMap<K, Slot<T>>>, key: &K) -> Slot<T
 /// [`CacheHub`], between labs of concurrent scenarios).
 ///
 /// Placements are kept in memory only; the store never sees them.
-/// Usage tables read no lab configuration, so they live in the hub
-/// itself, not here.
 ///
 /// When a persistent [`Store`] is attached (via
 /// [`CacheHub::with_store`]), it sits *under* these caches as a
 /// read-through/write-behind layer: each per-entry `OnceLock` init
 /// first consults the store, and computes (then persists) only on a
 /// miss. In-process semantics are unchanged — every product is still
-/// materialized at most once per hub, and its bytes are identical with
-/// a cold store, a warm store, or no store at all.
+/// materialized at most once per configuration and hub, and its bytes
+/// are identical with a cold store, a warm store, or no store at all.
 #[derive(Debug, Default)]
 struct SharedCaches {
     chiplet_bins: Mutex<BTreeMap<usize, Slot<KgdBin>>>,
     mono_pops: Mutex<BTreeMap<usize, Slot<MonoPopulation>>>,
     placements: Mutex<BTreeMap<PlacementKey, Slot<Placement>>>,
+    /// Per [`usage_key`], spelled [`EntryKey::logical`].
+    usages: Mutex<BTreeMap<String, Slot<UsageTables>>>,
     chiplet_fabrications: AtomicUsize,
     mono_fabrications: AtomicUsize,
     store: Option<Arc<Store>>,
@@ -317,10 +317,7 @@ impl FabricationStats {
 
 /// A registry of [`SharedCaches`] keyed by cache-relevant
 /// configuration, extending sibling-lab sharing to labs constructed
-/// independently (the engine's concurrent scenarios), plus one
-/// compute-once slot per compiled device ([`CacheHub::usage_tables`]),
-/// shared by every scenario that compiles the same benchmarks onto it
-/// whatever its lab configuration.
+/// independently (the engine's concurrent scenarios).
 ///
 /// Cloning a hub clones the handle, not the contents; all clones see
 /// the same caches.
@@ -335,10 +332,6 @@ struct HubState {
     /// Per cache key: the caches and the `clock` value of their last
     /// [`CacheHub::shared_for`] touch.
     entries: BTreeMap<String, (Arc<SharedCaches>, u64)>,
-    /// Per compile key ([`usage_key`]'s cache key): each device's
-    /// usage-table slot by the key's detail, and the `clock` value of
-    /// the compile key's last [`CacheHub::usage_tables`] touch.
-    usages: BTreeMap<String, (BTreeMap<String, Slot<UsageTables>>, u64)>,
     clock: u64,
     /// Campaign counts carried over from evicted caches, so
     /// [`CacheHub::fabrication_stats`] stays monotonic — the property
@@ -415,39 +408,32 @@ impl CacheHub {
 
     /// Evicts the warm caches of every *idle* configuration (no lab
     /// holds them) beyond the `keep` most recently used — by last lab
-    /// creation, not insertion — keeping their campaign counts, and
-    /// likewise the idle usage-table slots (no thread is computing or
-    /// awaiting them) of every compile configuration beyond the `keep`
-    /// most recently used. A long-lived service calls this after each
-    /// batch to bound its memory; an evicted configuration costs only
-    /// recomputation (or a store read), since cached values are pure
-    /// functions of their keys.
+    /// creation, not insertion — keeping their campaign counts. A
+    /// long-lived service calls this after each batch to bound its
+    /// memory; an evicted configuration costs only recomputation (or a
+    /// store read), since cached values are pure functions of their
+    /// keys.
     pub fn trim(&self, keep: usize) {
         let mut inner = self.inner.lock().expect("hub poisoned");
-        let HubState { entries, usages, retired, .. } = &mut *inner;
-        if let Some(cutoff) = past_keep(entries.values().map(|(_, touched)| *touched), keep) {
-            entries.retain(|_, (caches, touched)| {
-                let evict = *touched <= cutoff && Arc::strong_count(caches) == 1;
-                if evict {
-                    caches.tally(retired);
-                }
-                !evict
-            });
-        }
-        if let Some(cutoff) = past_keep(usages.values().map(|(_, touched)| *touched), keep) {
-            usages.retain(|_, (slots, touched)| {
-                if *touched <= cutoff {
-                    slots.retain(|_, slot| Arc::strong_count(slot) > 1);
-                }
-                !slots.is_empty()
-            });
-        }
+        let mut touches: Vec<u64> =
+            inner.entries.values().map(|(_, touched)| *touched).collect();
+        touches.sort_unstable_by(|a, b| b.cmp(a));
+        // Touches are unique, so this splits off exactly the
+        // configurations ranked past `keep`.
+        let Some(&cutoff) = touches.get(keep) else { return };
+        let HubState { entries, retired, .. } = &mut *inner;
+        entries.retain(|_, (caches, touched)| {
+            let evict = *touched <= cutoff && Arc::strong_count(caches) == 1;
+            if evict {
+                caches.tally(retired);
+            }
+            !evict
+        });
     }
 
-    /// Drops every idle warm in-memory product, usage tables included
-    /// ([`CacheHub::trim`] to zero; the hub is the only in-process
-    /// cache), while keeping the store attachment and the cumulative
-    /// fabrication counters.
+    /// Drops every idle warm in-memory product ([`CacheHub::trim`] to
+    /// zero; the hub is the only in-process cache) while keeping the
+    /// store attachment and the cumulative fabrication counters.
     ///
     /// This is the long-lived service's `reset` valve: the hub behaves
     /// as freshly constructed (plus any persistent store), so the next
@@ -456,68 +442,35 @@ impl CacheHub {
     pub fn clear(&self) {
         self.trim(0);
     }
-
-    /// Each benchmark's `edge_usage` table on `target`, in benchmark
-    /// order: the benchmark generated at the target's size from
-    /// `circuit_seed`, laid out and routed by `transpiler`
-    /// ([`Transpiler::usage_many`]). Cached: computed at most once per
-    /// hub, however many scenarios, lab configurations or shards ask,
-    /// and read through the persistent store's `usage` entries when
-    /// one is attached (a miss compiles, then writes behind).
-    pub fn usage_tables(
-        &self,
-        transpiler: &Transpiler,
-        benchmarks: &[Benchmark],
-        circuit_seed: Seed,
-        target: CompileTarget,
-    ) -> Arc<UsageTables> {
-        let key = usage_key(transpiler, benchmarks, circuit_seed, target);
-        let cell = self.usage_slot(&key);
-        Arc::clone(cell.get_or_init(|| {
-            let device = target.build();
-            if let Some(store) = &self.store {
-                if let Some(payload) = store.get(&key) {
-                    match decode_usage(&payload, benchmarks.len(), device.edges().len()) {
-                        Ok(tables) => return Arc::new(tables),
-                        Err(_) => store.count_invalid_payload(),
-                    }
-                }
-            }
-            let circuits: Vec<Circuit> = benchmarks
-                .iter()
-                .map(|b| b.for_device_qubits(device.num_qubits(), circuit_seed))
-                .collect();
-            let tables = Arc::new(transpiler.usage_many(&circuits, &device));
-            if let Some(store) = &self.store {
-                let for_writer = Arc::clone(&tables);
-                store.put_with(&key, Encoding::Binary, move || encode_to_vec(&*for_writer));
-            }
-            tables
-        }))
-    }
-
-    /// The slot of `key`'s device under its compile key, created empty
-    /// on first use; touches the compile key for [`CacheHub::trim`].
-    fn usage_slot(&self, key: &EntryKey) -> Slot<UsageTables> {
-        let mut inner = self.inner.lock().expect("hub poisoned");
-        inner.clock += 1;
-        let touched = inner.clock;
-        let (slots, touch) = inner.usages.entry(key.cache_key.clone()).or_default();
-        *touch = touched;
-        Arc::clone(slots.entry(key.detail.clone()).or_default())
-    }
 }
 
-/// The touch at or below which entries rank past the `keep` most
-/// recently used, `None` when there are at most `keep`. Touches are
-/// unique, so the cutoff splits off exactly those entries.
-fn past_keep(touches: impl Iterator<Item = u64>, keep: usize) -> Option<u64> {
-    let mut touches: Vec<u64> = touches.collect();
-    touches.sort_unstable_by(|a, b| b.cmp(a));
-    touches.get(keep).copied()
+/// The product stored under `key`, when `store` holds a payload that
+/// `decode` accepts; else (no store, a miss, or a payload `decode`
+/// rejects, counted invalid) `compute`'s, which the store then writes
+/// behind. The one store-read policy of [`Lab`]'s encoded products.
+fn read_through<T: Codec + Send + Sync + 'static>(
+    store: Option<&Store>,
+    key: &EntryKey,
+    decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
+    compute: impl FnOnce() -> T,
+) -> Arc<T> {
+    if let Some(store) = store {
+        if let Some(payload) = store.get(key) {
+            match decode(&payload) {
+                Ok(value) => return Arc::new(value),
+                Err(_) => store.count_invalid_payload(),
+            }
+        }
+    }
+    let value = Arc::new(compute());
+    if let Some(store) = store {
+        let for_writer = Arc::clone(&value);
+        store.put_with(key, Encoding::Binary, move || encode_to_vec(&*for_writer));
+    }
+    value
 }
 
-/// A device [`CacheHub::usage_tables`] compiles onto.
+/// A device [`Lab::usage_tables`] compiles onto.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompileTarget {
     /// A multi-chip module.
@@ -674,47 +627,34 @@ impl Lab {
     pub fn mono_population(&self, qubits: usize) -> Arc<MonoPopulation> {
         let cell = slot(&self.shared.mono_pops, &qubits);
         Arc::clone(cell.get_or_init(|| {
-            let entry_key =
-                || EntryKey::new(self.config.cache_key(), KIND_MONO_POP, format!("{qubits}q"));
-            if let Some(store) = &self.shared.store {
-                if let Some(payload) = store.get(&entry_key()) {
-                    match decode_from_slice::<MonoPopulation>(&payload) {
-                        Ok(pop) => return Arc::new(pop),
-                        Err(_) => store.count_invalid_payload(),
-                    }
-                }
-            }
-            self.shared.mono_fabrications.fetch_add(1, Ordering::Relaxed);
-            let device = MonolithicSpec::with_qubits(qubits)
-                .unwrap_or_else(|e| panic!("monolithic size {qubits}: {e}"))
-                .build();
-            let survivors = fabricate_collision_free(
-                &device,
-                &self.config.fabrication,
-                &self.config.collision,
-                self.config.batch,
-                self.config.seed.split_str("mono-fab").split(qubits as u64),
-            );
-            let estimate =
-                YieldEstimate { survivors: survivors.len(), batch: self.config.batch };
-            let noise_seed = self.config.seed.split_str("mono-noise").split(qubits as u64);
-            let members = survivors
-                .into_iter()
-                .enumerate()
-                .map(|(i, freqs)| {
-                    let mut rng = noise_seed.split(i as u64).rng();
-                    let noise = self.noise.assign(&device, &freqs, &mut rng);
-                    (freqs, noise)
-                })
-                .collect();
-            let pop = Arc::new(MonoPopulation { device, estimate, members });
-            if let Some(store) = &self.shared.store {
-                let for_writer = Arc::clone(&pop);
-                store.put_with(&entry_key(), Encoding::Binary, move || {
-                    encode_to_vec(&*for_writer)
-                });
-            }
-            pop
+            let key =
+                EntryKey::new(self.config.cache_key(), KIND_MONO_POP, format!("{qubits}q"));
+            read_through(self.shared.store.as_deref(), &key, decode_from_slice, || {
+                self.shared.mono_fabrications.fetch_add(1, Ordering::Relaxed);
+                let device = MonolithicSpec::with_qubits(qubits)
+                    .unwrap_or_else(|e| panic!("monolithic size {qubits}: {e}"))
+                    .build();
+                let survivors = fabricate_collision_free(
+                    &device,
+                    &self.config.fabrication,
+                    &self.config.collision,
+                    self.config.batch,
+                    self.config.seed.split_str("mono-fab").split(qubits as u64),
+                );
+                let estimate =
+                    YieldEstimate { survivors: survivors.len(), batch: self.config.batch };
+                let noise_seed = self.config.seed.split_str("mono-noise").split(qubits as u64);
+                let members = survivors
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, freqs)| {
+                        let mut rng = noise_seed.split(i as u64).rng();
+                        let noise = self.noise.assign(&device, &freqs, &mut rng);
+                        (freqs, noise)
+                    })
+                    .collect();
+                MonoPopulation { device, estimate, members }
+            })
         }))
     }
 
@@ -731,6 +671,39 @@ impl Lab {
                 &bin,
                 self.assembly_seed(spec),
             ))
+        }))
+    }
+
+    /// Each benchmark's `edge_usage` table on `target`, in benchmark
+    /// order: the benchmark generated at the target's size from
+    /// `circuit_seed`, laid out and routed by `transpiler`
+    /// ([`Transpiler::usage_many`]). Cached: computed at most once
+    /// across all sharing labs, whatever their link ratio, and read
+    /// through the store's `usage` entries, whose key holds no lab
+    /// configuration, so every configuration and process shares them.
+    pub fn usage_tables(
+        &self,
+        transpiler: &Transpiler,
+        benchmarks: &[Benchmark],
+        circuit_seed: Seed,
+        target: CompileTarget,
+    ) -> Arc<UsageTables> {
+        let key = usage_key(transpiler, benchmarks, circuit_seed, target);
+        let cell = slot(&self.shared.usages, &key.logical());
+        Arc::clone(cell.get_or_init(|| {
+            let device = target.build();
+            read_through(
+                self.shared.store.as_deref(),
+                &key,
+                |payload| decode_usage(payload, benchmarks.len(), device.edges().len()),
+                || {
+                    let circuits: Vec<Circuit> = benchmarks
+                        .iter()
+                        .map(|b| b.for_device_qubits(device.num_qubits(), circuit_seed))
+                        .collect();
+                    transpiler.usage_many(&circuits, &device)
+                },
+            )
         }))
     }
 
@@ -1169,6 +1142,7 @@ mod tests {
         let (t, benchmarks, seed, target) = usage_inputs();
         let open =
             || CacheHub::new().with_store(Store::open(&dir, CacheMode::ReadWrite).unwrap());
+        let tables = |lab: &Lab| lab.usage_tables(&t, &benchmarks, seed, target);
 
         // The tables are the routed usage counts of each benchmark.
         let device = target.build();
@@ -1177,17 +1151,20 @@ mod tests {
         let expected = t.usage_many(&circuits, &device);
 
         let cold = open();
-        let tables = cold.usage_tables(&t, &benchmarks, seed, target);
-        assert_eq!(*tables, expected);
-        assert!(Arc::ptr_eq(&tables, &cold.usage_tables(&t, &benchmarks, seed, target)));
+        let lab = Lab::new_in(LabConfig::quick(), &cold);
+        assert_eq!(*tables(&lab), expected);
+        assert!(Arc::ptr_eq(&tables(&lab), &tables(&lab)));
         cold.flush_store();
         assert_eq!(
             cold.store_stats(),
             StoreStats { hits: 0, misses: 1, writes: 1, invalid: 0 }
         );
 
+        // The entry's key holds no lab configuration: a lab of another
+        // seed reads it.
         let warm = open();
-        assert_eq!(*warm.usage_tables(&t, &benchmarks, seed, target), expected);
+        let other = LabConfig::quick().with_seed(Seed(99));
+        assert_eq!(*tables(&Lab::new_in(other, &warm)), expected);
         assert_eq!(
             warm.store_stats(),
             StoreStats { hits: 1, misses: 0, writes: 0, invalid: 0 }
@@ -1201,7 +1178,7 @@ mod tests {
             }
         }
         let vandalized = open();
-        assert_eq!(*vandalized.usage_tables(&t, &benchmarks, seed, target), expected);
+        assert_eq!(*tables(&Lab::new_in(LabConfig::quick(), &vandalized)), expected);
         vandalized.flush_store();
         assert_eq!(
             vandalized.store_stats(),
@@ -1228,31 +1205,26 @@ mod tests {
     }
 
     #[test]
-    fn trim_and_clear_drop_idle_usage_slots_but_never_one_in_use() {
+    fn trim_and_clear_drop_idle_usage_tables_but_never_those_in_use() {
         let hub = CacheHub::new();
         let (t, benchmarks, seed, target) = usage_inputs();
-        let tables = |seed| hub.usage_tables(&t, &benchmarks, seed, target);
-        let stale = tables(Seed(1));
-        let warm = tables(seed);
-        // A slot a thread is computing or awaiting, under a compile key
-        // that `trim(1)` ranks past its keep.
-        let busy_key = usage_key(&t, &benchmarks, Seed(2), target);
-        let busy = hub.usage_slot(&busy_key);
-        let fresh = tables(seed);
-        assert!(Arc::ptr_eq(&warm, &fresh));
+        let lab = |seed| Lab::new_in(LabConfig::quick().with_seed(Seed(seed)), &hub);
+        let tables = |lab: &Lab| lab.usage_tables(&t, &benchmarks, seed, target);
+        // A live lab keeps its configuration's tables, however stale.
+        let busy = lab(1);
+        let busy_tables = tables(&busy);
+        let stale = tables(&lab(2));
+        let warm = tables(&lab(3));
 
         hub.trim(1);
-        assert!(Arc::ptr_eq(&warm, &tables(seed)), "the most recently used stays warm");
-        assert!(!Arc::ptr_eq(&stale, &tables(Seed(1))), "an idle stale slot is dropped");
-        assert_eq!(*stale, *tables(Seed(1)), "recomputation is bit-identical");
-        assert!(Arc::ptr_eq(&busy, &hub.usage_slot(&busy_key)), "trim kept the slot in use");
+        assert!(Arc::ptr_eq(&warm, &tables(&lab(3))), "the most recently used stays warm");
+        let recomputed = tables(&lab(2));
+        assert!(!Arc::ptr_eq(&stale, &recomputed), "idle stale tables are dropped");
+        assert_eq!(*stale, *recomputed, "recomputation is bit-identical");
 
         hub.clear();
-        assert!(!Arc::ptr_eq(&warm, &tables(seed)), "clear drops every idle slot");
-        assert!(Arc::ptr_eq(&busy, &hub.usage_slot(&busy_key)), "clear kept the slot in use");
-        drop(busy);
-        hub.clear();
-        assert!(hub.inner.lock().unwrap().usages.is_empty());
+        assert!(!Arc::ptr_eq(&warm, &tables(&lab(3))), "clear drops every idle table");
+        assert!(Arc::ptr_eq(&busy_tables, &tables(&busy)), "tables in use are never dropped");
     }
 
     #[test]

@@ -72,10 +72,9 @@
 //!   unknown scenario, bad token) answers with an error frame and
 //!   leaves the daemon up.
 //! * After every batch the hub evicts the warm caches of idle lab
-//!   configurations, and the idle usage tables of compile
-//!   configurations, beyond the [`WARM_CONFIGS`] most recently used
-//!   of each ([`CacheHub::trim`]), so a stream of new seeds cannot
-//!   grow the daemon without bound. A submission may also ask for a
+//!   configurations beyond the [`WARM_CONFIGS`] most recently used
+//!   ([`CacheHub::trim`]), so a stream of new seeds cannot grow the
+//!   daemon without bound. A submission may also ask for a
 //!   [`CacheHub::clear`] first (`reset`).
 //!
 //! ## Blocking waits
@@ -181,11 +180,10 @@ const REQUEST_DEADLINE: Duration = Duration::from_secs(60);
 /// ends promptly. A peer cut off mid-burst redials once.
 const STORE_KEEPALIVE: Duration = Duration::from_millis(250);
 
-/// How many lab configurations, and how many compile configurations'
-/// usage tables, the warm hub keeps after each batch: idle ones beyond
-/// the most recently used this many are evicted ([`CacheHub::trim`]).
-/// An evicted configuration costs only recomputation, or a store read,
-/// the next time it is submitted.
+/// How many lab configurations the warm hub keeps after each batch:
+/// idle ones beyond the most recently used this many are evicted
+/// ([`CacheHub::trim`]). An evicted configuration costs only
+/// recomputation, or a store read, the next time it is submitted.
 const WARM_CONFIGS: usize = 32;
 
 /// Default cap on concurrently running batches.

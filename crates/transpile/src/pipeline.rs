@@ -20,7 +20,8 @@ use crate::routing::{route, Routed, RoutingParams};
 
 /// The version of everything a usage table ([`Transpiler::usage_many`])
 /// depends on beyond its inputs: the router, the layout, the benchmark
-/// generators and the device topology. Stored usage tables are keyed
+/// generators, the device topology and [`edge_usage`]'s counting rule
+/// (a SWAP counted 3×, an RZZ 2×). Stored usage tables are keyed
 /// on it, so bump it whenever a change to any of those moves a table;
 /// a store written before the bump is then cold for usage tables,
 /// never stale. The compile-fingerprint test in
